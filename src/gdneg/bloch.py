@@ -14,9 +14,18 @@ coefficients follow from Tr(z_i z_j) = 2 delta_ij:
 
 and the round-trip property decompose -> reconstruct -> identity is what
 pins them down (see tests).
+
+All of them come from one product per state: with the realigned matrix
+R[(i j),(k l)] = rho[(i k),(j l)] and vec(z) the row-major flattening,
+
+    [vec(I_m), (m/2) vec(z_i^T)]^T  R  [vec(I_n), (n/2) vec(w_j^T)]
+        = [[Tr rho, y^T], [x, T]],
+
+which `coefficient_stack` evaluates on a whole stack of states at once.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,27 +47,49 @@ class BlochForm:
     T: np.ndarray  # (m^2 - 1, n^2 - 1)
 
 
+@lru_cache(maxsize=None)
+def _extraction_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left (m^2, m^2) and right (n^2, n^2) factors of the product above."""
+    left = np.vstack([np.eye(m).reshape(1, m * m), (m / 2) * _vec_transposed(basis_stack(m))])
+    right = np.vstack([np.eye(n).reshape(1, n * n), (n / 2) * _vec_transposed(basis_stack(n))]).T
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
+def _vec_transposed(stack: np.ndarray) -> np.ndarray:
+    return stack.transpose(0, 2, 1).reshape(len(stack), -1)
+
+
+def imag_residue_fault(residue: float) -> InvalidState:
+    """The error for Bloch data whose extraction traces carry an imaginary residue."""
+    return InvalidState(f"imaginary residue {residue:.3e} in Bloch extraction traces")
+
+
+def coefficient_stack(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch data of a (k, mn, mn) stack and the imaginary residue of each state.
+
+    The data is the real part of the (k, m^2, n^2) product above: x in
+    column 0 and T in the rest of rows 1.., y in row 0. The residue is the
+    largest imaginary part among x, y and T, which vanishes for Hermitian
+    input.
+    """
+    k = len(mats)
+    left, right = _extraction_maps(m, n)
+    realigned = mats.reshape(k, m, n, m, n).transpose(0, 1, 3, 2, 4).reshape(k, m * m, n * n)
+    coeffs = left @ realigned @ right
+    imag = np.abs(coeffs.imag)
+    imag[:, 0, 0] = 0.0
+    return coeffs.real, np.max(imag, axis=(1, 2))
+
+
 def decompose(rho: DensityMatrix) -> BlochForm:
     """Local Bloch vectors and correlation matrix of a state."""
-    m, n = rho.m, rho.n
-    a_stack = basis_stack(m)
-    b_stack = basis_stack(n)
-    r4 = rho.mat.reshape(m, n, m, n)
-
-    x = (m / 2) * np.einsum("ikjk,aji->a", r4, a_stack)
-    y = (n / 2) * np.einsum("ikil,blk->b", r4, b_stack)
-    t = (m * n / 4) * np.einsum("ikjl,aji,blk->ab", r4, a_stack, b_stack, optimize=True)
-
-    residue = max(
-        float(np.max(np.abs(x.imag))),
-        float(np.max(np.abs(y.imag))),
-        float(np.max(np.abs(t.imag))),
-    )
-    if residue > IMAG_RESIDUE_ATOL:
-        raise InvalidState(
-            f"imaginary residue {residue:.3e} in Bloch extraction traces"
-        )
-    return BlochForm(m=m, n=n, x=x.real.copy(), y=y.real.copy(), T=t.real.copy())
+    coeffs, residue = coefficient_stack(rho.mat[None], rho.m, rho.n)
+    if not residue[0] <= IMAG_RESIDUE_ATOL:
+        raise imag_residue_fault(residue[0])
+    c = coeffs[0]
+    return BlochForm(m=rho.m, n=rho.n, x=c[1:, 0].copy(), y=c[0, 1:].copy(), T=c[1:, 1:].copy())
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:
@@ -90,5 +121,10 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
 
 def g_matrix(bf: BlochForm) -> np.ndarray:
     """x x^T + (2/n) T T^T; real symmetric and positive semidefinite."""
-    g = np.outer(bf.x, bf.x) + (2.0 / bf.n) * (bf.T @ bf.T.T)
-    return (g + g.T) / 2
+    return g_stack(bf.x[None], bf.T[None], bf.n)[0]
+
+
+def g_stack(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """`g_matrix` of each state, from (k, m^2-1) x and (k, m^2-1, n^2-1) T."""
+    g = x[:, :, None] * x[:, None, :] + (2.0 / n) * (t @ t.transpose(0, 2, 1))
+    return (g + g.transpose(0, 2, 1)) / 2

@@ -12,6 +12,13 @@ are printed with shortest round-trip formatting, so identical inputs and
 seeds give byte-identical output. Randomness comes from numpy's seedable
 PCG64 generator; counts are reproducible only under the same generator.
 
+`sample`, `verify` and `sweep` draw, validate and measure states in chunks:
+stacks of at most CHUNK_ENTRIES matrix entries, measured by one kernel call
+each. A chunk draws its states from the generator in one call, in the same
+order as drawing them one at a time, so the state stream of a seed is the
+same as with per-state drawing, and so are counts and verdicts. Negative
+counts and seeds are rejected as InvalidRange.
+
 Exit codes: 0 success, 1 validation failure, 2 bound/theorem violation
 (numerical fault).
 """
@@ -37,10 +44,12 @@ from .families import FAMILY_NAMES, FamilySpec, build, rho1_closed_forms
 from .measures import (
     DensityMatrix,
     PureState,
+    _measure_stack,
     bounds_check,
     gd_bruteforce_2xn,
     measurement_identity_check,
 )
+from .states import first_invalid_state, first_invalid_vector
 
 STATE_FORMAT = "gdneg-state/1"
 
@@ -53,6 +62,15 @@ VERIFY_FAILURE_FILE = "gdneg-verify-failure.json"
 VERIFY_ORACLE_SUBSAMPLE = 20
 VERIFY_ORACLE_RESOLUTION = 24
 VERIFY_ORACLE_ATOL = 1e-5
+
+# States are measured in stacks of at most this many matrix entries: enough
+# states to spread the per-call cost of the kernel, few enough to keep the
+# working set, and peak memory, flat at every dimension.
+CHUNK_ENTRIES = 8192
+
+
+def _chunk_size(d: int) -> int:
+    return max(1, CHUNK_ENTRIES // (d * d))
 
 
 def _fmt(x: float) -> str:
@@ -151,22 +169,33 @@ def sweep_rows(
     else:
         params = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
     rows = []
-    for param in params:
-        rho = build(family_spec_for(family, param), allow_out_of_range=allow_out_of_range)
-        report = bounds_check(rho)
-        cf_disc = cf_neg_sq = None
-        if family == "rho1":
-            cf_neg_sq, cf_disc = rho1_closed_forms(param, 1.0)
-        rows.append(
-            SweepRow(
-                param=param,
-                discord=report.discord,
-                negativity_sq=report.negativity_sq,
-                gap=report.negativity_sq - report.discord,
-                closed_form_discord=cf_disc,
-                closed_form_negativity_sq=cf_neg_sq,
-            )
+    size = _chunk_size(6)
+    for start in range(0, len(params), size):
+        chunk = params[start : start + size]
+        mats = np.array(
+            [
+                build(family_spec_for(family, p), allow_out_of_range=allow_out_of_range).mat
+                for p in chunk
+            ]
         )
+        measured = _measure_stack(mats, 2, 3)
+        if not measured.ok.all():
+            measured.raise_fault(int(np.argmin(measured.ok)))
+        for param, neg, disc in zip(chunk, measured.negativity, measured.discord):
+            cf_disc = cf_neg_sq = None
+            if family == "rho1":
+                cf_neg_sq, cf_disc = rho1_closed_forms(param, 1.0)
+            neg_sq = float(neg) * float(neg)
+            rows.append(
+                SweepRow(
+                    param=param,
+                    discord=float(disc),
+                    negativity_sq=neg_sq,
+                    gap=neg_sq - float(disc),
+                    closed_form_discord=cf_disc,
+                    closed_form_negativity_sq=cf_neg_sq,
+                )
+            )
     return rows
 
 
@@ -188,32 +217,75 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 # Random state generation
 
 
+def _hs_stack(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k Hilbert-Schmidt states G G^dag / Tr(G G^dag) as a (k, d, d) stack."""
+    z = rng.standard_normal((k, 2, d, d))
+    g = z[:, 0] + 1j * z[:, 1]
+    mats = g @ g.conj().transpose(0, 2, 1)
+    return mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+
+
+def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k normalized complex Gaussian vectors as a (k, d) array."""
+    z = rng.standard_normal((k, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    # One norm per vector, so each is rounded exactly as for a lone vector.
+    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
+
+
 def random_density_matrix(m: int, n: int, rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt-distributed state: G G^dag / Tr(G G^dag), G square Ginibre."""
-    d = m * n
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = g @ g.conj().T
-    return DensityMatrix(m, n, mat / np.trace(mat).real)
+    return DensityMatrix(m, n, _hs_stack(m * n, 1, rng)[0])
 
 
 def random_pure_state(m: int, n: int, rng: np.random.Generator) -> PureState:
     """Normalized complex Gaussian vector."""
-    v = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
-    return PureState(m, n, v / np.linalg.norm(v))
+    return PureState(m, n, _unit_vectors(m * n, 1, rng)[0])
 
 
-def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
-    """Deterministic stream of `count` random states for the given seed."""
+def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
+    """The state stream of a seed as validated (k, mn, mn) stacks.
+
+    Arguments are checked before this returns. A state that fails validation
+    ends the stream as it would one drawn and validated alone: the states
+    before it are yielded, then its InvalidState is raised.
+    """
     if not 2 <= m <= n:
         raise InvalidDimension(f"sampling requires 2 <= m <= n, got {m}x{n}")
     if ensemble not in ENSEMBLES:
         raise InvalidRange(f"unknown ensemble {ensemble!r}; expected one of {ENSEMBLES}")
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
+    if count < 0:
+        raise InvalidRange(f"count must be non-negative, got {count}")
+    if seed < 0:
+        raise InvalidRange(f"seed must be non-negative, got {seed}")
+    return _draw_stacks(m * n, count, np.random.default_rng(seed), ensemble)
+
+
+def _draw_stacks(d: int, count: int, rng: np.random.Generator, ensemble: str):
+    size = _chunk_size(d)
+    for start in range(0, count, size):
+        k = min(size, count - start)
+        invalid = None
         if ensemble == "pure":
-            yield random_pure_state(m, n, rng).projector()
+            vs = _unit_vectors(d, k, rng)
+            invalid = first_invalid_vector(vs)
+            mats = vs[:, :, None] * vs.conj()[:, None, :]
         else:
-            yield random_density_matrix(m, n, rng)
+            mats = _hs_stack(d, k, rng)
+        end = k if invalid is None else invalid[0]
+        invalid = first_invalid_state(mats[:end]) or invalid
+        if invalid is not None:
+            if invalid[0]:
+                yield mats[: invalid[0]]
+            raise InvalidState(invalid[1])
+        yield mats
+
+
+def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
+    """Deterministic stream of `count` random states for the given seed."""
+    for mats in _state_stacks(m, n, count, seed, ensemble):
+        for mat in mats:
+            yield DensityMatrix(m, n, mat)
 
 
 @dataclass(frozen=True)
@@ -234,17 +306,20 @@ def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSu
     violations = 0
     bound_failures = 0
     max_gap = min_gap = None
-    for rho in sample_states(m, n, count, seed, ensemble):
-        try:
-            report = bounds_check(rho)
-        except (BoundViolation, CapViolation):
-            bound_failures += 1
+    for mats in _state_stacks(m, n, count, seed, ensemble):
+        measured = _measure_stack(mats, m, n)
+        for i in np.flatnonzero(~measured.ok):
+            try:
+                measured.raise_fault(i)
+            except (BoundViolation, CapViolation):
+                bound_failures += 1
+        gaps = (measured.negativity * measured.negativity - measured.discord)[measured.ok]
+        if gaps.size == 0:
             continue
-        gap = report.negativity_sq - report.discord
-        if gap > VIOLATION_EPS:
-            violations += 1
-        max_gap = gap if max_gap is None else max(max_gap, gap)
-        min_gap = gap if min_gap is None else min(min_gap, gap)
+        violations += int(np.sum(gaps > VIOLATION_EPS))
+        hi, lo = float(gaps.max()), float(gaps.min())
+        max_gap = hi if max_gap is None else max(max_gap, hi)
+        min_gap = lo if min_gap is None else min(min_gap, lo)
     return SampleSummary(
         dims=(m, n),
         count=count,
@@ -273,7 +348,8 @@ def run_verify(
 
     Per state: the two negativity expressions must agree, the partial
     transpose negative-eigenvalue count must respect its cap, and the measure
-    bounds must hold (all enforced inside the measure functions). For m = 2
+    bounds must hold (all enforced by the measures kernel, a chunk of states
+    at a time, and reported at the first failing state). For m = 2
     the measurement trace identity is checked at a random direction, and the
     brute-force discord oracle is compared against the formula on the first
     `oracle_subsample` states.
@@ -281,40 +357,45 @@ def run_verify(
     Returns a report dict; on failure it carries the failing state serialized
     to a file for reproduction.
     """
+    stacks = _state_stacks(m, n, count, seed, "hilbert-schmidt")
     rng = np.random.default_rng(seed)
     checked = 0
     violations = 0
     oracle_checked = 0
     max_oracle_dev = 0.0
-    for rho in sample_states(m, n, count, seed, "hilbert-schmidt"):
-        try:
-            report = bounds_check(rho)
-            if m == 2:
-                u = rng.standard_normal(3)
-                measurement_identity_check(rho, u)
-                if oracle_checked < oracle_subsample:
-                    brute = gd_bruteforce_2xn(rho, resolution=resolution)
-                    dev = abs(brute - report.discord)
-                    max_oracle_dev = max(max_oracle_dev, dev)
-                    oracle_checked += 1
-                    if dev > VERIFY_ORACLE_ATOL:
-                        raise BoundViolation(
-                            f"oracle deviation {dev!r} exceeds {VERIFY_ORACLE_ATOL}"
-                        )
-        except (BoundViolation, CapViolation) as exc:
-            write_state(VERIFY_FAILURE_FILE, rho)
-            return {
-                "dims": [m, n],
-                "count": count,
-                "seed": seed,
-                "checked": checked,
-                "passed": False,
-                "failure": str(exc),
-                "failure_state_file": VERIFY_FAILURE_FILE,
-            }
-        if report.negativity_sq - report.discord > VIOLATION_EPS:
-            violations += 1
-        checked += 1
+    for mats in stacks:
+        measured = _measure_stack(mats, m, n)
+        gaps = measured.negativity * measured.negativity - measured.discord
+        for i, mat in enumerate(mats):
+            try:
+                measured.raise_fault(i)
+                if m == 2:
+                    rho = DensityMatrix(m, n, mat)
+                    u = rng.standard_normal(3)
+                    measurement_identity_check(rho, u)
+                    if oracle_checked < oracle_subsample:
+                        brute = gd_bruteforce_2xn(rho, resolution=resolution)
+                        dev = abs(brute - float(measured.discord[i]))
+                        max_oracle_dev = max(max_oracle_dev, dev)
+                        oracle_checked += 1
+                        if dev > VERIFY_ORACLE_ATOL:
+                            raise BoundViolation(
+                                f"oracle deviation {dev!r} exceeds {VERIFY_ORACLE_ATOL}"
+                            )
+            except (BoundViolation, CapViolation) as exc:
+                write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mat))
+                return {
+                    "dims": [m, n],
+                    "count": count,
+                    "seed": seed,
+                    "checked": checked,
+                    "passed": False,
+                    "failure": str(exc),
+                    "failure_state_file": VERIFY_FAILURE_FILE,
+                }
+            if gaps[i] > VIOLATION_EPS:
+                violations += 1
+            checked += 1
     return {
         "dims": [m, n],
         "count": count,

@@ -2,6 +2,8 @@
 
 All functions are pure and operate on plain ``numpy`` arrays (complex128,
 row-major). Spectra are returned as real vectors sorted nonincreasing.
+`hermiticity_defect`, `hermitian_eigenvalues` and `partial_transpose` also
+take a stack of matrices, shape (..., d, d), and act on each matrix of it.
 """
 
 import numpy as np
@@ -15,14 +17,16 @@ HERMITIAN_ATOL = 1e-10
 NEGATIVE_EIGENVALUE_CUTOFF = -1e-10
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max absolute deviation of a square matrix from its conjugate transpose."""
+def hermiticity_defect(a: np.ndarray):
+    """Max absolute deviation of a square matrix from its conjugate transpose.
+
+    A float for one matrix; an array of one defect per matrix for a stack.
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
+    defect = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    return float(defect) if a.ndim == 2 else defect
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,13 +42,13 @@ def hermitian_eigenvalues(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.nda
     carry float noise.
     """
     a = np.asarray(a, dtype=complex)
-    defect = hermiticity_defect(a)
-    if defect > atol:
+    defect = np.max(hermiticity_defect(a), initial=0.0)
+    if not defect <= atol:
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds tolerance {atol:.1e}"
         )
-    sym = (a + a.conj().T) / 2
-    return np.linalg.eigvalsh(sym)[::-1].copy()
+    sym = (a + a.conj().swapaxes(-1, -2)) / 2
+    return np.linalg.eigvalsh(sym)[..., ::-1].copy()
 
 
 def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -54,11 +58,13 @@ def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
     entry permutation, so applying it twice returns the input exactly.
     """
     a = np.asarray(a)
-    if a.shape != (m * n, m * n):
+    lead = a.shape[:-2]
+    if a.shape[-2:] != (m * n, m * n):
         raise DimensionMismatch(
             f"expected shape ({m * n}, {m * n}) for dimensions {m}x{n}, got {a.shape}"
         )
-    return a.reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, m * n).copy()
+    r = a.reshape(*lead, m, n, m, n).swapaxes(-4, -2)
+    return r.reshape(*lead, m * n, m * n).copy()
 
 
 def partial_trace_b(a: np.ndarray, m: int, n: int) -> np.ndarray:

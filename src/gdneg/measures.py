@@ -9,13 +9,21 @@ For m = 2 the correlation-tensor formula is exact; for m >= 3 it is a lower
 bound and `geometric_discord` says so via its exactness flag. An independent
 brute-force minimization over qubit von Neumann measurements is provided as
 `gd_bruteforce_2xn` and is used to cross-check the formula in tests.
+
+Every measure is computed by one kernel on a stack of states, shape
+(k, mn, mn): one partial-transpose spectrum per state feeds both negativity
+expressions and the negative-eigenvalue count, and one stacked Bloch
+extraction feeds the discord. The CLI runs it on chunks of states; the
+single-state functions here run it on a stack of one, so each formula and
+each check exists once. scipy is imported only when the brute-force oracle
+runs, so `import gdneg` does not load it.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bloch
 from .errors import BoundViolation, CapViolation, InvalidDimension, WrongDimension
@@ -65,6 +73,138 @@ class MeasureReport:
     bounds_ok: bool
 
 
+# ---------------------------------------------------------------------------
+# The stack kernel
+
+
+class _Check(NamedTuple):
+    """One check over a stack: which states fail it, and the error for state i."""
+
+    failed: np.ndarray
+    fault: Callable[[int], Exception]
+
+
+def _raise_first(checks, i: int) -> None:
+    for check in checks:
+        if check.failed[i]:
+            raise check.fault(i)
+
+
+def _pt_spectra(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    return hermitian_eigenvalues(partial_transpose(mats, m, n))
+
+
+def _negativity(w: np.ndarray, m: int) -> tuple[np.ndarray, _Check]:
+    # Both expressions from the PT spectra w, rows sorted nonincreasing.
+    if m < 2:
+        raise InvalidDimension(f"negativity requires m >= 2, got m={m}")
+    via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
+    via_negative_part = 2.0 * -np.sum(np.where(w < 0.0, w, 0.0), axis=1) / (m - 1)
+    disagree = _Check(
+        ~(np.abs(via_trace_norm - via_negative_part) <= DUAL_NEGATIVITY_ATOL),
+        lambda i: BoundViolation(
+            "the two negativity expressions disagree: "
+            f"{float(via_trace_norm[i])!r} vs {float(via_negative_part[i])!r}"
+        ),
+    )
+    return via_negative_part, disagree
+
+
+def _negative_count(w: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check]:
+    count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
+    cap = (m - 1) * (n - 1)
+    over_cap = _Check(
+        count > cap,
+        lambda i: CapViolation(
+            f"{count[i]} negative partial-transpose eigenvalues exceed the cap {cap} "
+            f"for a {m}x{n} state"
+        ),
+    )
+    return count, over_cap
+
+
+def _discord(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check, _Check]:
+    coeffs, residue = bloch.coefficient_stack(mats, m, n)
+    x, t = coeffs[:, 1:, 0], coeffs[:, 1:, 1:]
+    lam = np.linalg.eigvalsh(bloch.g_stack(x, t, n))[:, ::-1]
+    top = np.sum(lam[:, : m - 1], axis=1)
+    raw = (2.0 / (m * (m - 1) * n)) * (
+        np.sum(x * x, axis=1) + (2.0 / n) * np.sum(t * t, axis=(1, 2)) - top
+    )
+    imaginary = _Check(
+        ~(residue <= bloch.IMAG_RESIDUE_ATOL),
+        lambda i: bloch.imag_residue_fault(residue[i]),
+    )
+    negative = _Check(
+        ~(raw >= -1e-12),
+        lambda i: BoundViolation(f"discord lower bound came out negative: {float(raw[i])!r}"),
+    )
+    return np.maximum(raw, 0.0), imaginary, negative
+
+
+def _outside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return ~((lo - BOUND_ATOL <= values) & (values <= hi + BOUND_ATOL))
+
+
+@dataclass(frozen=True)
+class _StackMeasures:
+    """Measures of a stack of states and their per-state verdicts."""
+
+    negativity: np.ndarray
+    discord: np.ndarray
+    pt_negative_count: np.ndarray
+    ok: np.ndarray  # True where every check passed
+    checks: tuple
+
+    def raise_fault(self, i: int) -> None:
+        """Raise the error `bounds_check` raises for state i, if it has one."""
+        _raise_first(self.checks, i)
+
+
+def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
+    """Negativity, discord and PT negative count of a validated (k, mn, mn) stack.
+
+    A state fails when a check fails: the two negativity expressions
+    disagree, the Bloch data has an imaginary residue (InvalidState), the
+    discord is negative beyond solver noise, the PT negative count exceeds
+    (m-1)(n-1), or N, D or N^2 - D leaves its proven interval. Nothing is
+    raised for a failing state; `raise_fault` gives the error of the first
+    check it fails, in that order.
+    """
+    w = _pt_spectra(mats, m, n)
+    neg, disagree = _negativity(w, m)
+    disc, imaginary, negative = _discord(mats, m, n)
+    count, over_cap = _negative_count(w, m, n)
+    d_max = m / (m - 1)
+    gap = neg * neg - disc
+    checks = (
+        disagree,
+        imaginary,
+        negative,
+        over_cap,
+        _Check(
+            _outside(neg, 0.0, 1.0),
+            lambda i: BoundViolation(f"negativity {float(neg[i])!r} outside [0, 1]"),
+        ),
+        _Check(
+            _outside(disc, 0.0, d_max),
+            lambda i: BoundViolation(f"discord {float(disc[i])!r} outside [0, {d_max}]"),
+        ),
+        _Check(
+            _outside(gap, -d_max, 1.0),
+            lambda i: BoundViolation(
+                f"N^2 - D = {float(gap[i])!r} outside [{-d_max}, 1] for a {m}x{n} state"
+            ),
+        ),
+    )
+    ok = ~np.logical_or.reduce([check.failed for check in checks])
+    return _StackMeasures(neg, disc, count, ok, checks)
+
+
+# ---------------------------------------------------------------------------
+# Single-state measures: the kernel on a stack of one
+
+
 def negativity(rho: DensityMatrix) -> float:
     """Negativity of a state, normalized so the maximum value is 1.
 
@@ -72,17 +212,9 @@ def negativity(rho: DensityMatrix) -> float:
     eigenvalues; the equivalent (trace norm - 1)/(m-1) expression is evaluated
     alongside and required to agree within 1e-9.
     """
-    if rho.m < 2:
-        raise InvalidDimension(f"negativity requires m >= 2, got m={rho.m}")
-    w = hermitian_eigenvalues(partial_transpose(rho.mat, rho.m, rho.n))
-    via_trace_norm = (float(np.sum(np.abs(w))) - 1.0) / (rho.m - 1)
-    via_negative_part = 2.0 * float(-np.sum(w[w < 0.0])) / (rho.m - 1)
-    if abs(via_trace_norm - via_negative_part) > DUAL_NEGATIVITY_ATOL:
-        raise BoundViolation(
-            "the two negativity expressions disagree: "
-            f"{via_trace_norm!r} vs {via_negative_part!r}"
-        )
-    return via_negative_part
+    neg, disagree = _negativity(_pt_spectra(rho.mat[None], rho.m, rho.n), rho.m)
+    _raise_first((disagree,), 0)
+    return float(neg[0])
 
 
 def pt_negative_count(rho: DensityMatrix) -> int:
@@ -91,15 +223,9 @@ def pt_negative_count(rho: DensityMatrix) -> int:
     Provably at most (m-1)(n-1); exceeding that cap is reported as a fault
     rather than clamped.
     """
-    w = hermitian_eigenvalues(partial_transpose(rho.mat, rho.m, rho.n))
-    count = int(np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF))
-    cap = (rho.m - 1) * (rho.n - 1)
-    if count > cap:
-        raise CapViolation(
-            f"{count} negative partial-transpose eigenvalues exceed the cap {cap} "
-            f"for a {rho.m}x{rho.n} state"
-        )
-    return count
+    count, over_cap = _negative_count(_pt_spectra(rho.mat[None], rho.m, rho.n), rho.m, rho.n)
+    _raise_first((over_cap,), 0)
+    return int(count[0])
 
 
 def gd_lower_bound(rho: DensityMatrix) -> float:
@@ -109,16 +235,9 @@ def gd_lower_bound(rho: DensityMatrix) -> float:
     G = x x^T + (2/n) T T^T ]. Nonnegative analytically; clamped at zero only
     within -1e-12 of solver noise.
     """
-    bf = bloch.decompose(rho)
-    g = bloch.g_matrix(bf)
-    lam = np.linalg.eigvalsh(g)[::-1]
-    top = float(np.sum(lam[: rho.m - 1]))
-    raw = (2.0 / (rho.m * (rho.m - 1) * rho.n)) * (
-        float(np.dot(bf.x, bf.x)) + (2.0 / rho.n) * hs_norm_sq(bf.T) - top
-    )
-    if raw < -1e-12:
-        raise BoundViolation(f"discord lower bound came out negative: {raw!r}")
-    return max(raw, 0.0)
+    disc, imaginary, negative = _discord(rho.mat[None], rho.m, rho.n)
+    _raise_first((imaginary, negative), 0)
+    return float(disc[0])
 
 
 def geometric_discord(rho: DensityMatrix) -> tuple[float, bool]:
@@ -178,6 +297,9 @@ def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
         raise WrongDimension(f"brute-force discord requires m = 2, got m={rho.m}")
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
+    # Imported here, not at module level, so that `import gdneg` does not load scipy.
+    from scipy.optimize import minimize
+
     n = rho.n
     r4 = rho.mat.reshape(2, n, 2, n)
 
@@ -305,27 +427,15 @@ def bounds_check(rho: DensityMatrix) -> MeasureReport:
     1e-9 slack. A violation raises BoundViolation: these are theorems, so a
     failure signals a numerical fault.
     """
-    neg = negativity(rho)
-    disc, exact = geometric_discord(rho)
-    count = pt_negative_count(rho)
-    cap = (rho.m - 1) * (rho.n - 1)
-    d_max = rho.m / (rho.m - 1)
-    gap = neg * neg - disc
-
-    if not -BOUND_ATOL <= neg <= 1.0 + BOUND_ATOL:
-        raise BoundViolation(f"negativity {neg!r} outside [0, 1]")
-    if not -BOUND_ATOL <= disc <= d_max + BOUND_ATOL:
-        raise BoundViolation(f"discord {disc!r} outside [0, {d_max}]")
-    if not -d_max - BOUND_ATOL <= gap <= 1.0 + BOUND_ATOL:
-        raise BoundViolation(
-            f"N^2 - D = {gap!r} outside [{-d_max}, 1] for a {rho.m}x{rho.n} state"
-        )
+    measured = _measure_stack(rho.mat[None], rho.m, rho.n)
+    measured.raise_fault(0)
+    neg = float(measured.negativity[0])
     return MeasureReport(
         negativity=neg,
         negativity_sq=neg * neg,
-        discord=disc,
-        discord_exact=exact,
-        pt_negative_count=count,
-        pt_negative_cap=cap,
+        discord=float(measured.discord[0]),
+        discord_exact=rho.m == 2,
+        pt_negative_count=int(measured.pt_negative_count[0]),
+        pt_negative_cap=(rho.m - 1) * (rho.n - 1),
         bounds_ok=True,
     )

@@ -1,0 +1,227 @@
+"""The stack kernel against independent formulas and against per-state order.
+
+The CLI measures states in chunks; these tests pin that down as an
+optimization only: the kernel agrees with a realignment formula written
+here, chunked runs give what a loop of `bounds_check` over `sample_states`
+gives, failures surface at the same state, and bad input ends in a named
+error with exit code 1.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import gdneg
+from gdneg import io_cli, measures
+from gdneg.errors import CapViolation, InvalidRange, InvalidState
+from gdneg.io_cli import main, run_sample, run_verify, sample_states
+from gdneg.matrixcore import hermiticity_defect, partial_transpose
+from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
+
+DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
+
+
+def hs_stack(m, n, k, rng):
+    d = m * n
+    g = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    rhos = g @ np.conj(np.transpose(g, (0, 2, 1)))
+    return rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+
+
+def pure_stack(m, n, k, rng):
+    d = m * n
+    v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+def realignment_discord(rho, m, n):
+    # m/(m-1) (||P R||_F^2 - top m-1 squared singular values of P R), with
+    # R[(i j),(k l)] = rho[(i k),(j l)] and P removing the vec(I_m) direction.
+    r = rho.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    e = np.eye(m).reshape(m * m) / np.sqrt(m)
+    pr = r - np.outer(e, e @ r)
+    s2 = np.linalg.svd(pr, compute_uv=False) ** 2
+    return m / (m - 1) * (np.sum(s2) - np.sum(s2[: m - 1]))
+
+
+def pt_spectrum(rho, m, n):
+    pt = np.zeros_like(rho)
+    for i in range(m):
+        for j in range(m):
+            pt[i * n : (i + 1) * n, j * n : (j + 1) * n] = rho[j * n : (j + 1) * n, i * n : (i + 1) * n]
+    return np.linalg.eigvalsh(pt)
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+@pytest.mark.parametrize("draw", [hs_stack, pure_stack])
+def test_kernel_matches_independent_formulas(m, n, draw):
+    rng = np.random.default_rng(100 * m + n)
+    rhos = draw(m, n, 60, rng)
+    measured = _measure_stack(rhos, m, n)
+    assert measured.ok.all()
+    for k, rho in enumerate(rhos):
+        w = pt_spectrum(rho, m, n)
+        assert abs(measured.negativity[k] - (np.sum(np.abs(w)) - 1) / (m - 1)) <= 1e-12
+        assert measured.pt_negative_count[k] == np.sum(w < -1e-10)
+        assert abs(measured.discord[k] - realignment_discord(rho, m, n)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+def test_kernel_matches_single_state_functions(m, n):
+    rhos = hs_stack(m, n, 40, np.random.default_rng(7))
+    measured = _measure_stack(rhos, m, n)
+    for k, mat in enumerate(rhos):
+        rho = DensityMatrix(m, n, mat)
+        assert measures.negativity(rho) == measured.negativity[k]
+        assert measures.gd_lower_bound(rho) == measured.discord[k]
+        assert measures.pt_negative_count(rho) == measured.pt_negative_count[k]
+
+
+def test_matrixcore_stacks_act_per_matrix():
+    rhos = hs_stack(2, 3, 5, np.random.default_rng(3))
+    pts = partial_transpose(rhos, 2, 3)
+    defects = hermiticity_defect(rhos)
+    assert defects.shape == (5,)
+    for k, rho in enumerate(rhos):
+        assert np.array_equal(pts[k], partial_transpose(rho, 2, 3))
+        assert defects[k] == hermiticity_defect(rho)
+
+
+def per_state_summary(m, n, count, seed, ensemble):
+    gaps, failures = [], 0
+    for rho in sample_states(m, n, count, seed, ensemble):
+        try:
+            report = bounds_check(rho)
+        except (measures.BoundViolation, CapViolation):
+            failures += 1
+            continue
+        gaps.append(report.negativity_sq - report.discord)
+    gaps = np.array(gaps)
+    return sum(gaps > io_cli.VIOLATION_EPS), gaps.max(), gaps.min(), failures
+
+
+@pytest.mark.parametrize(
+    "m,n,count,ensemble,cutoff",
+    [
+        (2, 2, 1000, "hilbert-schmidt", None),
+        (2, 3, 600, "pure", None),
+        (3, 3, 250, "hilbert-schmidt", None),
+        # A positive cutoff makes some states exceed the PT cap mid-chunk.
+        (2, 3, 1000, "hilbert-schmidt", 0.05),
+    ],
+)
+def test_run_sample_matches_per_state_loop(m, n, count, ensemble, cutoff, monkeypatch):
+    assert count > io_cli._chunk_size(m * n)
+    if cutoff is not None:
+        monkeypatch.setattr(measures, "NEGATIVE_EIGENVALUE_CUTOFF", cutoff)
+    summary = run_sample(m, n, count, 2, ensemble)
+    violations, max_gap, min_gap, failures = per_state_summary(m, n, count, 2, ensemble)
+    assert summary.violations == violations
+    assert summary.bound_failures == failures
+    assert summary.max_gap == max_gap
+    assert summary.min_gap == min_gap
+    assert (failures > 0) == (cutoff is not None)
+
+
+def test_verify_failure_mid_chunk_matches_per_state_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(measures, "NEGATIVE_EIGENVALUE_CUTOFF", 0.05)
+    first_failure = None
+    for index, rho in enumerate(sample_states(2, 3, 800, 3, "hilbert-schmidt")):
+        try:
+            bounds_check(rho)
+        except CapViolation as exc:
+            first_failure = (index, rho, str(exc))
+            break
+    index, rho, message = first_failure
+    assert index % io_cli._chunk_size(6) not in (0, io_cli._chunk_size(6) - 1)
+
+    report = run_verify(2, 3, 800, 3, oracle_subsample=2, resolution=8)
+    assert report["passed"] is False
+    assert report["checked"] == index
+    assert report["failure"] == message
+    written = io_cli.read_state(report["failure_state_file"])
+    assert np.array_equal(written.mat, rho.mat)
+
+
+def test_invalid_state_ends_stream_after_the_states_before_it(monkeypatch):
+    real = io_cli._hs_stack
+
+    def with_nan_at_5(d, k, rng):
+        mats = real(d, k, rng)
+        mats[5, 0, 1] = np.nan
+        return mats
+
+    monkeypatch.setattr(io_cli, "_hs_stack", with_nan_at_5)
+    seen = []
+    with pytest.raises(InvalidState, match="finite"):
+        for rho in sample_states(2, 2, 20, 1, "hilbert-schmidt"):
+            seen.append(rho)
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    mat = np.eye(6, dtype=complex) / 6
+    mat[2, 2] = bad
+    with pytest.raises(InvalidState, match="finite"):
+        DensityMatrix(2, 3, mat)
+
+
+def write_matrix(path, mat, m, n):
+    entries = [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel()]
+    path.write_text(json.dumps({"format": "gdneg-state/1", "m": m, "n": n, "entries": entries}))
+
+
+@pytest.mark.parametrize("where,bad", [((0, 1), np.nan), ((0, 0), np.nan), ((0, 0), np.inf)])
+def test_analyze_non_finite_state_file_is_a_validation_error(where, bad, tmp_path, capsys):
+    mat = np.diag([0.5, 0, 0, 0, 0, 0.5]).astype(complex)
+    i, j = where
+    mat[i, j] = mat[j, i] = bad
+    path = tmp_path / "nan.json"
+    write_matrix(path, mat, 2, 3)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--dims", "2x3", "--count", "-5", "--seed", "1"],
+        ["sample", "--dims", "2x3", "--count", "10", "--seed", "-1"],
+        ["verify", "--dims", "2x3", "--count", "-5", "--seed", "1"],
+        ["verify", "--dims", "2x3", "--count", "10", "--seed", "-1"],
+    ],
+)
+def test_negative_count_or_seed_is_rejected(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_library_callers_get_the_range_check(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InvalidRange, match="count"):
+        run_sample(2, 3, -5, 1, "hilbert-schmidt")
+    with pytest.raises(InvalidRange, match="seed"):
+        run_sample(2, 3, 5, -1, "pure")
+    with pytest.raises(InvalidRange, match="count"):
+        run_verify(2, 3, -5, 1)
+    with pytest.raises(InvalidRange, match="seed"):
+        run_verify(2, 3, 5, -1)
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gdneg.__file__)))
+    code = "import sys, gdneg; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
