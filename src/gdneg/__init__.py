@@ -49,6 +49,6 @@ from .measures import (
     pure_negativity,
     schmidt,
 )
-from .su_generators import GeneratorBasis, basis_for
+from .su_generators import basis_for
 
 __version__ = "0.1.0"

@@ -32,10 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidState
 from .states import DensityMatrix
 from .su_generators import basis_stack
-
-# Extraction traces vanish analytically on the imaginary axis; anything above
-# this signals a non-Hermitian input upstream and is an error, not noise.
-IMAG_RESIDUE_ATOL = 1e-10
+from .tolerances import IMAG_RESIDUE_ATOL
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
+from .errors import BoundViolation, InvalidRange, InvalidState, NotAState, UnknownFamily
 from .states import DensityMatrix
+from .tolerances import VIOLATES_MARGIN_FLOOR
 
 FAMILY_NAMES = ("rho1", "rho2", "rho3", "rho4")
 
@@ -75,7 +76,7 @@ def _template(p: float, q: float, r: float) -> np.ndarray:
 
 
 def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:
-    """Construct the family member as a validated density matrix."""
+    """Construct the family member as a validated density matrix, else raise NotAState."""
     if not allow_out_of_range and not in_range(spec):
         raise InvalidRange(
             f"{spec.name}{spec.params} is outside the documented parameter window; "
@@ -88,14 +89,10 @@ def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:
         (a,) = spec.params
         offsets = {"rho2": 0.0, "rho3": -1.0, "rho4": -2.0}
         mat = _template(3.0 * a + 1.0, a, 2.0 * a + offsets[spec.name])
-    if not np.all(np.isfinite(mat)):
-        raise NotAState(f"{spec.name}{spec.params} produced non-finite entries")
-    min_eig = float(np.linalg.eigvalsh(mat).min())
-    if min_eig < -1e-9:
-        raise NotAState(
-            f"{spec.name}{spec.params} has negative eigenvalue {min_eig:.6g}"
-        )
-    return DensityMatrix(2, 3, mat)
+    try:
+        return DensityMatrix(2, 3, mat)
+    except InvalidState as exc:
+        raise NotAState(f"{spec.name}{spec.params}: {exc}") from exc
 
 
 def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:
@@ -134,7 +131,7 @@ def violates(spec: FamilySpec, allow_out_of_range: bool = False) -> tuple[bool, 
     margin = neg * neg - disc
     if spec.name == "rho1":
         a, b = spec.params
-        if a * a > 2.0 * b * b and margin <= -1e-9:
+        if a * a > 2.0 * b * b and margin <= VIOLATES_MARGIN_FLOOR:
             raise BoundViolation(
                 f"rho1({a}, {b}) satisfies a^2 > 2b^2 but measured "
                 f"N^2 - D = {margin!r}"

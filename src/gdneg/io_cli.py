@@ -26,7 +26,7 @@ Exit codes: 0 success, 1 validation failure, 2 bound/theorem violation
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,18 +50,15 @@ from .measures import (
     measurement_identity_check,
 )
 from .states import first_invalid_state, first_invalid_vector
+from .tolerances import VERIFY_ORACLE_ATOL, VIOLATION_EPS
 
 STATE_FORMAT = "gdneg-state/1"
-
-# A state counts as violating D >= N^2 only when the gap clears float noise.
-VIOLATION_EPS = 1e-12
 
 ENSEMBLES = ("hilbert-schmidt", "pure")
 
 VERIFY_FAILURE_FILE = "gdneg-verify-failure.json"
 VERIFY_ORACLE_SUBSAMPLE = 20
 VERIFY_ORACLE_RESOLUTION = 24
-VERIFY_ORACLE_ATOL = 1e-5
 
 # States are measured in stacks of at most this many matrix entries: enough
 # states to spread the per-call cost of the kernel, few enough to keep the
@@ -102,6 +99,8 @@ def read_state(path) -> DensityMatrix:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise ParseError(f"{path}: missing or unrecognized format tag "
                          f"(expected {STATE_FORMAT!r})")
@@ -359,6 +358,7 @@ def run_verify(
     """
     stacks = _state_stacks(m, n, count, seed, "hilbert-schmidt")
     rng = np.random.default_rng(seed)
+    run = {"dims": [m, n], "count": count, "seed": seed}
     checked = 0
     violations = 0
     oracle_checked = 0
@@ -385,9 +385,7 @@ def run_verify(
             except (BoundViolation, CapViolation) as exc:
                 write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mat))
                 return {
-                    "dims": [m, n],
-                    "count": count,
-                    "seed": seed,
+                    **run,
                     "checked": checked,
                     "passed": False,
                     "failure": str(exc),
@@ -397,9 +395,7 @@ def run_verify(
                 violations += 1
             checked += 1
     return {
-        "dims": [m, n],
-        "count": count,
-        "seed": seed,
+        **run,
         "checked": checked,
         "passed": True,
         "violations": violations,
@@ -421,20 +417,7 @@ def cmd_analyze(args) -> int:
     report = bounds_check(rho)
     gap = report.negativity_sq - report.discord
     if args.json:
-        _print_json(
-            {
-                "m": rho.m,
-                "n": rho.n,
-                "negativity": report.negativity,
-                "negativity_sq": report.negativity_sq,
-                "discord": report.discord,
-                "discord_exact": report.discord_exact,
-                "gap": gap,
-                "pt_negative_count": report.pt_negative_count,
-                "pt_negative_cap": report.pt_negative_cap,
-                "bounds_ok": report.bounds_ok,
-            }
-        )
+        _print_json({**asdict(report), "m": rho.m, "n": rho.n, "gap": gap})
         return 0
     exactness = "exact" if report.discord_exact else "lower bound"
     print(f"state:             {rho.m}x{rho.n} ({args.file})")
@@ -465,18 +448,7 @@ def cmd_sample(args) -> int:
     m, n = args.dims
     summary = run_sample(m, n, args.count, args.seed, args.ensemble)
     if args.json:
-        _print_json(
-            {
-                "dims": list(summary.dims),
-                "count": summary.count,
-                "seed": summary.seed,
-                "ensemble": summary.ensemble,
-                "violations": summary.violations,
-                "max_gap": summary.max_gap,
-                "min_gap": summary.min_gap,
-                "bound_failures": summary.bound_failures,
-            }
-        )
+        _print_json(asdict(summary))
     else:
         print(f"dims:           {summary.dims[0]}x{summary.dims[1]}")
         print(f"count:          {summary.count}")
@@ -574,7 +546,7 @@ def main(argv=None) -> int:
         InvalidRange,
         UnknownFamily,
         InvalidDimension,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

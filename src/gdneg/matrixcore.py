@@ -9,12 +9,7 @@ take a stack of matrices, shape (..., d, d), and act on each matrix of it.
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotSquare
-
-# Absolute tolerance on max |A - A^dag| entry for accepting a matrix as Hermitian.
-HERMITIAN_ATOL = 1e-10
-
-# Eigenvalues below this count as negative; above is solver noise floor.
-NEGATIVE_EIGENVALUE_CUTOFF = -1e-10
+from .tolerances import HERMITIAN_ATOL
 
 
 def hermiticity_defect(a: np.ndarray):

@@ -26,15 +26,21 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bloch
-from .errors import BoundViolation, CapViolation, InvalidDimension, WrongDimension
-from .matrixcore import (
-    NEGATIVE_EIGENVALUE_CUTOFF,
-    hermitian_eigenvalues,
-    hs_norm_sq,
-    partial_transpose,
-)
+from .errors import BoundViolation, CapViolation, InvalidDimension, InvalidRange, WrongDimension
+from .matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_transpose
 from .states import DensityMatrix, PureState
 from .su_generators import basis_stack
+from .tolerances import (
+    BOUND_ATOL,
+    DISCORD_CLAMP_FLOOR,
+    DUAL_NEGATIVITY_ATOL,
+    IDENTITY_ATOL,
+    IMAG_RESIDUE_ATOL,
+    NEGATIVE_EIGENVALUE_CUTOFF,
+    ORACLE_FATOL,
+    ORACLE_XATOL,
+    SCHMIDT_CUTOFF,
+)
 
 __all__ = [
     "DensityMatrix",
@@ -53,11 +59,6 @@ __all__ = [
     "bounds_check",
     "measurement_identity_check",
 ]
-
-# Tolerance for agreement of the two equivalent negativity expressions.
-DUAL_NEGATIVITY_ATOL = 1e-9
-BOUND_ATOL = 1e-9
-IDENTITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,11 @@ def _discord(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check, _Che
         np.sum(x * x, axis=1) + (2.0 / n) * np.sum(t * t, axis=(1, 2)) - top
     )
     imaginary = _Check(
-        ~(residue <= bloch.IMAG_RESIDUE_ATOL),
+        ~(residue <= IMAG_RESIDUE_ATOL),
         lambda i: bloch.imag_residue_fault(residue[i]),
     )
     negative = _Check(
-        ~(raw >= -1e-12),
+        ~(raw >= DISCORD_CLAMP_FLOOR),
         lambda i: BoundViolation(f"discord lower bound came out negative: {float(raw[i])!r}"),
     )
     return np.maximum(raw, 0.0), imaginary, negative
@@ -255,33 +256,17 @@ def _direction(theta: float, phi: float) -> np.ndarray:
     return np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)])
 
 
-def _qubit_projectors(u) -> tuple[np.ndarray, np.ndarray]:
-    ux, uy, uz = (float(c) for c in u)
-    u_dot_sigma = np.array([[uz, ux - 1j * uy], [ux + 1j * uy, -uz]])
-    p_plus = (np.eye(2) + u_dot_sigma) / 2
-    return p_plus, np.eye(2) - p_plus
-
-
 def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
     """Apply the qubit von Neumann measurement along direction u to side A.
 
     Returns sum_k (P_k (x) I_n) rho (P_k (x) I_n) for the projectors
-    P_+/- = (I +/- u.sigma)/2.
+    P_+/- = (I +/- u.sigma)/2, computed as (rho + S rho S)/2 with
+    S = u.sigma (x) I_n: the cross terms of the two products cancel, so
+    this holds for every real u, unit or not.
     """
+    s = np.einsum("a,aij->ij", np.asarray(u, dtype=float), basis_stack(2))
     r4 = np.asarray(mat).reshape(2, n, 2, n)
-    out = np.zeros_like(r4)
-    for p in _qubit_projectors(u):
-        out += np.einsum("ab,bicj,cd->aidj", p, r4, p)
-    return out.reshape(2 * n, 2 * n)
-
-
-def _measurement_objective(r4: np.ndarray, n: int, theta: float, phi: float) -> float:
-    # 2 ||rho - Pi(rho)||^2 for the measurement along (theta, phi).
-    p_plus, p_minus = _qubit_projectors(_direction(theta, phi))
-    projected = np.einsum("ab,bicj,cd->aidj", p_plus, r4, p_plus)
-    projected += np.einsum("ab,bicj,cd->aidj", p_minus, r4, p_minus)
-    diff = r4 - projected
-    return 2.0 * float(np.vdot(diff, diff).real)
+    return ((r4 + np.einsum("ab,bicj,cd->aidj", s, r4, s)) / 2).reshape(2 * n, 2 * n)
 
 
 def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
@@ -311,19 +296,15 @@ def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
 
     sin_t = np.sin(grid_t)
     u = np.stack([sin_t * np.cos(grid_p), sin_t * np.sin(grid_p), np.cos(grid_t)], axis=1)
-    sigma = basis_stack(2)
-    u_dot_sigma = np.einsum("ka,aij->kij", u, sigma)
-    p_plus = (np.eye(2) + u_dot_sigma) / 2
-    p_minus = np.eye(2) - p_plus
+    u_dot_sigma = np.einsum("ka,aij->kij", u, basis_stack(2))
 
     best_val = math.inf
     best_idx = 0
     chunk = 8192
     for start in range(0, len(grid_t), chunk):
-        pp = p_plus[start : start + chunk]
-        pm = p_minus[start : start + chunk]
-        projected = np.einsum("kab,bicj,kcd->kaidj", pp, r4, pp, optimize=True)
-        projected += np.einsum("kab,bicj,kcd->kaidj", pm, r4, pm, optimize=True)
+        # `project_a` at every direction of the chunk.
+        s = u_dot_sigma[start : start + chunk]
+        projected = (r4 + np.einsum("kab,bicj,kcd->kaidj", s, r4, s, optimize=True)) / 2
         diff = r4[None, ...] - projected
         vals = 2.0 * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3, 4))
         k = int(np.argmin(vals))
@@ -339,15 +320,15 @@ def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
     # The objective is smooth in (theta, phi) for any theta, so the simplex
     # may wander past the poles or the 2*pi seam without harm.
     result = minimize(
-        lambda tp: _measurement_objective(r4, n, tp[0], tp[1]),
+        lambda tp: 2.0 * hs_norm_sq(rho.mat - project_a(rho.mat, n, _direction(tp[0], tp[1]))),
         x0=np.array([theta, phi]),
         method="Nelder-Mead",
         options={
             "initial_simplex": np.array(
                 [[theta, phi], [theta + width_t, phi], [theta, phi + width_p]]
             ),
-            "xatol": 1e-10,
-            "fatol": 1e-14,
+            "xatol": ORACLE_XATOL,
+            "fatol": ORACLE_FATOL,
             "maxfev": 500,
         },
     )
@@ -362,7 +343,7 @@ def schmidt(phi: PureState) -> np.ndarray:
     """
     amp = phi.amplitudes.reshape(phi.m, phi.n)
     c = np.linalg.svd(amp, compute_uv=False)
-    return c[c > 1e-12].copy()
+    return c[c > SCHMIDT_CUTOFF].copy()
 
 
 def pure_negativity(c, m: int) -> float:
@@ -396,23 +377,25 @@ def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
     The two traces coincide for every von Neumann measurement, and
     ||rho - Pi(rho)||^2 = Tr(rho^2) - Tr((Pi(rho))^2); both identities are
     verified within 1e-10 and a failure raises, since it can only mean a
-    numerical fault.
+    numerical fault. A zero or non-finite u raises InvalidRange.
     """
     if rho.m != 2:
         raise WrongDimension(f"measurement identity requires m = 2, got m={rho.m}")
     u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    projected = project_a(rho.mat, rho.n, u)
+    norm = np.linalg.norm(u)
+    if not 0.0 < norm < math.inf:
+        raise InvalidRange(f"measurement direction must be finite and non-zero, got {u}")
+    projected = project_a(rho.mat, rho.n, u / norm)
     pi_sq = float(np.trace(projected @ projected).real)
     rho_pi = float(np.trace(rho.mat @ projected).real)
-    if abs(pi_sq - rho_pi) > IDENTITY_ATOL:
+    if not abs(pi_sq - rho_pi) <= IDENTITY_ATOL:
         raise BoundViolation(
             f"measurement identity failed: Tr(Pi(rho)^2)={pi_sq!r} vs "
             f"Tr(rho Pi(rho))={rho_pi!r}"
         )
     distance_sq = hs_norm_sq(rho.mat - projected)
     purity_gap = float(np.trace(rho.mat @ rho.mat).real) - pi_sq
-    if abs(distance_sq - purity_gap) > IDENTITY_ATOL:
+    if not abs(distance_sq - purity_gap) <= IDENTITY_ATOL:
         raise BoundViolation(
             f"distance identity failed: ||rho-Pi(rho)||^2={distance_sq!r} vs "
             f"Tr(rho^2)-Tr(Pi(rho)^2)={purity_gap!r}"

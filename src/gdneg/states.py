@@ -11,12 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState
-from .matrixcore import HERMITIAN_ATOL, hermitian_eigenvalues, hermiticity_defect
-
-TRACE_ATOL = 1e-10
-# Small negative slack admits states produced by noisy numeric pipelines.
-PSD_MIN_EIGENVALUE = -1e-9
-NORM_ATOL = 1e-12
+from .matrixcore import hermitian_eigenvalues, hermiticity_defect
+from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
 
 def first_invalid_state(mats: np.ndarray) -> tuple[int, str] | None:

@@ -9,30 +9,15 @@ generators in increasing rank. (For d = 3 that enumeration would interleave
 differently from the conventional mu order, so d = 3 is special-cased.)
 
 Every basis satisfies Tr(z_i z_j) = 2 delta_ij with traceless Hermitian
-elements. Bases are built once per dimension and cached immutably.
+elements. Each basis is built once per dimension and cached as one
+read-only (d^2 - 1, d, d) array.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidDimension
-
-
-@dataclass(frozen=True)
-class GeneratorBasis:
-    d: int
-    generators: tuple  # d^2 - 1 read-only (d, d) complex arrays
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __getitem__(self, i):
-        return self.generators[i]
 
 
 def _symmetric(d, j, k):
@@ -83,19 +68,14 @@ def _generalized(d):
 
 
 @lru_cache(maxsize=None)
-def basis_for(d: int) -> GeneratorBasis:
-    """The d^2 - 1 generators of SU(d) in canonical order."""
+def basis_for(d: int) -> np.ndarray:
+    """The d^2 - 1 generators of SU(d) in canonical order, stacked read-only."""
     if d < 2:
         raise InvalidDimension(f"generator basis requires d >= 2, got {d}")
-    mats = _gell_mann() if d == 3 else _generalized(d)
-    for g in mats:
-        g.setflags(write=False)
-    return GeneratorBasis(d=d, generators=tuple(mats))
-
-
-@lru_cache(maxsize=None)
-def basis_stack(d: int) -> np.ndarray:
-    """Generators of SU(d) stacked into a read-only (d^2 - 1, d, d) array."""
-    stack = np.stack(basis_for(d).generators)
+    stack = np.stack(_gell_mann() if d == 3 else _generalized(d))
     stack.setflags(write=False)
     return stack
+
+
+# The name the kernels use for the same stack.
+basis_stack = basis_for

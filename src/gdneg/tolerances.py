@@ -1,0 +1,33 @@
+"""Every numeric tolerance of the package, each with the reason for its value.
+
+The other modules import these names. A residual that may be NaN is tested
+as `not (residual <= tol)`, so a NaN residual fails its check.
+"""
+
+# Validation of states (states, matrixcore).
+HERMITIAN_ATOL = 1e-10  # max |A - A^dag| entry: float noise of a Hermitian product
+TRACE_ATOL = 1e-10  # |Tr rho - 1|: rounding of a normalised trace
+PSD_MIN_EIGENVALUE = -1e-9  # admits states produced by noisy numeric pipelines
+NORM_ATOL = 1e-12  # | ||v|| - 1 |: rounding of a normalised vector
+
+# Theorem checks of the measures (measures, bloch).
+NEGATIVE_EIGENVALUE_CUTOFF = -1e-10  # PT eigenvalues above this are solver noise, not negative
+DUAL_NEGATIVITY_ATOL = 1e-9  # the two negativity expressions differ only by rounding
+BOUND_ATOL = 1e-9  # slack on the proven intervals of N, D and N^2 - D
+# Extraction traces vanish analytically on the imaginary axis; anything above
+# this signals a non-Hermitian input upstream and is an error, not noise.
+IMAG_RESIDUE_ATOL = 1e-10
+DISCORD_CLAMP_FLOOR = -1e-12  # discord down to this is solver noise, clamped to 0; below, a fault
+IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only by rounding
+SCHMIDT_CUTOFF = 1e-12  # Schmidt coefficients at or below this are rounding noise of a zero
+
+# The brute-force oracle: its simplex search stops far below VERIFY_ORACLE_ATOL.
+ORACLE_XATOL = 1e-10  # in (theta, phi)
+ORACLE_FATOL = 1e-14  # in the objective 2 ||rho - Pi(rho)||^2
+
+# Verdicts (families, io_cli).
+VIOLATES_MARGIN_FLOOR = -1e-9  # rho1 with a^2 > 2 b^2 must violate; a margin below this is a fault
+VIOLATION_EPS = 1e-12  # a gap N^2 - D counts as a violation only when it clears float noise
+# Oracle against formula in `verify`: room for a search that stops early in a
+# flat basin, while a wrong formula misses by far more.
+VERIFY_ORACLE_ATOL = 1e-5

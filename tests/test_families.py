@@ -60,6 +60,12 @@ def test_not_a_state_reports_offending_eigenvalue():
         build(spec, allow_out_of_range=True)
 
 
+def test_non_finite_member_is_not_a_state():
+    # rho1(0, 0) normalises by zero: every entry is NaN.
+    with np.errstate(invalid="ignore"), pytest.raises(NotAState, match="non-finite"):
+        build(FamilySpec("rho1", (0.0, 0.0)), allow_out_of_range=True)
+
+
 def test_unknown_family_and_bad_arity():
     with pytest.raises(UnknownFamily):
         FamilySpec("rho9", (1.0,))

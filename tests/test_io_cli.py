@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gdneg import measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build
 from gdneg.io_cli import (
@@ -232,3 +233,66 @@ class TestVerify:
     def test_no_oracle_for_qutrit_side(self):
         report = run_verify(3, 3, 20, 3)
         assert report["oracle_states_checked"] == 0
+
+
+class TestBadInput:
+    def _one_error_line(self, capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_analyze_directory(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 1
+        self._one_error_line(capsys)
+
+    def test_analyze_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"format": "gdneg-state/1", "m": 2, "n": 3, "entries": "\xff"}')
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_state(path)
+        assert main(["analyze", str(path)]) == 1
+        self._one_error_line(capsys)
+
+    def test_sweep_out_directory(self, tmp_path, capsys):
+        args = ["sweep", "--family", "rho1", "--from", "0", "--to", "1", "--steps", "3"]
+        assert main(args + ["--out", str(tmp_path)]) == 1
+        self._one_error_line(capsys)
+
+
+class TestGoldenJson:
+    # Byte-exact output of the build before the JSON was derived from the
+    # report dataclasses; keys are sorted, tuples print as lists.
+    def test_analyze_rho1_52(self, tmp_path, capsys):
+        assert main(["analyze", str(write_rho1_file(tmp_path)), "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"bounds_ok": true, "discord": 0.2378121284185494, "discord_exact": true, '
+            '"gap": 0.08184467962548267, "m": 2, "n": 3, "negativity": 0.565382001874867, '
+            '"negativity_sq": 0.31965680804403207, "pt_negative_cap": 2, '
+            '"pt_negative_count": 2}\n'
+        )
+
+    def test_sample_2x3(self, capsys):
+        args = ["sample", "--dims", "2x3", "--count", "300", "--seed", "42", "--json"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (
+            '{"bound_failures": 0, "count": 300, "dims": [2, 3], '
+            '"ensemble": "hilbert-schmidt", "max_gap": -0.02435469727442253, '
+            '"min_gap": -0.14555656529583288, "seed": 42, "violations": 0}\n'
+        )
+
+    def test_verify_keys_on_pass(self, capsys):
+        assert main(["verify", "--dims", "2x3", "--count", "5", "--seed", "1", "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "dims", "count", "seed", "checked", "passed",
+            "violations", "oracle_states_checked", "max_oracle_deviation",
+        }
+
+    def test_verify_keys_on_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # A positive cutoff makes states exceed the PT cap, a numerical fault.
+        monkeypatch.setattr(measures, "NEGATIVE_EIGENVALUE_CUTOFF", 0.05)
+        assert main(["verify", "--dims", "2x3", "--count", "800", "--seed", "3", "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {
+            "dims", "count", "seed", "checked", "passed", "failure", "failure_state_file",
+        }
+        assert report["passed"] is False

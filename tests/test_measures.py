@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gdneg.errors import InvalidDimension, InvalidState, WrongDimension
+from gdneg.errors import InvalidDimension, InvalidRange, InvalidState, WrongDimension
 from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import random_density_matrix, random_pure_state
 from gdneg.matrixcore import hs_norm_sq, partial_transpose, trace_norm
@@ -283,6 +285,39 @@ class TestMeasurementIdentity:
             u /= np.linalg.norm(u)
             distance_sq = hs_norm_sq(rho.mat - project_a(rho.mat, 3, u))
             assert distance_sq <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("u", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (0.0, np.inf, 0.0)])
+    def test_rejects_zero_or_non_finite_direction(self, u):
+        rho = random_density_matrix(2, 3, np.random.default_rng(46))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidRange, match="direction"):
+                measurement_identity_check(rho, u)
+
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+class TestProjectA:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_sum_over_projectors(self, n):
+        # (rho + S rho S)/2 with S = u.sigma (x) I equals sum_k P_k rho P_k
+        # for P_+/- = (I +/- u.sigma)/2 for every real u, unit or not.
+        rng = np.random.default_rng(47 + n)
+        rho = random_density_matrix(2, n, rng).mat
+        unit = rng.standard_normal(3)
+        unit /= np.linalg.norm(unit)
+        for u in (unit, (0.0, 0.0, 1.0), 2.5 * unit, rng.standard_normal(3), (0.3, 0.0, 0.0)):
+            u_sigma = sum(c * s for c, s in zip(u, PAULI))
+            expected = np.zeros_like(rho)
+            for p in ((np.eye(2) + u_sigma) / 2, (np.eye(2) - u_sigma) / 2):
+                lift = np.kron(p, np.eye(n))
+                expected += lift @ rho @ lift
+            assert np.max(np.abs(project_a(rho, n, u) - expected)) <= 1e-14
 
 
 class TestBoundsCheck:
