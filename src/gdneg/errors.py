@@ -22,7 +22,7 @@ class InvalidState(ValueError):
 
 
 class NotAState(InvalidState):
-    """Family parameters produce a matrix with a negative eigenvalue."""
+    """Family parameters give non-finite entries, a trace other than 1 or a negative eigenvalue."""
 
 
 class WrongDimension(ValueError):

@@ -22,15 +22,17 @@ import numpy as np
 from . import measures
 from .errors import BoundViolation, InvalidRange, InvalidState, NotAState, UnknownFamily
 from .states import DensityMatrix
-from .tolerances import VIOLATES_MARGIN_FLOOR
+from .tolerances import VIOLATES_MARGIN_FLOOR, VIOLATION_EPS
 
-FAMILY_NAMES = ("rho1", "rho2", "rho3", "rho4")
+# name: (parameter count, template entries (p, q, r), documented window)
+_FAMILIES = {
+    "rho1": (2, lambda a, b: (a * a, b * b, a * b), lambda a, b: b > 0.0),
+    "rho2": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a), lambda a: 0.0 < a <= 1.0),
+    "rho3": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 1.0), lambda a: 7 / 4 <= a <= 19 / 4),
+    "rho4": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 2.0), lambda a: 7 / 2 <= a <= 17 / 2),
+}
 
-_PARAM_COUNTS = {"rho1": 2, "rho2": 1, "rho3": 1, "rho4": 1}
-
-RHO2_RANGE = (0.0, 1.0)  # open at 0
-RHO3_RANGE = (7 / 4, 19 / 4)
-RHO4_RANGE = (7 / 2, 17 / 2)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class FamilySpec:
                 f"unknown family {self.name!r}; expected one of {FAMILY_NAMES}"
             )
         params = tuple(float(p) for p in self.params)
-        expected = _PARAM_COUNTS[self.name]
+        expected = _FAMILIES[self.name][0]
         if len(params) != expected:
             raise InvalidRange(
                 f"{self.name} takes {expected} parameter(s), got {len(params)}"
@@ -56,14 +58,7 @@ class FamilySpec:
 
 def in_range(spec: FamilySpec) -> bool:
     """Whether the parameters lie in the documented validity window."""
-    if spec.name == "rho1":
-        return spec.params[1] > 0.0
-    (a,) = spec.params
-    if spec.name == "rho2":
-        return RHO2_RANGE[0] < a <= RHO2_RANGE[1]
-    if spec.name == "rho3":
-        return RHO3_RANGE[0] <= a <= RHO3_RANGE[1]
-    return RHO4_RANGE[0] <= a <= RHO4_RANGE[1]
+    return _FAMILIES[spec.name][2](*spec.params)
 
 
 def _template(p: float, q: float, r: float) -> np.ndarray:
@@ -72,7 +67,9 @@ def _template(p: float, q: float, r: float) -> np.ndarray:
         mat[i, i] = v
     for i, j in ((0, 4), (4, 0), (1, 5), (5, 1)):
         mat[i, j] = r
-    return mat / (2.0 * (p + q))
+    # p + q = 0 gives non-finite entries, which DensityMatrix rejects by name.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mat / (2.0 * (p + q))
 
 
 def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:
@@ -82,13 +79,7 @@ def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:
             f"{spec.name}{spec.params} is outside the documented parameter window; "
             "pass allow_out_of_range=True to construct anyway"
         )
-    if spec.name == "rho1":
-        a, b = spec.params
-        mat = _template(a * a, b * b, a * b)
-    else:
-        (a,) = spec.params
-        offsets = {"rho2": 0.0, "rho3": -1.0, "rho4": -2.0}
-        mat = _template(3.0 * a + 1.0, a, 2.0 * a + offsets[spec.name])
+    mat = _template(*_FAMILIES[spec.name][1](*spec.params))
     try:
         return DensityMatrix(2, 3, mat)
     except InvalidState as exc:
@@ -118,17 +109,16 @@ def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:
 def violates(spec: FamilySpec, allow_out_of_range: bool = False) -> tuple[bool, float]:
     """Whether the member has N^2 > D, and the margin N^2 - D.
 
-    Both measures come from the numeric pipeline. For rho1 the sufficient
+    The margin is the gap of `measures.bounds_check`, and a violation is
+    flagged only when it exceeds the noise floor 1e-12 that `sample` and
+    `verify` use, so the zeros of the gap do not count. For rho1 the sufficient
     analytic criterion a^2 > 2 b^2 is cross-checked: such parameters are
     guaranteed to violate, so a nonpositive margin there signals a fault.
     (The converse does not hold: rho1 also violates on part of a^2 < 2 b^2.
     Its exact violation region is c^2 = a^2/b^2 in (5 - sqrt 17, 2) union
     (2, inf).)
     """
-    rho = build(spec, allow_out_of_range=allow_out_of_range)
-    neg = measures.negativity(rho)
-    disc, _ = measures.geometric_discord(rho)
-    margin = neg * neg - disc
+    margin = measures.bounds_check(build(spec, allow_out_of_range=allow_out_of_range)).gap
     if spec.name == "rho1":
         a, b = spec.params
         if a * a > 2.0 * b * b and margin <= VIOLATES_MARGIN_FLOOR:
@@ -136,4 +126,4 @@ def violates(spec: FamilySpec, allow_out_of_range: bool = False) -> tuple[bool, 
                 f"rho1({a}, {b}) satisfies a^2 > 2b^2 but measured "
                 f"N^2 - D = {margin!r}"
             )
-    return margin > 0.0, margin
+    return margin > VIOLATION_EPS, margin

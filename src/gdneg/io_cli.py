@@ -36,7 +36,6 @@ from .errors import (
     InvalidDimension,
     InvalidRange,
     InvalidState,
-    NotAState,
     ParseError,
     UnknownFamily,
 )
@@ -142,13 +141,6 @@ class SweepRow:
     closed_form_negativity_sq: float | None = None
 
 
-def family_spec_for(family: str, param: float) -> FamilySpec:
-    """Sweep parameter to FamilySpec; for rho1 the parameter is c = a/b at b = 1."""
-    if family == "rho1":
-        return FamilySpec("rho1", (param, 1.0))
-    return FamilySpec(family, (param,))
-
-
 def sweep_rows(
     family: str,
     lo: float,
@@ -156,7 +148,10 @@ def sweep_rows(
     steps: int,
     allow_out_of_range: bool = False,
 ) -> list[SweepRow]:
-    """Measures at uniform parameter steps; closed-form columns for rho1."""
+    """Measures at uniform parameter steps; closed-form columns for rho1.
+
+    For rho1 the parameter is c = a/b at b = 1.
+    """
     if family not in FAMILY_NAMES:
         raise UnknownFamily(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
     if steps < 1:
@@ -171,26 +166,22 @@ def sweep_rows(
     size = _chunk_size(6)
     for start in range(0, len(params), size):
         chunk = params[start : start + size]
-        mats = np.array(
-            [
-                build(family_spec_for(family, p), allow_out_of_range=allow_out_of_range).mat
-                for p in chunk
-            ]
-        )
+        specs = [FamilySpec(family, (p, 1.0) if family == "rho1" else (p,)) for p in chunk]
+        mats = np.array([build(s, allow_out_of_range=allow_out_of_range).mat for s in specs])
         measured = _measure_stack(mats, 2, 3)
         if not measured.ok.all():
             measured.raise_fault(int(np.argmin(measured.ok)))
-        for param, neg, disc in zip(chunk, measured.negativity, measured.discord):
+        columns = zip(chunk, measured.negativity, measured.discord, measured.gap)
+        for param, neg, disc, gap in columns:
             cf_disc = cf_neg_sq = None
             if family == "rho1":
                 cf_neg_sq, cf_disc = rho1_closed_forms(param, 1.0)
-            neg_sq = float(neg) * float(neg)
             rows.append(
                 SweepRow(
                     param=param,
                     discord=float(disc),
-                    negativity_sq=neg_sq,
-                    gap=neg_sq - float(disc),
+                    negativity_sq=float(neg) * float(neg),
+                    gap=float(gap),
                     closed_form_discord=cf_disc,
                     closed_form_negativity_sq=cf_neg_sq,
                 )
@@ -312,7 +303,7 @@ def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSu
                 measured.raise_fault(i)
             except (BoundViolation, CapViolation):
                 bound_failures += 1
-        gaps = (measured.negativity * measured.negativity - measured.discord)[measured.ok]
+        gaps = measured.gap[measured.ok]
         if gaps.size == 0:
             continue
         violations += int(np.sum(gaps > VIOLATION_EPS))
@@ -365,7 +356,6 @@ def run_verify(
     max_oracle_dev = 0.0
     for mats in stacks:
         measured = _measure_stack(mats, m, n)
-        gaps = measured.negativity * measured.negativity - measured.discord
         for i, mat in enumerate(mats):
             try:
                 measured.raise_fault(i)
@@ -391,7 +381,7 @@ def run_verify(
                     "failure": str(exc),
                     "failure_state_file": VERIFY_FAILURE_FILE,
                 }
-            if gaps[i] > VIOLATION_EPS:
+            if measured.gap[i] > VIOLATION_EPS:
                 violations += 1
             checked += 1
     return {
@@ -415,16 +405,15 @@ def _print_json(payload: dict) -> None:
 def cmd_analyze(args) -> int:
     rho = read_state(args.file)
     report = bounds_check(rho)
-    gap = report.negativity_sq - report.discord
     if args.json:
-        _print_json({**asdict(report), "m": rho.m, "n": rho.n, "gap": gap})
+        _print_json({**asdict(report), "m": rho.m, "n": rho.n})
         return 0
     exactness = "exact" if report.discord_exact else "lower bound"
     print(f"state:             {rho.m}x{rho.n} ({args.file})")
     print(f"negativity:        {_fmt(report.negativity)}")
     print(f"negativity_sq:     {_fmt(report.negativity_sq)}")
     print(f"discord:           {_fmt(report.discord)} ({exactness})")
-    print(f"gap (N^2 - D):     {_fmt(gap)}")
+    print(f"gap (N^2 - D):     {_fmt(report.gap)}")
     print(f"pt_negative_count: {report.pt_negative_count} (cap {report.pt_negative_cap})")
     print(f"bounds_ok:         {report.bounds_ok}")
     return 0
@@ -466,19 +455,19 @@ def cmd_verify(args) -> int:
     report = run_verify(m, n, args.count, args.seed)
     if args.json:
         _print_json(report)
-    elif report["passed"]:
-        print(f"verify {m}x{n}: count={report['count']} seed={report['seed']}")
-        print(f"  states checked:        {report['checked']}")
-        print(f"  gap > 0 states:        {report['violations']}")
-        print(f"  oracle states checked: {report['oracle_states_checked']}")
-        print(f"  max oracle deviation:  {_fmt(report['max_oracle_deviation'])}")
-        print("PASS")
     else:
         print(f"verify {m}x{n}: count={report['count']} seed={report['seed']}")
-        print(f"  states checked before failure: {report['checked']}")
-        print(f"  failure: {report['failure']}")
-        print(f"  failing state written to {report['failure_state_file']}")
-        print("FAIL")
+        if report["passed"]:
+            print(f"  states checked:        {report['checked']}")
+            print(f"  gap > 0 states:        {report['violations']}")
+            print(f"  oracle states checked: {report['oracle_states_checked']}")
+            print(f"  max oracle deviation:  {_fmt(report['max_oracle_deviation'])}")
+            print("PASS")
+        else:
+            print(f"  states checked before failure: {report['checked']}")
+            print(f"  failure: {report['failure']}")
+            print(f"  failing state written to {report['failure_state_file']}")
+            print("FAIL")
     return 0 if report["passed"] else 2
 
 
@@ -542,7 +531,6 @@ def main(argv=None) -> int:
     except (
         ParseError,
         InvalidState,
-        NotAState,
         InvalidRange,
         UnknownFamily,
         InvalidDimension,

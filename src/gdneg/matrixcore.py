@@ -29,18 +29,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def hermitian_eigenvalues(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
-    The input is checked against `atol` and symmetrized to (A + A^dag)/2
+    The input is checked against HERMITIAN_ATOL and symmetrized to (A + A^dag)/2
     before diagonalization, which stabilizes the iteration for inputs that
     carry float noise.
     """
     a = np.asarray(a, dtype=complex)
     defect = np.max(hermiticity_defect(a), initial=0.0)
-    if not defect <= atol:
+    if not defect <= HERMITIAN_ATOL:
         raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {atol:.1e}"
+            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_ATOL:.1e}"
         )
     sym = (a + a.conj().swapaxes(-1, -2)) / 2
     return np.linalg.eigvalsh(sym)[..., ::-1].copy()

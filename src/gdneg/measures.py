@@ -69,6 +69,7 @@ class MeasureReport:
     negativity_sq: float
     discord: float
     discord_exact: bool
+    gap: float  # N^2 - D
     pt_negative_count: int
     pt_negative_cap: int
     bounds_ok: bool
@@ -153,6 +154,7 @@ class _StackMeasures:
 
     negativity: np.ndarray
     discord: np.ndarray
+    gap: np.ndarray  # N^2 - D
     pt_negative_count: np.ndarray
     ok: np.ndarray  # True where every check passed
     checks: tuple
@@ -163,7 +165,7 @@ class _StackMeasures:
 
 
 def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
-    """Negativity, discord and PT negative count of a validated (k, mn, mn) stack.
+    """Negativity, discord, gap N^2 - D and PT negative count of a validated (k, mn, mn) stack.
 
     A state fails when a check fails: the two negativity expressions
     disagree, the Bloch data has an imaginary residue (InvalidState), the
@@ -199,7 +201,7 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
         ),
     )
     ok = ~np.logical_or.reduce([check.failed for check in checks])
-    return _StackMeasures(neg, disc, count, ok, checks)
+    return _StackMeasures(neg, disc, gap, count, ok, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +253,11 @@ def geometric_discord(rho: DensityMatrix) -> tuple[float, bool]:
     return gd_lower_bound(rho), rho.m == 2
 
 
-def _direction(theta: float, phi: float) -> np.ndarray:
-    sin_t = math.sin(theta)
-    return np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)])
+def _direction(theta, phi) -> np.ndarray:
+    # Unit vector(s) at polar angle theta and azimuth phi: shape (3,) for
+    # scalars, (k, 3) for arrays of k angles.
+    sin_t = np.sin(theta)
+    return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)]).T
 
 
 def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
@@ -281,7 +285,7 @@ def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
     if rho.m != 2:
         raise WrongDimension(f"brute-force discord requires m = 2, got m={rho.m}")
     if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+        raise InvalidRange(f"resolution must be at least 2, got {resolution}")
     # Imported here, not at module level, so that `import gdneg` does not load scipy.
     from scipy.optimize import minimize
 
@@ -294,9 +298,7 @@ def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
     grid_t = grid_t.ravel()
     grid_p = grid_p.ravel()
 
-    sin_t = np.sin(grid_t)
-    u = np.stack([sin_t * np.cos(grid_p), sin_t * np.sin(grid_p), np.cos(grid_t)], axis=1)
-    u_dot_sigma = np.einsum("ka,aij->kij", u, basis_stack(2))
+    u_dot_sigma = np.einsum("ka,aij->kij", _direction(grid_t, grid_p), basis_stack(2))
 
     best_val = math.inf
     best_idx = 0
@@ -418,6 +420,7 @@ def bounds_check(rho: DensityMatrix) -> MeasureReport:
         negativity_sq=neg * neg,
         discord=float(measured.discord[0]),
         discord_exact=rho.m == 2,
+        gap=float(measured.gap[0]),
         pt_negative_count=int(measured.pt_negative_count[0]),
         pt_negative_cap=(rho.m - 1) * (rho.n - 1),
         bounds_ok=True,

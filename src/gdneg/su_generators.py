@@ -6,7 +6,7 @@ For d >= 4 the generalized Gell-Mann construction is used: index pairs
 (j, k) with j < k enumerated lexicographically, emitting the symmetric then
 the antisymmetric generator for each pair, followed by the d - 1 diagonal
 generators in increasing rank. (For d = 3 that enumeration would interleave
-differently from the conventional mu order, so d = 3 is special-cased.)
+differently from the conventional mu order, so d = 3 reorders it.)
 
 Every basis satisfies Tr(z_i z_j) = 2 delta_ij with traceless Hermitian
 elements. Each basis is built once per dimension and cached as one
@@ -42,21 +42,6 @@ def _diagonal(d, rank):
     return np.sqrt(2.0 / (rank * (rank + 1))) * np.diag(diag).astype(complex)
 
 
-def _gell_mann():
-    # Conventional order: mu_3 sits between the (0,1) and (0,2) pairs and
-    # mu_8 closes the list.
-    return [
-        _symmetric(3, 0, 1),
-        _antisymmetric(3, 0, 1),
-        _diagonal(3, 1),
-        _symmetric(3, 0, 2),
-        _antisymmetric(3, 0, 2),
-        _symmetric(3, 1, 2),
-        _antisymmetric(3, 1, 2),
-        _diagonal(3, 2),
-    ]
-
-
 def _generalized(d):
     mats = []
     for j in range(d):
@@ -72,7 +57,11 @@ def basis_for(d: int) -> np.ndarray:
     """The d^2 - 1 generators of SU(d) in canonical order, stacked read-only."""
     if d < 2:
         raise InvalidDimension(f"generator basis requires d >= 2, got {d}")
-    stack = np.stack(_gell_mann() if d == 3 else _generalized(d))
+    stack = np.stack(_generalized(d))
+    if d == 3:
+        # Conventional order: mu_3 sits between the (0,1) and (0,2) pairs and
+        # mu_8 closes the list.
+        stack = stack[[0, 1, 6, 2, 3, 4, 5, 7]]
     stack.setflags(write=False)
     return stack
 

@@ -153,6 +153,12 @@ class TestViolationRegion:
             _, margin = violates(FamilySpec("rho1", (np.sqrt(c2), 1.0)))
             assert abs(margin) <= 1e-12
 
+    def test_no_violation_at_gap_zeros(self):
+        # Float noise of order 1e-16 at a zero of the gap is not a violation.
+        for c2 in GAP_ZEROS_C2:
+            flag, margin = violates(FamilySpec("rho1", (np.sqrt(c2), 1.0)))
+            assert not flag and abs(margin) <= 1e-12, f"c^2={c2}: margin={margin}"
+
     def test_margin_matches_closed_forms(self):
         for c in [0.3, 0.95, 1.2, 1.7, 3.0]:
             neg_sq, disc = rho1_closed_forms(c, 1.0)

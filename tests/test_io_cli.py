@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gdneg
 from gdneg import measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build
@@ -256,6 +260,19 @@ class TestBadInput:
         args = ["sweep", "--family", "rho1", "--from", "0", "--to", "1", "--steps", "3"]
         assert main(args + ["--out", str(tmp_path)]) == 1
         self._one_error_line(capsys)
+
+    def test_sweep_member_with_zero_normalization(self, tmp_path):
+        # rho2(-1/4) has p + q = 0. In a fresh process, so that numpy warnings
+        # reach stderr instead of pytest's warning capture.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gdneg.__file__)))
+        args = ["sweep", "--family", "rho2", "--from", "-0.25", "--to", "-0.25", "--steps", "1",
+                "--allow-out-of-range", "--out", "x.csv"]
+        out = subprocess.run([sys.executable, "-m", "gdneg.io_cli", *args], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 1
+        err = out.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), out.stderr
 
 
 class TestGoldenJson:

@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from gdneg.errors import InvalidDimension, InvalidRange, InvalidState, WrongDimension
+from gdneg import measures
+from gdneg.errors import (
+    BoundViolation,
+    InvalidDimension,
+    InvalidRange,
+    InvalidState,
+    WrongDimension,
+)
 from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import random_density_matrix, random_pure_state
 from gdneg.matrixcore import hs_norm_sq, partial_transpose, trace_norm
@@ -159,6 +166,10 @@ class TestBruteForceOracle:
         with pytest.raises(WrongDimension):
             gd_bruteforce_2xn(random_density_matrix(3, 3, rng))
 
+    def test_rejects_resolution_below_two(self):
+        with pytest.raises(InvalidRange, match="resolution"):
+            gd_bruteforce_2xn(rho1(5, 2), resolution=1)
+
 
 class TestSchmidt:
     def test_product_basis_state(self):
@@ -286,6 +297,17 @@ class TestMeasurementIdentity:
             distance_sq = hs_norm_sq(rho.mat - project_a(rho.mat, 3, u))
             assert distance_sq <= 1.0 + 1e-12
 
+    def test_broken_trace_identity_raises(self, monkeypatch):
+        # Pi(rho) = rho/2 gives Tr(Pi^2) = Tr(rho^2)/4 but Tr(rho Pi) = Tr(rho^2)/2.
+        monkeypatch.setattr(measures, "project_a", lambda mat, n, u: mat / 2)
+        with pytest.raises(BoundViolation, match="measurement identity failed"):
+            measurement_identity_check(rho1(5, 2), (0.0, 0.0, 1.0))
+
+    def test_broken_distance_identity_raises(self, monkeypatch):
+        monkeypatch.setattr(measures, "hs_norm_sq", lambda a: hs_norm_sq(a) + 1e-6)
+        with pytest.raises(BoundViolation, match="distance identity failed"):
+            measurement_identity_check(rho1(5, 2), (0.0, 0.0, 1.0))
+
     @pytest.mark.parametrize("u", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (0.0, np.inf, 0.0)])
     def test_rejects_zero_or_non_finite_direction(self, u):
         rho = random_density_matrix(2, 3, np.random.default_rng(46))
@@ -345,6 +367,13 @@ class TestBoundsCheck:
             assert report.bounds_ok
             gap = report.negativity_sq - report.discord
             assert -m / (m - 1) - 1e-9 <= gap <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+    def test_report_carries_the_gap(self, m, n):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            report = bounds_check(random_density_matrix(m, n, rng))
+            assert report.gap == report.negativity_sq - report.discord
 
 
 class TestStateValidation:
