@@ -38,6 +38,7 @@ from .measures import (
     PureState,
     bounds_check,
     gd_bruteforce_2xn,
+    gd_bruteforce_stack,
     gd_lower_bound,
     geometric_discord,
     maximal_state,

@@ -43,10 +43,11 @@ from .families import FAMILY_NAMES, FamilySpec, build, rho1_closed_forms
 from .measures import (
     DensityMatrix,
     PureState,
+    _identity_checks,
     _measure_stack,
+    _raise_first,
     bounds_check,
-    gd_bruteforce_2xn,
-    measurement_identity_check,
+    gd_bruteforce_stack,
 )
 from .states import first_invalid_state, first_invalid_vector
 from .tolerances import VERIFY_ORACLE_ATOL, VIOLATION_EPS
@@ -342,7 +343,8 @@ def run_verify(
     at a time, and reported at the first failing state). For m = 2
     the measurement trace identity is checked at a random direction, and the
     brute-force discord oracle is compared against the formula on the first
-    `oracle_subsample` states.
+    `oracle_subsample` states; both run on a chunk at a time too. A state is
+    built as a DensityMatrix only to write the failure file.
 
     Returns a report dict; on failure it carries the failing state serialized
     to a file for reproduction.
@@ -356,16 +358,18 @@ def run_verify(
     max_oracle_dev = 0.0
     for mats in stacks:
         measured = _measure_stack(mats, m, n)
-        for i, mat in enumerate(mats):
+        if m == 2:
+            # One direction per state, drawn as a state-by-state loop would draw them.
+            identity, _, _ = _identity_checks(mats, n, rng.standard_normal((len(mats), 3)))
+            todo = max(0, oracle_subsample - oracle_checked)
+            brute = gd_bruteforce_stack(mats[:todo], n, resolution) if todo else ()
+        for i in range(len(mats)):
             try:
                 measured.raise_fault(i)
                 if m == 2:
-                    rho = DensityMatrix(m, n, mat)
-                    u = rng.standard_normal(3)
-                    measurement_identity_check(rho, u)
-                    if oracle_checked < oracle_subsample:
-                        brute = gd_bruteforce_2xn(rho, resolution=resolution)
-                        dev = abs(brute - float(measured.discord[i]))
+                    _raise_first(identity, i)
+                    if i < len(brute):
+                        dev = abs(float(brute[i]) - float(measured.discord[i]))
                         max_oracle_dev = max(max_oracle_dev, dev)
                         oracle_checked += 1
                         if dev > VERIFY_ORACLE_ATOL:
@@ -373,7 +377,7 @@ def run_verify(
                                 f"oracle deviation {dev!r} exceeds {VERIFY_ORACLE_ATOL}"
                             )
             except (BoundViolation, CapViolation) as exc:
-                write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mat))
+                write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[i]))
                 return {
                     **run,
                     "checked": checked,

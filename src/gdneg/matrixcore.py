@@ -2,8 +2,9 @@
 
 All functions are pure and operate on plain ``numpy`` arrays (complex128,
 row-major). Spectra are returned as real vectors sorted nonincreasing.
-`hermiticity_defect`, `hermitian_eigenvalues` and `partial_transpose` also
-take a stack of matrices, shape (..., d, d), and act on each matrix of it.
+`hermiticity_defect`, `hermitian_eigenvalues`, `partial_transpose` and
+`hs_norm_sq` also take a stack of matrices, shape (..., d, d), and act on
+each matrix of it.
 """
 
 import numpy as np
@@ -77,7 +78,12 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.abs(hermitian_eigenvalues(a))))
 
 
-def hs_norm_sq(a: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt norm: sum of squared entry magnitudes."""
+def hs_norm_sq(a: np.ndarray):
+    """Squared Hilbert-Schmidt norm: sum of squared entry magnitudes.
+
+    A float for one matrix; an array of one norm per matrix for a stack.
+    """
     a = np.asarray(a)
-    return float(np.vdot(a, a).real)
+    if a.ndim <= 2:
+        return float(np.vdot(a, a).real)
+    return np.einsum("...ij,...ij->...", a.conj(), a).real

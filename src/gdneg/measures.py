@@ -7,16 +7,19 @@ the m/(m-1)-normalized value is exposed.
 
 For m = 2 the correlation-tensor formula is exact; for m >= 3 it is a lower
 bound and `geometric_discord` says so via its exactness flag. An independent
-brute-force minimization over qubit von Neumann measurements is provided as
-`gd_bruteforce_2xn` and is used to cross-check the formula in tests.
+brute-force minimization over qubit von Neumann measurements cross-checks the
+formula: `gd_bruteforce_stack` evaluates 2 ||rho - Pi_u(rho)||^2 on a sphere
+grid of directions u for a whole stack of 2 (x) n states, then refines each
+state with a compass search in (theta, phi) that stops when its step falls
+below ORACLE_STEP_ATOL. `gd_bruteforce_2xn` runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
 expressions and the negative-eigenvalue count, and one stacked Bloch
 extraction feeds the discord. The CLI runs it on chunks of states; the
 single-state functions here run it on a stack of one, so each formula and
-each check exists once. scipy is imported only when the brute-force oracle
-runs, so `import gdneg` does not load it.
+each check exists once. The measurement identities run on stacks the same
+way. The package needs numpy alone.
 """
 
 import math
@@ -26,7 +29,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bloch
-from .errors import BoundViolation, CapViolation, InvalidDimension, InvalidRange, WrongDimension
+from .errors import (
+    BoundViolation,
+    CapViolation,
+    DimensionMismatch,
+    InvalidDimension,
+    InvalidRange,
+    WrongDimension,
+)
 from .matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_transpose
 from .states import DensityMatrix, PureState
 from .su_generators import basis_stack
@@ -37,8 +47,7 @@ from .tolerances import (
     IDENTITY_ATOL,
     IMAG_RESIDUE_ATOL,
     NEGATIVE_EIGENVALUE_CUTOFF,
-    ORACLE_FATOL,
-    ORACLE_XATOL,
+    ORACLE_STEP_ATOL,
     SCHMIDT_CUTOFF,
 )
 
@@ -51,6 +60,7 @@ __all__ = [
     "gd_lower_bound",
     "geometric_discord",
     "gd_bruteforce_2xn",
+    "gd_bruteforce_stack",
     "project_a",
     "schmidt",
     "pure_negativity",
@@ -253,88 +263,134 @@ def geometric_discord(rho: DensityMatrix) -> tuple[float, bool]:
     return gd_lower_bound(rho), rho.m == 2
 
 
-def _direction(theta, phi) -> np.ndarray:
-    # Unit vector(s) at polar angle theta and azimuth phi: shape (3,) for
-    # scalars, (k, 3) for arrays of k angles.
-    sin_t = np.sin(theta)
-    return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)]).T
-
-
 def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
     """Apply the qubit von Neumann measurement along direction u to side A.
 
     Returns sum_k (P_k (x) I_n) rho (P_k (x) I_n) for the projectors
     P_+/- = (I +/- u.sigma)/2, computed as (rho + S rho S)/2 with
     S = u.sigma (x) I_n: the cross terms of the two products cancel, so
-    this holds for every real u, unit or not.
+    this holds for every real u, unit or not. On a (k, 2n, 2n) stack with
+    a (k, 3) array of directions, matrix i is measured along u[i].
     """
-    s = np.einsum("a,aij->ij", np.asarray(u, dtype=float), basis_stack(2))
-    r4 = np.asarray(mat).reshape(2, n, 2, n)
-    return ((r4 + np.einsum("ab,bicj,cd->aidj", s, r4, s)) / 2).reshape(2 * n, 2 * n)
+    u = np.asarray(u, dtype=float)
+    s = np.einsum("...a,aij->...ij", u, basis_stack(2))
+    mat = np.asarray(mat)
+    r4 = mat.reshape(*mat.shape[:-2], 2, n, 2, n)
+    return ((r4 + np.einsum("...ab,...bicj,...cd->...aidj", s, r4, s)) / 2).reshape(mat.shape)
+
+
+# The Pauli pairs (a, b), a <= b, of the sandwiches (sigma_a (x) I) rho (sigma_b (x) I).
+_PAIR_A = np.array([0, 1, 2, 0, 0, 1])
+_PAIR_B = np.array([0, 1, 2, 1, 2, 2])
+# Compass steps in (theta, phi), in units of the step length h.
+_COMPASS_T = np.array([1.0, -1.0, 0.0, 0.0])
+_COMPASS_P = np.array([0.0, 0.0, 1.0, -1.0])
+# Grid blocks hold at most this many real entries of rho - Pi(rho), so the
+# temporaries of the grid stay about 1 MB at any resolution and stack size.
+_GRID_BLOCK_ENTRIES = 1 << 17
+
+
+def _pair_coefficients(theta, phi) -> np.ndarray:
+    """u_a u_b for each Pauli pair, u the unit vector at (theta, phi): shape (..., 6)."""
+    sin_t = np.sin(theta)
+    u = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
+    return u[..., _PAIR_A] * u[..., _PAIR_B]
+
+
+def _objective(terms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """2 ||rho - Pi_u(rho)||^2 for each state and each direction.
+
+    terms (k, 6, 2E) are the real views of the terms of `gd_bruteforce_stack`;
+    coeffs is (g, 6) for directions shared by the stack or (k, g, 6) for
+    directions of each state. coeffs @ terms is rho - S rho S = 2 (rho - Pi_u(rho)),
+    entry by entry.
+    """
+    diff = coeffs @ terms
+    return 0.5 * np.einsum("kgi,kgi->kg", diff, diff)
+
+
+def gd_bruteforce_stack(mats: np.ndarray, n: int, resolution: int = 32) -> np.ndarray:
+    """Geometric discord of each state of a (k, 2n, 2n) stack by direct minimization.
+
+    Minimizes 2 ||rho - Pi_u(rho)||^2 over all qubit von Neumann measurements,
+    parametrized by unit vectors u at polar angle theta and azimuth phi. A
+    resolution x 2*resolution (theta, phi) grid, evaluated for the whole
+    stack, localizes each state's basin. A compass search then refines
+    each state from its best grid point: a round tries theta +/- h and
+    phi +/- h, moves to the best of the four if it is lower, and halves h
+    otherwise. h starts at the grid's theta spacing, and a state stops when
+    h falls below ORACLE_STEP_ATOL.
+
+    Every value is the squared norm of an explicitly built rho - Pi_u(rho),
+    so the search shares nothing with the correlation-tensor formula it
+    checks. With S = u.sigma (x) I_n, rho - Pi_u(rho) = (rho - S rho S)/2
+    and S rho S = sum_ab u_a u_b (sigma_a (x) I) rho (sigma_b (x) I); as
+    sum_a u_a^2 = 1, rho - S rho S is the sum over pairs a <= b of u_a u_b
+    times rho - (sigma_a (x) I) rho (sigma_a (x) I) for a = b, and times
+    minus the two sandwiches of a and b for a < b.
+    """
+    if resolution < 2:
+        raise InvalidRange(f"resolution must be at least 2, got {resolution}")
+    mats = np.asarray(mats, dtype=complex)
+    k, d = len(mats), 2 * n
+    if mats.shape != (k, d, d):
+        raise DimensionMismatch(f"expected a (k, {d}, {d}) stack of 2x{n} states, got {mats.shape}")
+    sigma = basis_stack(2)
+    r4 = mats.reshape(k, 2, n, 2, n)
+    sandwiches = np.einsum("aij,kjxly,blz->kabixzy", sigma, r4, sigma).reshape(k, 3, 3, d * d)
+    diagonal = mats.reshape(k, 1, d * d) - sandwiches[:, _PAIR_A[:3], _PAIR_A[:3]]
+    mixed = -(sandwiches[:, _PAIR_A[3:], _PAIR_B[3:]] + sandwiches[:, _PAIR_B[3:], _PAIR_A[3:]])
+    terms = np.concatenate([diagonal, mixed], axis=1).view(float)
+
+    grid_t, grid_p = np.meshgrid(
+        np.linspace(0.0, math.pi, resolution),
+        np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False),
+        indexing="ij",
+    )
+    grid_t, grid_p = grid_t.ravel(), grid_p.ravel()
+    grid_coeffs = _pair_coefficients(grid_t, grid_p)
+    best = np.full(k, math.inf)
+    best_idx = np.zeros(k, dtype=int)
+    rows = np.arange(k)
+    block = max(1, _GRID_BLOCK_ENTRIES // (2 * d * d * max(k, 1)))
+    for start in range(0, len(grid_t), block):
+        vals = _objective(terms, grid_coeffs[start : start + block])
+        idx = np.argmin(vals, axis=1)
+        lower = vals[rows, idx] < best
+        best[lower] = vals[lower, idx[lower]]
+        best_idx[lower] = start + idx[lower]
+
+    theta, phi = grid_t[best_idx], grid_p[best_idx]
+    h = np.full(k, math.pi / (resolution - 1))
+    active = np.flatnonzero(h >= ORACLE_STEP_ATOL)
+    # The objective is smooth in (theta, phi) for any theta, so a step may
+    # pass a pole or the 2*pi seam without harm.
+    while active.size:
+        t = theta[active, None] + _COMPASS_T * h[active, None]
+        p = phi[active, None] + _COMPASS_P * h[active, None]
+        vals = _objective(terms[active], _pair_coefficients(t, p))
+        j = np.argmin(vals, axis=1)
+        rows = np.arange(active.size)
+        lowest = vals[rows, j]
+        moved = lowest < best[active]
+        step = active[moved]
+        theta[step], phi[step], best[step] = t[rows, j][moved], p[rows, j][moved], lowest[moved]
+        h[active[~moved]] /= 2
+        active = active[h[active] >= ORACLE_STEP_ATOL]
+    return best
 
 
 def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
     """Geometric discord of a 2 (x) n state by direct minimization.
 
-    Minimizes 2 ||rho - Pi(rho)||^2 over all qubit von Neumann measurements,
-    parametrized by unit vectors u on the sphere. A resolution x 2*resolution
-    (theta, phi) grid localizes the basin; downhill-simplex descent seeded at
-    the best grid point with grid-spacing steps refines it. Serves as the
-    independent oracle for `geometric_discord`.
+    `gd_bruteforce_stack` on a stack of one: a resolution x 2*resolution
+    (theta, phi) sphere grid, then a compass search that stops when its
+    step falls below ORACLE_STEP_ATOL. Serves as the independent oracle
+    for `geometric_discord`.
     """
     if rho.m != 2:
         raise WrongDimension(f"brute-force discord requires m = 2, got m={rho.m}")
-    if resolution < 2:
-        raise InvalidRange(f"resolution must be at least 2, got {resolution}")
-    # Imported here, not at module level, so that `import gdneg` does not load scipy.
-    from scipy.optimize import minimize
-
-    n = rho.n
-    r4 = rho.mat.reshape(2, n, 2, n)
-
-    thetas = np.linspace(0.0, math.pi, resolution)
-    phis = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
-    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
-    grid_t = grid_t.ravel()
-    grid_p = grid_p.ravel()
-
-    u_dot_sigma = np.einsum("ka,aij->kij", _direction(grid_t, grid_p), basis_stack(2))
-
-    best_val = math.inf
-    best_idx = 0
-    chunk = 8192
-    for start in range(0, len(grid_t), chunk):
-        # `project_a` at every direction of the chunk.
-        s = u_dot_sigma[start : start + chunk]
-        projected = (r4 + np.einsum("kab,bicj,kcd->kaidj", s, r4, s, optimize=True)) / 2
-        diff = r4[None, ...] - projected
-        vals = 2.0 * np.sum(np.abs(diff) ** 2, axis=(1, 2, 3, 4))
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_idx = start + k
-
-    theta = float(grid_t[best_idx])
-    phi = float(grid_p[best_idx])
-    width_t = math.pi / (resolution - 1)
-    width_p = math.pi / resolution
-
-    # The objective is smooth in (theta, phi) for any theta, so the simplex
-    # may wander past the poles or the 2*pi seam without harm.
-    result = minimize(
-        lambda tp: 2.0 * hs_norm_sq(rho.mat - project_a(rho.mat, n, _direction(tp[0], tp[1]))),
-        x0=np.array([theta, phi]),
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": np.array(
-                [[theta, phi], [theta + width_t, phi], [theta, phi + width_p]]
-            ),
-            "xatol": ORACLE_XATOL,
-            "fatol": ORACLE_FATOL,
-            "maxfev": 500,
-        },
-    )
-    return min(best_val, float(result.fun))
+    return float(gd_bruteforce_stack(rho.mat[None], rho.n, resolution)[0])
 
 
 def schmidt(phi: PureState) -> np.ndarray:
@@ -373,6 +429,46 @@ def maximal_state(m: int, n: int) -> DensityMatrix:
     return DensityMatrix(m, n, np.outer(v, v.conj()))
 
 
+def _identity_checks(mats: np.ndarray, n: int, us) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The measurement identities of a (k, 2n, 2n) stack, state i measured along us[i].
+
+    Returns the checks, in the order `measurement_identity_check` applies
+    them, and Tr((Pi(rho))^2) and Tr(rho Pi(rho)) per state.
+    """
+    us = np.asarray(us, dtype=float)
+    norms = np.linalg.norm(us, axis=-1)
+    usable = (0.0 < norms) & (norms < math.inf)
+    units = np.where(usable[:, None], us, 0.0) / np.where(usable, norms, 1.0)[:, None]
+    projected = project_a(mats, n, units)
+    pi_sq = np.einsum("kij,kji->k", projected, projected).real
+    rho_pi = np.einsum("kij,kji->k", mats, projected).real
+    distance_sq = hs_norm_sq(mats - projected)
+    purity_gap = np.einsum("kij,kji->k", mats, mats).real - pi_sq
+    checks = (
+        _Check(
+            ~usable,
+            lambda i: InvalidRange(
+                f"measurement direction must be finite and non-zero, got {us[i]}"
+            ),
+        ),
+        _Check(
+            ~(np.abs(pi_sq - rho_pi) <= IDENTITY_ATOL),
+            lambda i: BoundViolation(
+                f"measurement identity failed: Tr(Pi(rho)^2)={float(pi_sq[i])!r} vs "
+                f"Tr(rho Pi(rho))={float(rho_pi[i])!r}"
+            ),
+        ),
+        _Check(
+            ~(np.abs(distance_sq - purity_gap) <= IDENTITY_ATOL),
+            lambda i: BoundViolation(
+                f"distance identity failed: ||rho-Pi(rho)||^2={float(distance_sq[i])!r} vs "
+                f"Tr(rho^2)-Tr(Pi(rho)^2)={float(purity_gap[i])!r}"
+            ),
+        ),
+    )
+    return checks, pi_sq, rho_pi
+
+
 def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
     """Evaluate Tr((Pi(rho))^2) and Tr(rho Pi(rho)) for the measurement along u.
 
@@ -383,26 +479,9 @@ def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
     """
     if rho.m != 2:
         raise WrongDimension(f"measurement identity requires m = 2, got m={rho.m}")
-    u = np.asarray(u, dtype=float)
-    norm = np.linalg.norm(u)
-    if not 0.0 < norm < math.inf:
-        raise InvalidRange(f"measurement direction must be finite and non-zero, got {u}")
-    projected = project_a(rho.mat, rho.n, u / norm)
-    pi_sq = float(np.trace(projected @ projected).real)
-    rho_pi = float(np.trace(rho.mat @ projected).real)
-    if not abs(pi_sq - rho_pi) <= IDENTITY_ATOL:
-        raise BoundViolation(
-            f"measurement identity failed: Tr(Pi(rho)^2)={pi_sq!r} vs "
-            f"Tr(rho Pi(rho))={rho_pi!r}"
-        )
-    distance_sq = hs_norm_sq(rho.mat - projected)
-    purity_gap = float(np.trace(rho.mat @ rho.mat).real) - pi_sq
-    if not abs(distance_sq - purity_gap) <= IDENTITY_ATOL:
-        raise BoundViolation(
-            f"distance identity failed: ||rho-Pi(rho)||^2={distance_sq!r} vs "
-            f"Tr(rho^2)-Tr(Pi(rho)^2)={purity_gap!r}"
-        )
-    return pi_sq, rho_pi
+    checks, pi_sq, rho_pi = _identity_checks(rho.mat[None], rho.n, np.asarray(u, dtype=float)[None])
+    _raise_first(checks, 0)
+    return float(pi_sq[0]), float(rho_pi[0])
 
 
 def bounds_check(rho: DensityMatrix) -> MeasureReport:

@@ -149,6 +149,73 @@ def test_verify_failure_mid_chunk_matches_per_state_order(tmp_path, monkeypatch)
     assert np.array_equal(written.mat, rho.mat)
 
 
+def test_verify_oracle_failure_at_state_zero(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(io_cli, "VERIFY_ORACLE_ATOL", -1.0)
+    report = run_verify(2, 3, 50, 5)
+    assert report["passed"] is False
+    assert report["checked"] == 0
+    assert report["failure"].startswith("oracle deviation ")
+    assert report["failure"].endswith(" exceeds -1.0")
+    first = next(sample_states(2, 3, 50, 5, "hilbert-schmidt"))
+    assert np.array_equal(io_cli.read_state(report["failure_state_file"]).mat, first.mat)
+
+
+def break_projection_of(monkeypatch, target):
+    # Halve Pi(rho) for the state `target` alone, however the states are stacked.
+    real = measures.project_a
+
+    def broken(mat, n, u):
+        out = real(mat, n, u)
+        out[np.all(mat == target, axis=(-2, -1))] /= 2
+        return out
+
+    monkeypatch.setattr(measures, "project_a", broken)
+
+
+def test_verify_identity_failure_mid_chunk_matches_per_state_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    size = io_cli._chunk_size(6)
+    index = size + size // 2
+    rhos = list(sample_states(2, 3, 2 * size, 11, "hilbert-schmidt"))
+    rho = rhos[index]
+    break_projection_of(monkeypatch, rho.mat)
+    # The per-state order: one direction drawn for each state before it and for it.
+    rng = np.random.default_rng(11)
+    for before in rhos[:index]:
+        measures.measurement_identity_check(before, rng.standard_normal(3))
+    with pytest.raises(measures.BoundViolation, match="measurement identity failed") as exc:
+        measures.measurement_identity_check(rho, rng.standard_normal(3))
+
+    report = run_verify(2, 3, 2 * size, 11)
+    assert report["passed"] is False
+    assert report["checked"] == index
+    assert report["failure"] == str(exc.value)
+    written = io_cli.read_state(report["failure_state_file"])
+    assert np.array_equal(written.mat, rho.mat)
+
+
+def test_verify_identity_failure_comes_before_oracle_failure(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(io_cli, "VERIFY_ORACLE_ATOL", -1.0)
+    break_projection_of(monkeypatch, next(sample_states(2, 3, 10, 12, "hilbert-schmidt")).mat)
+    report = run_verify(2, 3, 10, 12)
+    assert report["checked"] == 0
+    assert report["failure"].startswith("measurement identity failed")
+
+
+def test_passing_verify_builds_no_density_matrix(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing state was built as a DensityMatrix")
+
+    monkeypatch.setattr(io_cli, "DensityMatrix", forbidden)
+    report = run_verify(2, 3, 300, 13)
+    assert report["passed"] is True
+    assert report["oracle_states_checked"] == io_cli.VERIFY_ORACLE_SUBSAMPLE
+
+
 def test_invalid_state_ends_stream_after_the_states_before_it(monkeypatch):
     real = io_cli._hs_stack
 
@@ -217,11 +284,19 @@ def test_library_callers_get_the_range_check(tmp_path, monkeypatch):
         run_verify(2, 3, 5, -1)
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_does_not_load_scipy_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(gdneg.__file__)))
     code = "import sys, gdneg; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+    # Nor does a verify run, oracle included.
+    code = ("import sys\n"
+            "from gdneg.io_cli import main\n"
+            "code = main(['verify', '--dims', '2x3', '--count', '20', '--seed', '7'])\n"
+            "print(code, 'scipy' not in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60, cwd=tmp_path)
+    assert out.stdout.strip().splitlines()[-1] == "0 True"
 
