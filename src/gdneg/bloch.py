@@ -22,6 +22,10 @@ R[(i j),(k l)] = rho[(i k),(j l)] and vec(z) the row-major flattening,
         = [[Tr rho, y^T], [x, T]],
 
 which `coefficient_stack` evaluates on a whole stack of states at once.
+
+Hermiticity is checked once, when a state is validated. The data here are
+the real parts of the traces, and Re Tr(rho X) = Tr(H X) for Hermitian X, so
+they are exactly the Bloch data of the Hermitian part H = (rho + rho^dag)/2.
 """
 
 from dataclasses import dataclass
@@ -29,10 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState
+from .errors import DimensionMismatch
 from .states import DensityMatrix
 from .su_generators import basis_stack
-from .tolerances import IMAG_RESIDUE_ATOL
 
 
 @dataclass(frozen=True)
@@ -58,34 +61,21 @@ def _vec_transposed(stack: np.ndarray) -> np.ndarray:
     return stack.transpose(0, 2, 1).reshape(len(stack), -1)
 
 
-def imag_residue_fault(residue: float) -> InvalidState:
-    """The error for Bloch data whose extraction traces carry an imaginary residue."""
-    return InvalidState(f"imaginary residue {residue:.3e} in Bloch extraction traces")
+def coefficient_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Bloch data of a (k, mn, mn) stack, as a real (k, m^2, n^2) array.
 
-
-def coefficient_stack(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch data of a (k, mn, mn) stack and the imaginary residue of each state.
-
-    The data is the real part of the (k, m^2, n^2) product above: x in
-    column 0 and T in the rest of rows 1.., y in row 0. The residue is the
-    largest imaginary part among x, y and T, which vanishes for Hermitian
-    input.
+    The real part of the product above: x in column 0 and T in the rest of
+    rows 1.., y in row 0; the Bloch data of each matrix's Hermitian part.
     """
     k = len(mats)
     left, right = _extraction_maps(m, n)
     realigned = mats.reshape(k, m, n, m, n).transpose(0, 1, 3, 2, 4).reshape(k, m * m, n * n)
-    coeffs = left @ realigned @ right
-    imag = np.abs(coeffs.imag)
-    imag[:, 0, 0] = 0.0
-    return coeffs.real, np.max(imag, axis=(1, 2))
+    return (left @ realigned @ right).real
 
 
 def decompose(rho: DensityMatrix) -> BlochForm:
-    """Local Bloch vectors and correlation matrix of a state."""
-    coeffs, residue = coefficient_stack(rho.mat[None], rho.m, rho.n)
-    if not residue[0] <= IMAG_RESIDUE_ATOL:
-        raise imag_residue_fault(residue[0])
-    c = coeffs[0]
+    """Local Bloch vectors and correlation matrix of a validated state."""
+    c = coefficient_stack(rho.mat[None], rho.m, rho.n)[0]
     return BlochForm(m=rho.m, n=rho.n, x=c[1:, 0].copy(), y=c[0, 1:].copy(), T=c[1:, 1:].copy())
 
 

@@ -38,7 +38,7 @@ class InvalidRange(ValueError):
 
 
 class ParseError(ValueError):
-    """State file is structurally malformed."""
+    """A state file or the command line is structurally malformed."""
 
 
 class CapViolation(ArithmeticError):

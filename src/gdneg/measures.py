@@ -45,7 +45,6 @@ from .tolerances import (
     DISCORD_CLAMP_FLOOR,
     DUAL_NEGATIVITY_ATOL,
     IDENTITY_ATOL,
-    IMAG_RESIDUE_ATOL,
     NEGATIVE_EIGENVALUE_CUTOFF,
     ORACLE_STEP_ATOL,
     SCHMIDT_CUTOFF,
@@ -111,7 +110,7 @@ def _negativity(w: np.ndarray, m: int) -> tuple[np.ndarray, _Check]:
     if m < 2:
         raise InvalidDimension(f"negativity requires m >= 2, got m={m}")
     via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
-    via_negative_part = 2.0 * -np.sum(np.where(w < 0.0, w, 0.0), axis=1) / (m - 1)
+    via_negative_part = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
     disagree = _Check(
         ~(np.abs(via_trace_norm - via_negative_part) <= DUAL_NEGATIVITY_ATOL),
         lambda i: BoundViolation(
@@ -135,23 +134,19 @@ def _negative_count(w: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check]:
     return count, over_cap
 
 
-def _discord(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check, _Check]:
-    coeffs, residue = bloch.coefficient_stack(mats, m, n)
+def _discord(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check]:
+    coeffs = bloch.coefficient_stack(mats, m, n)
     x, t = coeffs[:, 1:, 0], coeffs[:, 1:, 1:]
     lam = np.linalg.eigvalsh(bloch.g_stack(x, t, n))[:, ::-1]
     top = np.sum(lam[:, : m - 1], axis=1)
     raw = (2.0 / (m * (m - 1) * n)) * (
         np.sum(x * x, axis=1) + (2.0 / n) * np.sum(t * t, axis=(1, 2)) - top
     )
-    imaginary = _Check(
-        ~(residue <= IMAG_RESIDUE_ATOL),
-        lambda i: bloch.imag_residue_fault(residue[i]),
-    )
     negative = _Check(
         ~(raw >= DISCORD_CLAMP_FLOOR),
         lambda i: BoundViolation(f"discord lower bound came out negative: {float(raw[i])!r}"),
     )
-    return np.maximum(raw, 0.0), imaginary, negative
+    return np.maximum(raw, 0.0), negative
 
 
 def _outside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -178,21 +173,20 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
     """Negativity, discord, gap N^2 - D and PT negative count of a validated (k, mn, mn) stack.
 
     A state fails when a check fails: the two negativity expressions
-    disagree, the Bloch data has an imaginary residue (InvalidState), the
-    discord is negative beyond solver noise, the PT negative count exceeds
-    (m-1)(n-1), or N, D or N^2 - D leaves its proven interval. Nothing is
-    raised for a failing state; `raise_fault` gives the error of the first
-    check it fails, in that order.
+    disagree, the discord is negative beyond solver noise, the PT negative
+    count exceeds (m-1)(n-1), or N, D or N^2 - D leaves its proven interval.
+    Nothing is raised for a failing state; `raise_fault` gives the
+    BoundViolation or CapViolation of the first check it fails, in that
+    order. The PT spectra and Bloch data are those of the Hermitian part.
     """
     w = _pt_spectra(mats, m, n)
     neg, disagree = _negativity(w, m)
-    disc, imaginary, negative = _discord(mats, m, n)
+    disc, negative = _discord(mats, m, n)
     count, over_cap = _negative_count(w, m, n)
     d_max = m / (m - 1)
     gap = neg * neg - disc
     checks = (
         disagree,
-        imaginary,
         negative,
         over_cap,
         _Check(
@@ -248,8 +242,8 @@ def gd_lower_bound(rho: DensityMatrix) -> float:
     G = x x^T + (2/n) T T^T ]. Nonnegative analytically; clamped at zero only
     within -1e-12 of solver noise.
     """
-    disc, imaginary, negative = _discord(rho.mat[None], rho.m, rho.n)
-    _raise_first((imaginary, negative), 0)
+    disc, negative = _discord(rho.mat[None], rho.m, rho.n)
+    _raise_first((negative,), 0)
     return float(disc[0])
 
 

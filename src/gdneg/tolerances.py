@@ -10,13 +10,10 @@ TRACE_ATOL = 1e-10  # |Tr rho - 1|: rounding of a normalised trace
 PSD_MIN_EIGENVALUE = -1e-9  # admits states produced by noisy numeric pipelines
 NORM_ATOL = 1e-12  # | ||v|| - 1 |: rounding of a normalised vector
 
-# Theorem checks of the measures (measures, bloch).
+# Theorem checks of the measures (measures).
 NEGATIVE_EIGENVALUE_CUTOFF = -1e-10  # PT eigenvalues above this are solver noise, not negative
 DUAL_NEGATIVITY_ATOL = 1e-9  # the two negativity expressions differ only by rounding
 BOUND_ATOL = 1e-9  # slack on the proven intervals of N, D and N^2 - D
-# Extraction traces vanish analytically on the imaginary axis; anything above
-# this signals a non-Hermitian input upstream and is an error, not noise.
-IMAG_RESIDUE_ATOL = 1e-10
 DISCORD_CLAMP_FLOOR = -1e-12  # discord down to this is solver noise, clamped to 0; below, a fault
 IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only by rounding
 SCHMIDT_CUTOFF = 1e-12  # Schmidt coefficients at or below this are rounding noise of a zero

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import gdneg
-from gdneg import io_cli, measures
+from gdneg import bloch, io_cli, measures
 from gdneg.errors import CapViolation, InvalidRange, InvalidState
 from gdneg.io_cli import main, run_sample, run_verify, sample_states
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
+from gdneg.states import first_invalid_state
 
 DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
 
@@ -232,6 +233,34 @@ def test_invalid_state_ends_stream_after_the_states_before_it(monkeypatch):
     assert len(seen) == 5
 
 
+def test_pure_nan_ends_stream_at_its_index_with_the_norm_message(monkeypatch):
+    real = io_cli._unit_vectors
+
+    def with_nan_at_5(d, k, rng):
+        vs = real(d, k, rng)
+        vs[5, 1] = np.nan
+        return vs
+
+    monkeypatch.setattr(io_cli, "_unit_vectors", with_nan_at_5)
+    seen = []
+    with pytest.raises(InvalidState, match="norm invariant violated: residual nan"):
+        for rho in sample_states(2, 2, 20, 1, "pure"):
+            seen.append(rho)
+    assert len(seen) == 5
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+def test_generated_pure_stacks_are_density_matrices(m, n):
+    # Pure draws are validated as vectors alone; their projectors must pass
+    # the full density-matrix check all the same.
+    size = io_cli._chunk_size(m * n)
+    for seed in (0, 1, 2):
+        stacks = list(io_cli._state_stacks(m, n, 3 * size, seed, "pure"))
+        assert [len(mats) for mats in stacks] == [size] * 3
+        for mats in stacks:
+            assert first_invalid_state(mats) is None
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_density_matrix_rejects_non_finite_entries(bad):
     mat = np.eye(6, dtype=complex) / 6
@@ -243,6 +272,31 @@ def test_density_matrix_rejects_non_finite_entries(bad):
 def write_matrix(path, mat, m, n):
     entries = [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel()]
     path.write_text(json.dumps({"format": "gdneg-state/1", "m": m, "n": n, "entries": entries}))
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+def test_state_accepted_near_the_hermiticity_tolerance_is_measured(m, n, tmp_path, capsys):
+    # An anti-Hermitian part i 4.5e-11 on every off-diagonal entry: defect 9e-11,
+    # inside HERMITIAN_ATOL, so the state is accepted and must then be measured
+    # as its Hermitian part, never rejected by a later check.
+    d = m * n
+    mat = hs_stack(m, n, 1, np.random.default_rng(10 * m + n))[0]
+    mat = mat + 4.5e-11j * (np.ones((d, d)) - np.eye(d))
+    assert 8e-11 < hermiticity_defect(mat) < 1e-10
+    rho = DensityMatrix(m, n, mat)
+    hermitian_part = DensityMatrix(m, n, (mat + mat.conj().T) / 2)
+    report, expected = bounds_check(rho), bounds_check(hermitian_part)
+    fields = ("negativity", "discord", "gap")
+    for field in fields:
+        assert abs(getattr(report, field) - getattr(expected, field)) <= 1e-12
+    got, want = bloch.decompose(rho), bloch.decompose(hermitian_part)
+    assert np.allclose(got.T, want.T, rtol=0.0, atol=1e-12)
+    path = tmp_path / "near.json"
+    write_matrix(path, mat, m, n)
+    assert main(["analyze", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for field in fields:
+        assert abs(out[field] - getattr(expected, field)) <= 1e-12
 
 
 @pytest.mark.parametrize("where,bad", [((0, 1), np.nan), ((0, 0), np.nan), ((0, 0), np.inf)])

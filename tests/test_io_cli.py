@@ -93,7 +93,9 @@ class TestAnalyze:
         path = tmp_path / "mixed.json"
         write_state(path, DensityMatrix(2, 3, np.eye(6) / 6))
         assert main(["analyze", str(path), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert "-0.0" not in out  # a separable state prints negativity 0.0, not -0.0
+        report = json.loads(out)
         assert report["negativity"] == 0.0
         assert report["discord"] == 0.0
         assert report["pt_negative_count"] == 0
@@ -260,6 +262,55 @@ class TestBadInput:
         args = ["sweep", "--family", "rho1", "--from", "0", "--to", "1", "--steps", "3"]
         assert main(args + ["--out", str(tmp_path)]) == 1
         self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("m,n", [(2.9, 3.4), (True, 6), (2, "3")])
+    def test_dimensions_must_be_json_integers(self, m, n, tmp_path, capsys):
+        path = tmp_path / "dims.json"
+        entries = [[float(x), 0.0] for x in (np.eye(6) / 6).ravel()]
+        path.write_text(json.dumps({"format": "gdneg-state/1", "m": m, "n": n, "entries": entries}))
+        with pytest.raises(ParseError, match="JSON integers"):
+            read_state(path)
+        assert main(["analyze", str(path)]) == 1
+        self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("bad", [["0.5", 0.0], [True, 0.0], [0.5, 0.0, 0.0], "05", None])
+    def test_entries_must_be_pairs_of_json_numbers(self, bad, tmp_path, capsys):
+        path = tmp_path / "entries.json"
+        entries = [[0.5 if i in (0, 3) else 0.0, 0.0] for i in range(4)]
+        entries[0] = bad
+        path.write_text(json.dumps({"format": "gdneg-state/1", "m": 2, "n": 1, "entries": entries}))
+        with pytest.raises(ParseError, match="JSON numbers"):
+            read_state(path)
+        assert main(["analyze", str(path)]) == 1
+        self._one_error_line(capsys)
+
+    def test_integer_entry_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"format": "gdneg-state/1", "m": 2, "n": 2, "entries": [[1%s, 0]'
+                        % ("0" * 400) + ", [0, 0]" * 15 + "]}")
+        assert main(["analyze", str(path)]) == 1
+        self._one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--dims", "2x", "--count", "5", "--seed", "1"],
+            ["sample", "--dims", "2x3", "--count", "abc", "--seed", "1"],
+            ["sample", "--dims", "2x3", "--seed", "1"],
+            ["frobnicate"],
+        ],
+    )
+    def test_usage_error_exits_1_with_one_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: gdneg")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gdneg sample")
 
     def test_sweep_member_with_zero_normalization(self, tmp_path):
         # rho2(-1/4) has p + q = 0. In a fresh process, so that numpy warnings
