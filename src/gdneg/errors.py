@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one walk for the first failing `Check`."""
+
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class NotSquare(ValueError):
@@ -50,3 +54,19 @@ class CapViolation(ArithmeticError):
 
 class BoundViolation(ArithmeticError):
     """A proven bound or identity failed numerically; signals a fault, not physics."""
+
+
+class Check(NamedTuple):
+    """One check over a stack of states: which states fail it, and the error for state i."""
+
+    failed: np.ndarray
+    fault: Callable[[int], Exception]
+
+
+def first_fault(checks) -> tuple[int, Exception] | None:
+    """The first state failing any check, with the error of its first failing check, or None."""
+    failed = np.logical_or.reduce([check.failed for check in checks])
+    if not failed.any():
+        return None
+    i = int(np.argmax(failed))
+    return i, next(check.fault(i) for check in checks if check.failed[i])

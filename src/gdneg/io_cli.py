@@ -33,11 +33,13 @@ import numpy as np
 from .errors import (
     BoundViolation,
     CapViolation,
+    Check,
     InvalidDimension,
     InvalidRange,
     InvalidState,
     ParseError,
     UnknownFamily,
+    first_fault,
 )
 from .families import FAMILY_NAMES, FamilySpec, build, rho1_closed_forms
 from .measures import (
@@ -45,7 +47,6 @@ from .measures import (
     PureState,
     _identity_checks,
     _measure_stack,
-    _raise_first,
     bounds_check,
     gd_bruteforce_stack,
 )
@@ -169,8 +170,9 @@ def sweep_rows(
         specs = [FamilySpec(family, (p, 1.0) if family == "rho1" else (p,)) for p in chunk]
         mats = np.array([build(s, allow_out_of_range=allow_out_of_range).mat for s in specs])
         measured = _measure_stack(mats, 2, 3)
-        if not measured.ok.all():
-            measured.raise_fault(int(np.argmin(measured.ok)))
+        fault = first_fault(measured.checks)
+        if fault is not None:
+            raise fault[1]
         columns = zip(chunk, measured.negativity, measured.discord, measured.gap)
         for param, neg, disc, gap in columns:
             cf_disc = cf_neg_sq = None
@@ -219,8 +221,7 @@ def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k normalized complex Gaussian vectors as a (k, d) array."""
     z = rng.standard_normal((k, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
-    # One norm per vector, so each is rounded exactly as for a lone vector.
-    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def random_density_matrix(m: int, n: int, rng: np.random.Generator) -> DensityMatrix:
@@ -270,7 +271,7 @@ def _draw_stacks(d: int, count: int, rng: np.random.Generator, ensemble: str):
         if invalid is not None:
             if invalid[0]:
                 yield mats[: invalid[0]]
-            raise InvalidState(invalid[1])
+            raise invalid[1]
         yield mats
 
 
@@ -335,14 +336,14 @@ def run_verify(
 ) -> dict:
     """Check theorem identities and bounds on `count` Hilbert-Schmidt states.
 
-    Per state: the two negativity expressions must agree, the partial
-    transpose negative-eigenvalue count must respect its cap, and the measure
-    bounds must hold (all enforced by the measures kernel, a chunk of states
-    at a time, and reported at the first failing state). For m = 2
-    the measurement trace identity is checked at a random direction, and the
-    brute-force discord oracle is compared against the formula on the first
-    `oracle_subsample` states; both run on a chunk at a time too. A state is
-    built as a DensityMatrix only to write the failure file.
+    Per state, in this order: the checks of the measures kernel (the two
+    negativity expressions agree, the PT negative count respects its cap,
+    the measure bounds hold); for m = 2 the measurement identities at a
+    random direction, and on the first `oracle_subsample` states the
+    brute-force oracle within VERIFY_ORACLE_ATOL of the formula (a NaN
+    deviation fails). One `errors.first_fault` call per chunk finds the first
+    failing state. A state is built as a DensityMatrix only to write the
+    failure file.
 
     Returns a report dict; on failure it carries the failing state serialized
     to a file for reproduction.
@@ -356,36 +357,35 @@ def run_verify(
     max_oracle_dev = 0.0
     for mats in stacks:
         measured = _measure_stack(mats, m, n)
+        checks = measured.checks
         if m == 2:
             # One direction per state, drawn as a state-by-state loop would draw them.
             identity, _, _ = _identity_checks(mats, n, rng.standard_normal((len(mats), 3)))
-            todo = max(0, oracle_subsample - oracle_checked)
-            brute = gd_bruteforce_stack(mats[:todo], n, resolution) if todo else ()
-        for i in range(len(mats)):
-            try:
-                measured.raise_fault(i)
-                if m == 2:
-                    _raise_first(identity, i)
-                    if i < len(brute):
-                        dev = abs(float(brute[i]) - float(measured.discord[i]))
-                        max_oracle_dev = max(max_oracle_dev, dev)
-                        oracle_checked += 1
-                        if dev > VERIFY_ORACLE_ATOL:
-                            raise BoundViolation(
-                                f"oracle deviation {dev!r} exceeds {VERIFY_ORACLE_ATOL}"
-                            )
-            except (BoundViolation, CapViolation) as exc:
-                write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[i]))
-                return {
-                    **run,
-                    "checked": checked,
-                    "passed": False,
-                    "failure": str(exc),
-                    "failure_state_file": VERIFY_FAILURE_FILE,
-                }
-            if measured.gap[i] > VIOLATION_EPS:
-                violations += 1
-            checked += 1
+            todo = min(len(mats), max(0, oracle_subsample - oracle_checked))
+            brute = gd_bruteforce_stack(mats[:todo], n, resolution) if todo else np.zeros(0)
+            dev = np.abs(brute - measured.discord[:todo])
+            oracle = Check(
+                np.pad(~(dev <= VERIFY_ORACLE_ATOL), (0, len(mats) - todo)),
+                lambda i: BoundViolation(
+                    f"oracle deviation {float(dev[i])!r} exceeds {VERIFY_ORACLE_ATOL}"
+                ),
+            )
+            checks += identity + (oracle,)
+            oracle_checked += todo  # both reported on a pass only, when every dev <= atol
+            max_oracle_dev = float(np.max(dev, initial=max_oracle_dev))
+        fault = first_fault(checks)
+        passed = len(mats) if fault is None else fault[0]
+        checked += passed
+        violations += int(np.count_nonzero(measured.gap[:passed] > VIOLATION_EPS))
+        if fault is not None:
+            write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[passed]))
+            return {
+                **run,
+                "checked": checked,
+                "passed": False,
+                "failure": str(fault[1]),
+                "failure_state_file": VERIFY_FAILURE_FILE,
+            }
     return {
         **run,
         "checked": checked,

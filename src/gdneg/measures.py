@@ -16,15 +16,16 @@ below ORACLE_STEP_ATOL. `gd_bruteforce_2xn` runs it on a stack of one.
 Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
 expressions and the negative-eigenvalue count, and one stacked Bloch
-extraction feeds the discord. The CLI runs it on chunks of states; the
-single-state functions here run it on a stack of one, so each formula and
-each check exists once. The measurement identities run on stacks the same
-way. The package needs numpy alone.
+extraction feeds the discord; each check is one `errors.Check` over the
+stack. The CLI runs it on chunks of states; `bounds_check` runs it on a stack
+of one and the single-state measures return its fields, so each formula and
+check exists once and each measure raises its state's first fault. The
+measurement identities run on stacks the same way. The package needs numpy
+alone.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,10 +33,12 @@ from . import bloch
 from .errors import (
     BoundViolation,
     CapViolation,
+    Check,
     DimensionMismatch,
     InvalidDimension,
     InvalidRange,
     WrongDimension,
+    first_fault,
 )
 from .matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_transpose
 from .states import DensityMatrix, PureState
@@ -88,67 +91,6 @@ class MeasureReport:
 # The stack kernel
 
 
-class _Check(NamedTuple):
-    """One check over a stack: which states fail it, and the error for state i."""
-
-    failed: np.ndarray
-    fault: Callable[[int], Exception]
-
-
-def _raise_first(checks, i: int) -> None:
-    for check in checks:
-        if check.failed[i]:
-            raise check.fault(i)
-
-
-def _pt_spectra(mats: np.ndarray, m: int, n: int) -> np.ndarray:
-    return hermitian_eigenvalues(partial_transpose(mats, m, n))
-
-
-def _negativity(w: np.ndarray, m: int) -> tuple[np.ndarray, _Check]:
-    # Both expressions from the PT spectra w, rows sorted nonincreasing.
-    if m < 2:
-        raise InvalidDimension(f"negativity requires m >= 2, got m={m}")
-    via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
-    via_negative_part = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
-    disagree = _Check(
-        ~(np.abs(via_trace_norm - via_negative_part) <= DUAL_NEGATIVITY_ATOL),
-        lambda i: BoundViolation(
-            "the two negativity expressions disagree: "
-            f"{float(via_trace_norm[i])!r} vs {float(via_negative_part[i])!r}"
-        ),
-    )
-    return via_negative_part, disagree
-
-
-def _negative_count(w: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check]:
-    count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
-    cap = (m - 1) * (n - 1)
-    over_cap = _Check(
-        count > cap,
-        lambda i: CapViolation(
-            f"{count[i]} negative partial-transpose eigenvalues exceed the cap {cap} "
-            f"for a {m}x{n} state"
-        ),
-    )
-    return count, over_cap
-
-
-def _discord(mats: np.ndarray, m: int, n: int) -> tuple[np.ndarray, _Check]:
-    coeffs = bloch.coefficient_stack(mats, m, n)
-    x, t = coeffs[:, 1:, 0], coeffs[:, 1:, 1:]
-    lam = np.linalg.eigvalsh(bloch.g_stack(x, t, n))[:, ::-1]
-    top = np.sum(lam[:, : m - 1], axis=1)
-    raw = (2.0 / (m * (m - 1) * n)) * (
-        np.sum(x * x, axis=1) + (2.0 / n) * np.sum(t * t, axis=(1, 2)) - top
-    )
-    negative = _Check(
-        ~(raw >= DISCORD_CLAMP_FLOOR),
-        lambda i: BoundViolation(f"discord lower bound came out negative: {float(raw[i])!r}"),
-    )
-    return np.maximum(raw, 0.0), negative
-
-
 def _outside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return ~((lo - BOUND_ATOL <= values) & (values <= hi + BOUND_ATOL))
 
@@ -162,42 +104,64 @@ class _StackMeasures:
     gap: np.ndarray  # N^2 - D
     pt_negative_count: np.ndarray
     ok: np.ndarray  # True where every check passed
-    checks: tuple
-
-    def raise_fault(self, i: int) -> None:
-        """Raise the error `bounds_check` raises for state i, if it has one."""
-        _raise_first(self.checks, i)
+    checks: tuple  # one `Check` per theorem, in the order a state's faults are reported
 
 
 def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
     """Negativity, discord, gap N^2 - D and PT negative count of a validated (k, mn, mn) stack.
 
-    A state fails when a check fails: the two negativity expressions
-    disagree, the discord is negative beyond solver noise, the PT negative
-    count exceeds (m-1)(n-1), or N, D or N^2 - D leaves its proven interval.
-    Nothing is raised for a failing state; `raise_fault` gives the
-    BoundViolation or CapViolation of the first check it fails, in that
-    order. The PT spectra and Bloch data are those of the Hermitian part.
+    The checks, in order: the two negativity expressions agree, the discord
+    is not negative beyond solver noise, the PT negative count is at most
+    (m-1)(n-1), and N, D and N^2 - D lie in their proven intervals. A failing
+    state raises nothing; `errors.first_fault(checks)` gives its error. The
+    PT spectra and Bloch data are those of the Hermitian part. m < 2 or
+    n < 2 raises InvalidDimension.
     """
-    w = _pt_spectra(mats, m, n)
-    neg, disagree = _negativity(w, m)
-    disc, negative = _discord(mats, m, n)
-    count, over_cap = _negative_count(w, m, n)
+    if m < 2 or n < 2:
+        raise InvalidDimension(f"measures require m >= 2 and n >= 2, got a {m}x{n} state")
+    w = hermitian_eigenvalues(partial_transpose(mats, m, n))
+    via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
+    neg = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
+    count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
+    cap = (m - 1) * (n - 1)
+    coeffs = bloch.coefficient_stack(mats, m, n)
+    x, t = coeffs[:, 1:, 0], coeffs[:, 1:, 1:]
+    lam = np.linalg.eigvalsh(bloch.g_stack(x, t, n))[:, ::-1]
+    top = np.sum(lam[:, : m - 1], axis=1)
+    raw = (2.0 / (m * (m - 1) * n)) * (
+        np.sum(x * x, axis=1) + (2.0 / n) * np.sum(t * t, axis=(1, 2)) - top
+    )
+    disc = np.maximum(raw, 0.0)
     d_max = m / (m - 1)
     gap = neg * neg - disc
     checks = (
-        disagree,
-        negative,
-        over_cap,
-        _Check(
+        Check(
+            ~(np.abs(via_trace_norm - neg) <= DUAL_NEGATIVITY_ATOL),
+            lambda i: BoundViolation(
+                "the two negativity expressions disagree: "
+                f"{float(via_trace_norm[i])!r} vs {float(neg[i])!r}"
+            ),
+        ),
+        Check(
+            ~(raw >= DISCORD_CLAMP_FLOOR),
+            lambda i: BoundViolation(f"discord lower bound came out negative: {float(raw[i])!r}"),
+        ),
+        Check(
+            count > cap,
+            lambda i: CapViolation(
+                f"{count[i]} negative partial-transpose eigenvalues exceed the cap {cap} "
+                f"for a {m}x{n} state"
+            ),
+        ),
+        Check(
             _outside(neg, 0.0, 1.0),
             lambda i: BoundViolation(f"negativity {float(neg[i])!r} outside [0, 1]"),
         ),
-        _Check(
+        Check(
             _outside(disc, 0.0, d_max),
             lambda i: BoundViolation(f"discord {float(disc[i])!r} outside [0, {d_max}]"),
         ),
-        _Check(
+        Check(
             _outside(gap, -d_max, 1.0),
             lambda i: BoundViolation(
                 f"N^2 - D = {float(gap[i])!r} outside [{-d_max}, 1] for a {m}x{n} state"
@@ -209,42 +173,37 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
 
 
 # ---------------------------------------------------------------------------
-# Single-state measures: the kernel on a stack of one
+# Single-state measures: `bounds_check`, the kernel on a stack of one
 
 
 def negativity(rho: DensityMatrix) -> float:
     """Negativity of a state, normalized so the maximum value is 1.
 
-    Computed as 2/(m-1) times the absolute sum of negative partial-transpose
-    eigenvalues; the equivalent (trace norm - 1)/(m-1) expression is evaluated
-    alongside and required to agree within 1e-9.
+    2/(m-1) times the absolute sum of negative partial-transpose eigenvalues,
+    required to agree with (trace norm - 1)/(m-1) within 1e-9. The field of
+    `bounds_check`: it raises the state's first fault among all the checks.
     """
-    neg, disagree = _negativity(_pt_spectra(rho.mat[None], rho.m, rho.n), rho.m)
-    _raise_first((disagree,), 0)
-    return float(neg[0])
+    return bounds_check(rho).negativity
 
 
 def pt_negative_count(rho: DensityMatrix) -> int:
     """Number of partial-transpose eigenvalues below the noise cutoff.
 
-    Provably at most (m-1)(n-1); exceeding that cap is reported as a fault
-    rather than clamped.
+    Provably at most (m-1)(n-1), and a fault, not clamped, above it. The field
+    of `bounds_check`: it raises the state's first fault among all the checks.
     """
-    count, over_cap = _negative_count(_pt_spectra(rho.mat[None], rho.m, rho.n), rho.m, rho.n)
-    _raise_first((over_cap,), 0)
-    return int(count[0])
+    return bounds_check(rho).pt_negative_count
 
 
 def gd_lower_bound(rho: DensityMatrix) -> float:
     """Correlation-tensor lower bound on geometric discord.
 
     (2/(m(m-1)n)) [ ||x||^2 + (2/n)||T||^2 - sum of top m-1 eigenvalues of
-    G = x x^T + (2/n) T T^T ]. Nonnegative analytically; clamped at zero only
-    within -1e-12 of solver noise.
+    G = x x^T + (2/n) T T^T ], clamped at zero within -1e-12 of solver noise.
+    The field of `bounds_check`: it raises the state's first fault among all
+    the checks.
     """
-    disc, negative = _discord(rho.mat[None], rho.m, rho.n)
-    _raise_first((negative,), 0)
-    return float(disc[0])
+    return bounds_check(rho).discord
 
 
 def geometric_discord(rho: DensityMatrix) -> tuple[float, bool]:
@@ -439,20 +398,20 @@ def _identity_checks(mats: np.ndarray, n: int, us) -> tuple[tuple, np.ndarray, n
     distance_sq = hs_norm_sq(mats - projected)
     purity_gap = np.einsum("kij,kji->k", mats, mats).real - pi_sq
     checks = (
-        _Check(
+        Check(
             ~usable,
             lambda i: InvalidRange(
                 f"measurement direction must be finite and non-zero, got {us[i]}"
             ),
         ),
-        _Check(
+        Check(
             ~(np.abs(pi_sq - rho_pi) <= IDENTITY_ATOL),
             lambda i: BoundViolation(
                 f"measurement identity failed: Tr(Pi(rho)^2)={float(pi_sq[i])!r} vs "
                 f"Tr(rho Pi(rho))={float(rho_pi[i])!r}"
             ),
         ),
-        _Check(
+        Check(
             ~(np.abs(distance_sq - purity_gap) <= IDENTITY_ATOL),
             lambda i: BoundViolation(
                 f"distance identity failed: ||rho-Pi(rho)||^2={float(distance_sq[i])!r} vs "
@@ -474,7 +433,9 @@ def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
     if rho.m != 2:
         raise WrongDimension(f"measurement identity requires m = 2, got m={rho.m}")
     checks, pi_sq, rho_pi = _identity_checks(rho.mat[None], rho.n, np.asarray(u, dtype=float)[None])
-    _raise_first(checks, 0)
+    fault = first_fault(checks)
+    if fault is not None:
+        raise fault[1]
     return float(pi_sq[0]), float(rho_pi[0])
 
 
@@ -486,7 +447,9 @@ def bounds_check(rho: DensityMatrix) -> MeasureReport:
     failure signals a numerical fault.
     """
     measured = _measure_stack(rho.mat[None], rho.m, rho.n)
-    measured.raise_fault(0)
+    fault = first_fault(measured.checks)
+    if fault is not None:
+        raise fault[1]
     neg = float(measured.negativity[0])
     return MeasureReport(
         negativity=neg,

@@ -1,56 +1,59 @@
 """Validated containers for bipartite quantum states.
 
 The density-matrix and unit-norm invariants are written once, for stacks of
-states (`first_invalid_state`, `first_invalid_vector`); the containers run
-them on a stack of one. Every residual is tested as `not (residual <= tol)`,
-so a NaN residual fails its check.
+states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
+`errors.first_fault`; the containers run them on a stack of one. Every
+residual is tested as `not (residual <= tol)`, so a NaN residual fails.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState
+from .errors import Check, InvalidState, first_fault
 from .matrixcore import hermitian_eigenvalues, hermiticity_defect
 from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
 
-def first_invalid_state(mats: np.ndarray) -> tuple[int, str] | None:
-    """The first matrix of a (k, d, d) stack that is not a density matrix.
+def _invariant(name: str, residual: np.ndarray, tol: float) -> Check:
+    return Check(
+        ~(residual <= tol),
+        lambda i: InvalidState(f"{name} invariant violated: residual {residual[i]:.6g}"),
+    )
 
-    Returns its index and the invariant it breaks with the measured residual,
-    checked in the order finiteness, hermiticity, trace, positivity; None
-    when every matrix is a density matrix.
+
+def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
+    """The first matrix of a (k, d, d) stack that is not a density matrix, or None.
+
+    Returns its index and an InvalidState naming the broken invariant and its
+    residual, checked in the order finiteness, hermiticity, trace, positivity.
     """
-    finite = np.isfinite(mats).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
         defect = hermiticity_defect(mats)
         trace_residual = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
-    cheap_ok = finite & (defect <= HERMITIAN_ATOL) & (trace_residual <= TRACE_ATOL)
-    end = len(mats) if cheap_ok.all() else int(np.argmin(cheap_ok))
-    # Spectra only up to the first state failing a cheaper check, which may be NaN.
-    min_eig = hermitian_eigenvalues(mats[:end])[:, -1]
-    not_psd = ~(min_eig >= PSD_MIN_EIGENVALUE)
-    if not_psd.any():
-        i = int(np.argmax(not_psd))
-        return i, f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"
-    if end == len(mats):
-        return None
-    if not finite[end]:
-        return end, "finiteness invariant violated: non-finite entries"
-    if not defect[end] <= HERMITIAN_ATOL:
-        return end, f"hermiticity invariant violated: residual {defect[end]:.6g}"
-    return end, f"trace invariant violated: residual {trace_residual[end]:.6g}"
+    cheap = (
+        Check(
+            ~np.isfinite(mats).all(axis=(1, 2)),
+            lambda i: InvalidState("finiteness invariant violated: non-finite entries"),
+        ),
+        _invariant("hermiticity", defect, HERMITIAN_ATOL),
+        _invariant("trace", trace_residual, TRACE_ATOL),
+    )
+    invalid = first_fault(cheap)
+    end = len(mats) if invalid is None else invalid[0]
+    # Spectra only before the first cheap failure, which may be NaN; +inf passes.
+    min_eig = np.full(len(mats), np.inf)
+    min_eig[:end] = hermitian_eigenvalues(mats[:end])[:, -1]
+    positivity = Check(
+        ~(min_eig >= PSD_MIN_EIGENVALUE),
+        lambda i: InvalidState(f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"),
+    )
+    return first_fault(cheap + (positivity,))
 
 
-def first_invalid_vector(vs: np.ndarray) -> tuple[int, str] | None:
+def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:
     """The first vector of a (k, d) stack that is not a finite unit vector, as for states."""
-    norm_residual = np.abs(np.linalg.norm(vs, axis=1) - 1.0)
-    ok = norm_residual <= NORM_ATOL
-    if ok.all():
-        return None
-    i = int(np.argmin(ok))
-    return i, f"norm invariant violated: residual {norm_residual[i]:.6g}"
+    return first_fault((_invariant("norm", np.abs(np.linalg.norm(vs, axis=1) - 1.0), NORM_ATOL),))
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class DensityMatrix:
             )
         invalid = first_invalid_state(mat[None])
         if invalid is not None:
-            raise InvalidState(invalid[1])
+            raise invalid[1]
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -98,7 +101,7 @@ class PureState:
             )
         invalid = first_invalid_vector(amp[None])
         if invalid is not None:
-            raise InvalidState(invalid[1])
+            raise invalid[1]
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 

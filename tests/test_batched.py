@@ -9,6 +9,7 @@ error with exit code 1.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import pytest
 
 import gdneg
 from gdneg import bloch, io_cli, measures
-from gdneg.errors import CapViolation, InvalidRange, InvalidState
+from gdneg.errors import BoundViolation, CapViolation, InvalidDimension, InvalidRange, InvalidState
 from gdneg.io_cli import main, run_sample, run_verify, sample_states
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
@@ -162,6 +163,22 @@ def test_verify_oracle_failure_at_state_zero(tmp_path, monkeypatch):
     assert np.array_equal(io_cli.read_state(report["failure_state_file"]).mat, first.mat)
 
 
+def test_verify_nan_oracle_deviation_fails(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = io_cli.gd_bruteforce_stack
+
+    def nan_at_3(mats, n, resolution):
+        out = real(mats, n, resolution)
+        out[3:4] = np.nan
+        return out
+
+    monkeypatch.setattr(io_cli, "gd_bruteforce_stack", nan_at_3)
+    report = run_verify(2, 3, 50, 5, oracle_subsample=10, resolution=8)
+    assert report["passed"] is False
+    assert report["checked"] == 3
+    assert report["failure"] == f"oracle deviation nan exceeds {io_cli.VERIFY_ORACLE_ATOL}"
+
+
 def break_projection_of(monkeypatch, target):
     # Halve Pi(rho) for the state `target` alone, however the states are stacked.
     real = measures.project_a
@@ -203,6 +220,122 @@ def test_verify_identity_failure_comes_before_oracle_failure(tmp_path, monkeypat
     report = run_verify(2, 3, 10, 12)
     assert report["checked"] == 0
     assert report["failure"].startswith("measurement identity failed")
+
+
+def narrowed(interval, window):
+    # The kernel's `_outside` with one of its intervals narrowed to `window`,
+    # so that some states leave it; the real `_outside` still decides.
+    real = measures._outside
+
+    def outside(values, lo, hi):
+        return real(values, *window) if (lo, hi) == interval else real(values, lo, hi)
+
+    return outside
+
+
+# One entry per kernel check, in the kernel's order: the name patched in
+# gdneg.measures, its value, and the error each failing state must raise.
+FORCED_CHECKS = {
+    "dual-negativity": ("DUAL_NEGATIVITY_ATOL", -1.0, BoundViolation,
+                        r"the two negativity expressions disagree: \S+ vs \S+"),
+    "discord-floor": ("DISCORD_CLAMP_FLOOR", 0.05, BoundViolation,
+                      r"discord lower bound came out negative: \S+"),
+    "pt-cap": ("NEGATIVE_EIGENVALUE_CUTOFF", 0.08, CapViolation,
+               r"\d+ negative partial-transpose eigenvalues exceed the cap 2 for a 2x3 state"),
+    "n-interval": ("_outside", narrowed((0.0, 1.0), (0.0, 0.3)), BoundViolation,
+                   r"negativity \S+ outside \[0, 1\]"),
+    "d-interval": ("_outside", narrowed((0.0, 2.0), (0.0, 0.18)), BoundViolation,
+                   r"discord \S+ outside \[0, 2\.0\]"),
+    "gap-interval": ("_outside", narrowed((-2.0, 1.0), (-0.12, 1.0)), BoundViolation,
+                     r"N\^2 - D = \S+ outside \[-2\.0, 1\] for a 2x3 state"),
+}
+
+
+@pytest.mark.parametrize("check", FORCED_CHECKS)
+def test_each_kernel_check_fires_on_every_path(check, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name, value, error, message = FORCED_CHECKS[check]
+    monkeypatch.setattr(measures, name, value)
+    count, seed = 300, 4
+    failures = []
+    for index, rho in enumerate(sample_states(2, 3, count, seed, "hilbert-schmidt")):
+        try:
+            bounds_check(rho)
+        except (BoundViolation, CapViolation) as exc:
+            failures.append((index, rho, exc))
+    assert failures
+    assert all(type(exc) is error and re.fullmatch(message, str(exc)) for _, _, exc in failures)
+    index, rho, first = failures[0]
+    single = (measures.negativity, measures.pt_negative_count, measures.gd_lower_bound,
+              measures.geometric_discord)
+    for measure in single:
+        with pytest.raises(error) as raised:
+            measure(rho)
+        assert str(raised.value) == str(first)
+
+    assert run_sample(2, 3, count, seed, "hilbert-schmidt").bound_failures == len(failures)
+    assert main(["sample", "--dims", "2x3", "--count", str(count), "--seed", str(seed)]) == 2
+    report = run_verify(2, 3, count, seed, oracle_subsample=2, resolution=8)
+    assert report["passed"] is False
+    assert report["checked"] == index
+    assert report["failure"] == str(first)
+
+
+def mixed_stack():
+    # Seven 2x2 states: not positive at index 2, a trace of 2 at index 5.
+    mats = hs_stack(2, 2, 7, np.random.default_rng(20))
+    mats[2] = np.diag([1.2, -0.2, 0.0, 0.0])
+    mats[5] *= 2.0
+    return mats
+
+
+def test_first_invalid_state_is_the_earliest_state_not_the_cheapest_check():
+    index, error = first_invalid_state(mixed_stack())
+    assert index == 2
+    assert type(error) is InvalidState
+    assert str(error) == "positivity invariant violated: min eigenvalue -0.2"
+
+
+def test_hermiticity_is_reported_before_trace():
+    mat = np.eye(4, dtype=complex) / 2  # trace 2
+    mat[0, 1] = 0.125  # not mirrored below the diagonal
+    index, error = first_invalid_state(np.array([np.eye(4) / 4, mat]))
+    assert index == 1
+    assert str(error) == "hermiticity invariant violated: residual 0.125"
+    with pytest.raises(InvalidState, match="^hermiticity invariant violated"):
+        DensityMatrix(2, 2, mat)
+
+
+def test_draw_stacks_yields_the_states_before_the_first_invalid_one(monkeypatch):
+    monkeypatch.setattr(io_cli, "_hs_stack", lambda d, k, rng: mixed_stack())
+    stacks = io_cli._draw_stacks(4, 7, np.random.default_rng(0), "hilbert-schmidt")
+    assert np.array_equal(next(stacks), mixed_stack()[:2])
+    with pytest.raises(InvalidState, match="^positivity invariant violated"):
+        next(stacks)
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+def test_pure_chunk_rows_equal_lone_draws(m, n):
+    size = io_cli._chunk_size(m * n)
+    chunk = io_cli._unit_vectors(m * n, size, np.random.default_rng(30))
+    rng = np.random.default_rng(30)
+    lone = [io_cli.random_pure_state(m, n, rng).amplitudes for _ in range(size)]
+    assert np.array_equal(chunk, np.array(lone))
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (3, 1)])
+def test_measures_reject_a_one_dimensional_side(m, n, tmp_path, capsys):
+    rho = DensityMatrix(m, n, np.eye(3) / 3)
+    expected = f"measures require m >= 2 and n >= 2, got a {m}x{n} state"
+    for measure in (bounds_check, measures.negativity, measures.pt_negative_count,
+                    measures.gd_lower_bound, measures.geometric_discord):
+        with pytest.raises(InvalidDimension) as raised:
+            measure(rho)
+        assert str(raised.value) == expected
+    path = tmp_path / "thin.json"
+    write_matrix(path, rho.mat, m, n)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {expected}"]
 
 
 def test_passing_verify_builds_no_density_matrix(tmp_path, monkeypatch):

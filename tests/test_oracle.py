@@ -100,7 +100,7 @@ def test_oracle_does_not_touch_the_formula(monkeypatch):
 
     for name in ("coefficient_stack", "decompose", "g_stack", "g_matrix"):
         monkeypatch.setattr(bloch, name, forbidden)
-    monkeypatch.setattr(measures, "_discord", forbidden)
+    monkeypatch.setattr(measures, "_measure_stack", forbidden)
     monkeypatch.setattr(measures, "geometric_discord", forbidden)
     brute = gd_bruteforce_stack(mats, 3, VERIFY_ORACLE_RESOLUTION)
     assert np.max(np.abs(brute - formula)) <= 1e-12
