@@ -297,12 +297,24 @@ class SampleSummary:
 
 
 def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSummary:
+    return _sample(m, n, count, seed, ensemble)[0]
+
+
+def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
+    """`run_sample`'s summary, and the first failing state's index and error, or None."""
     violations = 0
     bound_failures = 0
+    fault = None
+    seen = 0
     max_gap = min_gap = None
     for mats in _state_stacks(m, n, count, seed, ensemble):
         measured = _measure_stack(mats, m, n)
-        bound_failures += int(np.count_nonzero(~measured.ok))
+        failures = int(np.count_nonzero(~measured.ok))
+        if failures and fault is None:
+            i, error = first_fault(measured.checks)
+            fault = seen + i, error
+        bound_failures += failures
+        seen += len(mats)
         gaps = measured.gap[measured.ok]
         if gaps.size == 0:
             continue
@@ -319,7 +331,7 @@ def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSu
         max_gap=max_gap,
         min_gap=min_gap,
         bound_failures=bound_failures,
-    )
+    ), fault
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +449,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_sample(args) -> int:
     m, n = args.dims
-    summary = run_sample(m, n, args.count, args.seed, args.ensemble)
+    summary, fault = _sample(m, n, args.count, args.seed, args.ensemble)
     if args.json:
         _print_json(asdict(summary))
     else:
@@ -449,6 +461,8 @@ def cmd_sample(args) -> int:
         print(f"max_gap:        {'n/a' if summary.max_gap is None else _fmt(summary.max_gap)}")
         print(f"min_gap:        {'n/a' if summary.min_gap is None else _fmt(summary.min_gap)}")
         print(f"bound_failures: {summary.bound_failures}")
+    if fault is not None:
+        print(f"numerical fault: state {fault[0]}: {fault[1]}", file=sys.stderr)
     return 2 if summary.bound_failures else 0
 
 

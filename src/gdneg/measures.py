@@ -8,10 +8,15 @@ the m/(m-1)-normalized value is exposed.
 For m = 2 the correlation-tensor formula is exact; for m >= 3 it is a lower
 bound and `geometric_discord` says so via its exactness flag. An independent
 brute-force minimization over qubit von Neumann measurements cross-checks the
-formula: `gd_bruteforce_stack` evaluates 2 ||rho - Pi_u(rho)||^2 on a sphere
-grid of directions u for a whole stack of 2 (x) n states, then refines each
-state with a compass search in (theta, phi) that stops when its step falls
-below ORACLE_STEP_ATOL. `gd_bruteforce_2xn` runs it on a stack of one.
+formula. `gd_bruteforce_stack` writes 2 ||rho - Pi_u(rho)||^2 as c^T Q c, with
+c the six products u_a u_b of the direction u and Q a 6 x 6 Gram form built
+once per state from the explicit Pauli sandwiches of rho - Pi_u(rho); it reads
+no Bloch data and no G matrix. It evaluates the form on a sphere grid of
+directions for a whole stack of 2 (x) n states, one matrix product per block
+against a cached, read-only table of c c^T, then refines each state with a
+compass search in (theta, phi) whose rounds try four step scales at once, and
+which stops when its step falls below ORACLE_STEP_ATOL. `gd_bruteforce_2xn`
+runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
@@ -26,6 +31,7 @@ alone.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -235,12 +241,22 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
 # The Pauli pairs (a, b), a <= b, of the sandwiches (sigma_a (x) I) rho (sigma_b (x) I).
 _PAIR_A = np.array([0, 1, 2, 0, 0, 1])
 _PAIR_B = np.array([0, 1, 2, 1, 2, 2])
-# Compass steps in (theta, phi), in units of the step length h.
-_COMPASS_T = np.array([1.0, -1.0, 0.0, 0.0])
-_COMPASS_P = np.array([0.0, 0.0, 1.0, -1.0])
-# Grid blocks hold at most this many real entries of rho - Pi(rho), so the
-# temporaries of the grid stay about 1 MB at any resolution and stack size.
+# One compass round tries theta +/- s and phi +/- s at the scales s = h, h/2,
+# ..., h/2^(L-1): the steps of scale h/2^j are entries 4j to 4j+3, in units of h.
+_COMPASS_SCALES = 0.5 ** np.arange(4)
+_COMPASS_T = np.outer(_COMPASS_SCALES, [1.0, -1.0, 0.0, 0.0]).ravel()
+_COMPASS_P = np.outer(_COMPASS_SCALES, [0.0, 0.0, 1.0, -1.0]).ravel()
+# Grid blocks hold at most this many objective values, so the temporaries of
+# the grid stay about 1 MB at any resolution and stack size.
 _GRID_BLOCK_ENTRIES = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _side_paulis(n: int) -> np.ndarray:
+    """sigma_a (x) I_n for a = 1, 2, 3, stacked read-only: shape (3, 2n, 2n)."""
+    stack = np.stack([np.kron(s, np.eye(n)) for s in basis_stack(2)])
+    stack.setflags(write=False)
+    return stack
 
 
 def _pair_coefficients(theta, phi) -> np.ndarray:
@@ -250,37 +266,72 @@ def _pair_coefficients(theta, phi) -> np.ndarray:
     return u[..., _PAIR_A] * u[..., _PAIR_B]
 
 
-def _objective(terms: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """2 ||rho - Pi_u(rho)||^2 for each state and each direction.
+@lru_cache(maxsize=4)
+def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The resolution x 2*resolution (theta, phi) sphere grid, flattened, and its
+    (36, 2 resolution^2) table of vec(c c^T), c from `_pair_coefficients`, all read-only."""
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi, resolution),
+        np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False),
+        indexing="ij",
+    )
+    theta, phi = theta.ravel(), phi.ravel()
+    c = np.ascontiguousarray(_pair_coefficients(theta, phi).T)
+    table = (c[:, None] * c[None, :]).reshape(36, -1)
+    for array in (theta, phi, table):
+        array.setflags(write=False)
+    return theta, phi, table
 
-    terms (k, 6, 2E) are the real views of the terms of `gd_bruteforce_stack`;
-    coeffs is (g, 6) for directions shared by the stack or (k, g, 6) for
-    directions of each state. coeffs @ terms is rho - S rho S = 2 (rho - Pi_u(rho)),
-    entry by entry.
+
+def _gram(mats: np.ndarray, n: int) -> np.ndarray:
+    """The objective's 6 x 6 Gram form Q of each state of a (k, 2n, 2n) stack: shape (k, 6, 6).
+
+    With S = u.sigma (x) I_n, rho - Pi_u(rho) = (rho - S rho S)/2 and
+    S rho S = sum_ab u_a u_b (sigma_a (x) I) rho (sigma_b (x) I); as
+    sum_a u_a^2 = 1, rho - S rho S = sum_p c_p T_p over the pairs p = (a, b),
+    a <= b, with c_p = u_a u_b and T_p = rho - (sigma_a (x) I) rho (sigma_a (x) I)
+    for a = b and minus the two sandwiches of a and b for a < b. Then
+    2 ||rho - Pi_u(rho)||^2 = ||sum_p c_p T_p||^2 / 2 = c^T Q c with the Gram
+    form Q_pq = Re<T_p, T_q>/2.
     """
-    diff = coeffs @ terms
-    return 0.5 * np.einsum("kgi,kgi->kg", diff, diff)
+    k, d = len(mats), 2 * n
+    paulis = _side_paulis(n)
+    sandwiches = ((paulis @ mats[:, None])[:, :, None] @ paulis).reshape(k, 3, 3, d * d)
+    diagonal = mats.reshape(k, 1, d * d) - sandwiches[:, _PAIR_A[:3], _PAIR_A[:3]]
+    mixed = -(sandwiches[:, _PAIR_A[3:], _PAIR_B[3:]] + sandwiches[:, _PAIR_B[3:], _PAIR_A[3:]])
+    terms = np.concatenate([diagonal, mixed], axis=1).view(float)
+    return 0.5 * (terms @ terms.transpose(0, 2, 1))
+
+
+def _objective(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """2 ||rho - Pi_u(rho)||^2 = c^T Q c of each state at each of its directions.
+
+    gram (k, 6, 6) from `_gram`; coeffs (k, g, 6) from `_pair_coefficients`.
+    """
+    return np.einsum("kgp,kgp->kg", coeffs @ gram, coeffs)
 
 
 def gd_bruteforce_stack(mats: np.ndarray, n: int, resolution: int = 32) -> np.ndarray:
     """Geometric discord of each state of a (k, 2n, 2n) stack by direct minimization.
 
     Minimizes 2 ||rho - Pi_u(rho)||^2 over all qubit von Neumann measurements,
-    parametrized by unit vectors u at polar angle theta and azimuth phi. A
-    resolution x 2*resolution (theta, phi) grid, evaluated for the whole
-    stack, localizes each state's basin. A compass search then refines
-    each state from its best grid point: a round tries theta +/- h and
-    phi +/- h, moves to the best of the four if it is lower, and halves h
-    otherwise. h starts at the grid's theta spacing, and a state stops when
-    h falls below ORACLE_STEP_ATOL.
+    parametrized by unit vectors u at polar angle theta and azimuth phi. Every
+    value is c^T Q c, with c the six products u_a u_b and Q a 6 x 6 Gram form
+    built once per state from the explicit Pauli sandwiches of rho - Pi_u(rho)
+    (`_gram`). That is exact algebra on the squared norm of that matrix: the
+    search reads no Bloch data and no G matrix, and shares nothing with the
+    correlation-tensor formula it checks.
 
-    Every value is the squared norm of an explicitly built rho - Pi_u(rho),
-    so the search shares nothing with the correlation-tensor formula it
-    checks. With S = u.sigma (x) I_n, rho - Pi_u(rho) = (rho - S rho S)/2
-    and S rho S = sum_ab u_a u_b (sigma_a (x) I) rho (sigma_b (x) I); as
-    sum_a u_a^2 = 1, rho - S rho S is the sum over pairs a <= b of u_a u_b
-    times rho - (sigma_a (x) I) rho (sigma_a (x) I) for a = b, and times
-    minus the two sandwiches of a and b for a < b.
+    A resolution x 2*resolution (theta, phi) grid, evaluated for the whole
+    stack as one matrix product per block against a cached, read-only table
+    of vec(c c^T) per resolution, localizes each state's basin. A compass
+    search then refines each state from its best grid point. A round tries
+    theta +/- s and phi +/- s at the scales s = h, h/2, h/4, h/8 at once and
+    moves to the best step of the largest scale that lowers the value, which
+    becomes h; if none does, h shrinks 16-fold. h starts at the grid's theta
+    spacing, no scale below ORACLE_STEP_ATOL is tried, and a state stops when
+    h falls below it. So the search visits the points of a compass that
+    halves h after each failed round, in fewer rounds.
     """
     if resolution < 2:
         raise InvalidRange(f"resolution must be at least 2, got {resolution}")
@@ -288,49 +339,51 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int, resolution: int = 32) -> np.nd
     k, d = len(mats), 2 * n
     if mats.shape != (k, d, d):
         raise DimensionMismatch(f"expected a (k, {d}, {d}) stack of 2x{n} states, got {mats.shape}")
-    sigma = basis_stack(2)
-    r4 = mats.reshape(k, 2, n, 2, n)
-    sandwiches = np.einsum("aij,kjxly,blz->kabixzy", sigma, r4, sigma).reshape(k, 3, 3, d * d)
-    diagonal = mats.reshape(k, 1, d * d) - sandwiches[:, _PAIR_A[:3], _PAIR_A[:3]]
-    mixed = -(sandwiches[:, _PAIR_A[3:], _PAIR_B[3:]] + sandwiches[:, _PAIR_B[3:], _PAIR_A[3:]])
-    terms = np.concatenate([diagonal, mixed], axis=1).view(float)
+    gram = _gram(mats, n)
 
-    grid_t, grid_p = np.meshgrid(
-        np.linspace(0.0, math.pi, resolution),
-        np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False),
-        indexing="ij",
-    )
-    grid_t, grid_p = grid_t.ravel(), grid_p.ravel()
-    grid_coeffs = _pair_coefficients(grid_t, grid_p)
+    grid_t, grid_p, table = _grid(resolution)
+    flat = gram.reshape(k, 36)
     best = np.full(k, math.inf)
     best_idx = np.zeros(k, dtype=int)
     rows = np.arange(k)
-    block = max(1, _GRID_BLOCK_ENTRIES // (2 * d * d * max(k, 1)))
+    block = max(1, _GRID_BLOCK_ENTRIES // max(k, 1))
     for start in range(0, len(grid_t), block):
-        vals = _objective(terms, grid_coeffs[start : start + block])
+        vals = flat @ table[:, start : start + block]
         idx = np.argmin(vals, axis=1)
         lower = vals[rows, idx] < best
         best[lower] = vals[lower, idx[lower]]
         best_idx[lower] = start + idx[lower]
 
+    # theta, phi, h, best and gram hold only the states still refined, whose
+    # indices are `pending`; a state's value goes to `result` when it stops.
+    result = np.empty(k)
+    pending = np.arange(k)
     theta, phi = grid_t[best_idx], grid_p[best_idx]
     h = np.full(k, math.pi / (resolution - 1))
-    active = np.flatnonzero(h >= ORACLE_STEP_ATOL)
+    levels = len(_COMPASS_SCALES)
     # The objective is smooth in (theta, phi) for any theta, so a step may
     # pass a pole or the 2*pi seam without harm.
-    while active.size:
-        t = theta[active, None] + _COMPASS_T * h[active, None]
-        p = phi[active, None] + _COMPASS_P * h[active, None]
-        vals = _objective(terms[active], _pair_coefficients(t, p))
-        j = np.argmin(vals, axis=1)
-        rows = np.arange(active.size)
-        lowest = vals[rows, j]
-        moved = lowest < best[active]
-        step = active[moved]
-        theta[step], phi[step], best[step] = t[rows, j][moved], p[rows, j][moved], lowest[moved]
-        h[active[~moved]] /= 2
-        active = active[h[active] >= ORACLE_STEP_ATOL]
-    return best
+    while pending.size:
+        t = theta[:, None] + _COMPASS_T * h[:, None]
+        p = phi[:, None] + _COMPASS_P * h[:, None]
+        vals = _objective(gram, _pair_coefficients(t, p)).reshape(-1, levels, 4)
+        lowest = vals.min(axis=2)
+        better = (lowest < best[:, None]) & (_COMPASS_SCALES * h[:, None] >= ORACLE_STEP_ATOL)
+        improved = better.any(axis=1)
+        level = np.argmax(better, axis=1)  # the largest scale that lowers the value
+        h *= np.where(improved, _COMPASS_SCALES[level], 0.5**levels)
+        moved = np.flatnonzero(improved)
+        level = level[moved]
+        pick = 4 * level + np.argmin(vals[moved, level], axis=1)
+        theta[moved], phi[moved] = t[moved, pick], p[moved, pick]
+        best[moved] = lowest[moved, level]
+        going = h >= ORACLE_STEP_ATOL
+        if not going.all():
+            result[pending[~going]] = best[~going]
+            pending, theta, phi, h, best, gram = (
+                array[going] for array in (pending, theta, phi, h, best, gram)
+            )
+    return result
 
 
 def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:

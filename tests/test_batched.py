@@ -281,6 +281,38 @@ def test_each_kernel_check_fires_on_every_path(check, tmp_path, monkeypatch):
     assert report["failure"] == str(first)
 
 
+# The CLI's chunks, and chunks of 8 states, which put the first fault (state
+# 21) in the third chunk.
+@pytest.mark.parametrize("json_flag,chunk_entries", [([], io_cli.CHUNK_ENTRIES),
+                                                     (["--json"], 8 * 36)])
+def test_sample_names_its_first_fault_on_stderr(json_flag, chunk_entries, monkeypatch, capsys):
+    monkeypatch.setattr(io_cli, "CHUNK_ENTRIES", chunk_entries)
+    argv = ["sample", "--dims", "2x3", "--count", "300", "--seed", "3", *json_flag]
+    assert main(argv) == 0
+    passing = capsys.readouterr()
+    assert passing.err == ""
+
+    monkeypatch.setattr(measures, "DISCORD_CLAMP_FLOOR", 0.05)
+    errors = [check_error(rho) for rho in sample_states(2, 3, 300, 3, "hilbert-schmidt")]
+    index, first = next((i, exc) for i, exc in enumerate(errors) if exc is not None)
+    assert main(argv) == 2
+    failing = capsys.readouterr()
+    assert failing.err.splitlines() == [f"numerical fault: state {index}: {first}"]
+    assert re.fullmatch(r"discord lower bound came out negative: \S+", str(first))
+    if json_flag:
+        summary = json.loads(failing.out)
+        assert set(summary) == set(json.loads(passing.out))
+        assert summary["bound_failures"] > 0
+
+
+def check_error(rho):
+    try:
+        bounds_check(rho)
+    except (BoundViolation, CapViolation) as exc:
+        return exc
+    return None
+
+
 def mixed_stack():
     # Seven 2x2 states: not positive at index 2, a trace of 2 at index 5.
     mats = hs_stack(2, 2, 7, np.random.default_rng(20))

@@ -5,7 +5,9 @@ measurements for a whole stack: a sphere grid, then a compass search per
 state. These tests pin it to the single-state oracle, to the
 correlation-tensor formula on random and pure states, to the right value
 where the objective is flat or its minimiser sits at a pole, and show that
-it never calls into the formula's code.
+it never calls into the formula's code. Its Gram-form objective is pinned
+to the distance measured with `project_a`, and its multi-scale compass to a
+one-scale compass written here.
 """
 
 import numpy as np
@@ -14,13 +16,16 @@ import pytest
 from gdneg import bloch, measures
 from gdneg.errors import DimensionMismatch, InvalidRange
 from gdneg.io_cli import VERIFY_ORACLE_RESOLUTION, _state_stacks
+from gdneg.matrixcore import hs_norm_sq
 from gdneg.measures import (
     DensityMatrix,
     _measure_stack,
     gd_bruteforce_2xn,
     gd_bruteforce_stack,
     geometric_discord,
+    project_a,
 )
+from gdneg.tolerances import ORACLE_STEP_ATOL
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -123,3 +128,85 @@ def test_empty_stack_and_bad_arguments():
         gd_bruteforce_stack(states(3, 2, 92), 3, 1)
     with pytest.raises(DimensionMismatch):
         gd_bruteforce_stack(states(3, 2, 92), 4)
+
+
+@pytest.mark.parametrize("ensemble", ["hilbert-schmidt", "pure"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_objective_is_the_measured_distance(n, ensemble):
+    # c^T Q c against 2 ||rho - Pi_u(rho)||^2 with Pi_u built by `project_a`'s einsum.
+    mats = states(n, 40, 100 + n, ensemble)
+    u = np.random.default_rng(110 + n).standard_normal((len(mats), 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    theta, phi = np.arccos(u[:, 2]), np.arctan2(u[:, 1], u[:, 0])
+    coeffs = measures._pair_coefficients(theta, phi)[:, None]
+    gram_form = measures._objective(measures._gram(mats, n), coeffs)[:, 0]
+    measured = 2 * hs_norm_sq(mats - project_a(mats, n, u))
+    assert np.max(np.abs(gram_form - measured)) <= 1e-14
+
+
+def one_scale_compass(mats, n, resolution, atol=ORACLE_STEP_ATOL):
+    # The compass the multi-scale search folds: a round tries theta +/- h and
+    # phi +/- h, moves to the best if lower and halves h otherwise, until h
+    # falls below atol. Returns the values and the number of rounds, from
+    # the oracle's grid start.
+    k = len(mats)
+    gram = measures._gram(mats, n)
+    grid_t, grid_p, table = measures._grid(resolution)
+    vals = gram.reshape(k, 36) @ table
+    start = np.argmin(vals, axis=1)
+    best = vals[np.arange(k), start]
+    theta, phi = grid_t[start], grid_p[start]
+    h = np.full(k, np.pi / (resolution - 1))
+    active = np.arange(k)
+    rounds = 0
+    while active.size:
+        rounds += 1
+        t = theta[active, None] + np.array([1.0, -1.0, 0.0, 0.0]) * h[active, None]
+        p = phi[active, None] + np.array([0.0, 0.0, 1.0, -1.0]) * h[active, None]
+        vals = measures._objective(gram[active], measures._pair_coefficients(t, p))
+        rows = np.arange(active.size)
+        j = np.argmin(vals, axis=1)
+        lowest = vals[rows, j]
+        moved = lowest < best[active]
+        step = active[moved]
+        theta[step], phi[step], best[step] = t[rows, j][moved], p[rows, j][moved], lowest[moved]
+        h[active[~moved]] /= 2
+        active = active[h[active] >= atol]
+    return best, rounds
+
+
+def test_multi_scale_rounds_visit_the_one_scale_points_in_fewer_rounds(monkeypatch):
+    mats = states(3, 400, 120)
+    chunks = [mats[i : i + 8] for i in range(0, len(mats), 8)]
+    references = [one_scale_compass(chunk, 3, 24) for chunk in chunks]
+    rounds = []
+    objective = measures._objective
+
+    def counted(*args):
+        rounds[-1] += 1
+        return objective(*args)
+
+    monkeypatch.setattr(measures, "_objective", counted)
+    for chunk, (reference, _) in zip(chunks, references):
+        rounds.append(0)
+        assert np.max(np.abs(gd_bruteforce_stack(chunk, 3, 24) - reference)) <= 1e-15
+    ratios = np.array(rounds) / [reference_rounds for _, reference_rounds in references]
+    assert len(ratios) == 50
+    assert np.max(ratios) <= 1.0
+    assert np.median(ratios) <= 0.6
+
+
+def test_multi_scale_search_tries_no_step_below_its_tolerance(monkeypatch):
+    # At a coarse stopping step, a move at a scale below it would shift the
+    # value far above rounding.
+    mats = states(3, 80, 121)
+    monkeypatch.setattr(measures, "ORACLE_STEP_ATOL", 1e-3)
+    for i in range(0, len(mats), 8):
+        reference, _ = one_scale_compass(mats[i : i + 8], 3, 24, atol=1e-3)
+        assert np.max(np.abs(gd_bruteforce_stack(mats[i : i + 8], 3, 24) - reference)) <= 1e-15
+
+
+def test_cached_tables_are_read_only():
+    for array in (*measures._grid(24), measures._side_paulis(3)):
+        with pytest.raises(ValueError):
+            array[0] = 0
