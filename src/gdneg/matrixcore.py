@@ -2,9 +2,13 @@
 
 All functions are pure and operate on plain ``numpy`` arrays (complex128,
 row-major). Spectra are returned as real vectors sorted nonincreasing.
-`hermiticity_defect`, `hermitian_eigenvalues`, `partial_transpose` and
-`hs_norm_sq` also take a stack of matrices, shape (..., d, d), and act on
-each matrix of it.
+`hermiticity_defect`, `hermitian_eigenvalues`, `hermitian_part_eigenvalues`,
+`partial_transpose` and `hs_norm_sq` also take a stack of matrices, shape
+(..., d, d), and act on each matrix of it.
+
+`hermitian_eigenvalues` and `trace_norm` check their input against
+HERMITIAN_ATOL. Validated stacks are not re-checked: state validation and the
+measures kernel take their spectra with `hermitian_part_eigenvalues`.
 """
 
 import numpy as np
@@ -30,6 +34,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+def hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Real eigenvalues of the Hermitian part (A + A^dag)/2, sorted nonincreasing.
+
+    No hermiticity check: for matrices whose defect is already known to be
+    within HERMITIAN_ATOL, such as validated states and their partial transposes.
+    """
+    a = np.asarray(a, dtype=complex)
+    sym = (a + a.conj().swapaxes(-1, -2)) / 2
+    return np.linalg.eigvalsh(sym)[..., ::-1].copy()
+
+
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted nonincreasing.
 
@@ -37,14 +52,12 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     before diagonalization, which stabilizes the iteration for inputs that
     carry float noise.
     """
-    a = np.asarray(a, dtype=complex)
     defect = np.max(hermiticity_defect(a), initial=0.0)
     if not defect <= HERMITIAN_ATOL:
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_ATOL:.1e}"
         )
-    sym = (a + a.conj().swapaxes(-1, -2)) / 2
-    return np.linalg.eigvalsh(sym)[..., ::-1].copy()
+    return hermitian_part_eigenvalues(a)
 
 
 def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:

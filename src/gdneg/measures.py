@@ -27,6 +27,10 @@ of one and the single-state measures return its fields, so each formula and
 check exists once and each measure raises its state's first fault. The
 measurement identities run on stacks the same way. The package needs numpy
 alone.
+
+The kernel takes validated stacks and does not check them again: a partial
+transpose only permutes entries and PT(A)^dag = PT(A^dag), so its
+hermiticity defect is the validated state's.
 """
 
 import math
@@ -46,7 +50,7 @@ from .errors import (
     WrongDimension,
     first_fault,
 )
-from .matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_transpose
+from .matrixcore import hermitian_part_eigenvalues, hs_norm_sq, partial_transpose
 from .states import DensityMatrix, PureState
 from .su_generators import basis_stack
 from .tolerances import (
@@ -120,12 +124,12 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
     is not negative beyond solver noise, the PT negative count is at most
     (m-1)(n-1), and N, D and N^2 - D lie in their proven intervals. A failing
     state raises nothing; `errors.first_fault(checks)` gives its error. The
-    PT spectra and Bloch data are those of the Hermitian part. m < 2 or
-    n < 2 raises InvalidDimension.
+    PT spectra and Bloch data are those of the Hermitian part, with no second
+    hermiticity check. m < 2 or n < 2 raises InvalidDimension.
     """
     if m < 2 or n < 2:
         raise InvalidDimension(f"measures require m >= 2 and n >= 2, got a {m}x{n} state")
-    w = hermitian_eigenvalues(partial_transpose(mats, m, n))
+    w = hermitian_part_eigenvalues(partial_transpose(mats, m, n))
     via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
     neg = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
     count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)

@@ -4,6 +4,10 @@ The density-matrix and unit-norm invariants are written once, for stacks of
 states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
 `errors.first_fault`; the containers run them on a stack of one. Every
 residual is tested as `not (residual <= tol)`, so a NaN residual fails.
+
+This is the one place a state's hermiticity defect is computed. The
+positivity spectrum is taken only of states that passed hermiticity, and
+code that receives validated stacks does not check them again.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, InvalidState, first_fault
-from .matrixcore import hermitian_eigenvalues, hermiticity_defect
+from .matrixcore import hermitian_part_eigenvalues, hermiticity_defect
 from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
 
@@ -42,8 +46,9 @@ def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
     invalid = first_fault(cheap)
     end = len(mats) if invalid is None else invalid[0]
     # Spectra only before the first cheap failure, which may be NaN; +inf passes.
+    # Those states passed hermiticity, so their defect is not computed again.
     min_eig = np.full(len(mats), np.inf)
-    min_eig[:end] = hermitian_eigenvalues(mats[:end])[:, -1]
+    min_eig[:end] = hermitian_part_eigenvalues(mats[:end])[:, -1]
     positivity = Check(
         ~(min_eig >= PSD_MIN_EIGENVALUE),
         lambda i: InvalidState(f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"),

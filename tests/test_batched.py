@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import gdneg
-from gdneg import bloch, io_cli, measures
+from gdneg import bloch, io_cli, matrixcore, measures, states
 from gdneg.errors import BoundViolation, CapViolation, InvalidDimension, InvalidRange, InvalidState
-from gdneg.io_cli import main, run_sample, run_verify, sample_states
+from gdneg.families import FamilySpec, build
+from gdneg.io_cli import main, run_sample, run_verify, sample_states, sweep_rows, write_state
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
 from gdneg.states import first_invalid_state
@@ -380,6 +381,38 @@ def test_passing_verify_builds_no_density_matrix(tmp_path, monkeypatch):
     report = run_verify(2, 3, 300, 13)
     assert report["passed"] is True
     assert report["oracle_states_checked"] == io_cli.VERIFY_ORACLE_SUBSAMPLE
+
+
+# Each path, the number of states it validates and measures, and how many
+# hermiticity defects each state's validation computes: one for a state
+# validated as a matrix, none for a pure draw, validated as a unit vector.
+DEFECT_PATHS = {
+    "sample-hs-2x3": (lambda: run_sample(2, 3, 300, 1, "hilbert-schmidt"), 300, 1),
+    "sample-hs-4x4": (lambda: run_sample(4, 4, 40, 1, "hilbert-schmidt"), 40, 1),
+    "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2, resolution=8), 30, 1),
+    "sweep-rho1": (lambda: sweep_rows("rho1", 0, 6, 121), 121, 1),
+    "analyze": (lambda: main(["analyze", "rho1.json"]), 1, 1),
+    "sample-pure-3x3": (lambda: run_sample(3, 3, 100, 1, "pure"), 100, 0),
+}
+
+
+@pytest.mark.parametrize("path", DEFECT_PATHS)
+def test_hermiticity_defect_is_computed_by_the_gate_alone(path, tmp_path, monkeypatch):
+    # Neither the positivity spectrum of the gate nor the kernel's partial-
+    # transpose spectrum checks hermiticity again.
+    monkeypatch.chdir(tmp_path)
+    write_state("rho1.json", build(FamilySpec("rho1", (5, 2))))
+    run, count, per_state = DEFECT_PATHS[path]
+    matrices = []
+
+    def counting(a):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return hermiticity_defect(a)
+
+    for module in (matrixcore, states):
+        monkeypatch.setattr(module, "hermiticity_defect", counting)
+    run()
+    assert sum(matrices) == per_state * count
 
 
 def test_invalid_state_ends_stream_after_the_states_before_it(monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gdneg.errors import InvalidRange, NotAState, UnknownFamily
+from gdneg import families
+from gdneg.errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from gdneg.families import FamilySpec, build, in_range, rho1_closed_forms, violates
 from gdneg.matrixcore import hermitian_eigenvalues
 from gdneg.measures import bounds_check, negativity, pt_negative_count
@@ -147,6 +148,12 @@ class TestViolationRegion:
     def test_rho1_region(self, c, expected):
         flag, margin = violates(FamilySpec("rho1", (c, 1.0)))
         assert flag == expected, f"c={c}: margin={margin}"
+
+    def test_margin_below_the_floor_is_a_fault(self, monkeypatch):
+        # rho1(5, 2) has a^2 > 2 b^2, so a margin at or below the floor is a fault.
+        monkeypatch.setattr(families, "VIOLATES_MARGIN_FLOOR", 1.0)
+        with pytest.raises(BoundViolation, match=r"rho1\(5\.0, 2\.0\) satisfies a\^2 > 2b\^2"):
+            violates(FamilySpec("rho1", (5, 2)))
 
     def test_gap_vanishes_at_both_zeros(self):
         for c2 in GAP_ZEROS_C2:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gdneg
-from gdneg import measures
+from gdneg import io_cli, measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build
 from gdneg.io_cli import (
@@ -163,6 +163,14 @@ class TestSweep:
         with pytest.raises(UnknownFamily):
             sweep_rows("rho7", 0.0, 1.0, 5)
 
+    def test_json_summary(self, tmp_path, capsys):
+        out = tmp_path / "rho1.csv"
+        args = ["sweep", "--family", "rho1", "--from", "0", "--to", "6", "--steps", "25"]
+        assert main(args + ["--out", str(out), "--json"]) == 0
+        expected = json.dumps({"family": "rho1", "out": str(out), "rows": 25})
+        assert capsys.readouterr().out == expected + "\n"
+        assert len(out.read_text().splitlines()) == 26
+
     def test_out_of_range_sweep_needs_flag(self, tmp_path, capsys):
         out = tmp_path / "oor.csv"
         args = ["sweep", "--family", "rho3", "--from", "1.0", "--to", "2.0", "--steps", "4", "--out", str(out)]
@@ -217,6 +225,10 @@ class TestSample:
         assert main(["sample", "--dims", "1x3", "--count", "5", "--seed", "1"]) == 1
         assert main(["sample", "--dims", "3x2", "--count", "5", "--seed", "1"]) == 1
 
+    def test_rejects_unknown_ensemble(self):
+        with pytest.raises(InvalidRange, match="ensemble"):
+            run_sample(2, 3, 5, 1, "bogus")
+
 
 class TestVerify:
     @pytest.mark.parametrize("dims", ["2x2", "2x3", "3x3"])
@@ -239,6 +251,55 @@ class TestVerify:
     def test_no_oracle_for_qutrit_side(self):
         report = run_verify(3, 3, 20, 3)
         assert report["oracle_states_checked"] == 0
+
+    # Byte-exact text reports, captured before validated stacks stopped being
+    # checked for hermiticity a second time.
+    def test_text_report_on_pass(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--dims", "2x3", "--count", "30", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "verify 2x3: count=30 seed=7\n"
+            "  states checked:        30\n"
+            "  gap > 0 states:        0\n"
+            "  oracle states checked: 20\n"
+            "  max oracle deviation:  1.1102230246251565e-16\n"
+            "PASS\n"
+        )
+        assert not (tmp_path / "gdneg-verify-failure.json").exists()
+
+    def test_text_report_on_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(io_cli, "VERIFY_ORACLE_ATOL", -1.0)
+        assert main(["verify", "--dims", "2x3", "--count", "30", "--seed", "7"]) == 2
+        assert capsys.readouterr().out == (
+            "verify 2x3: count=30 seed=7\n"
+            "  states checked before failure: 0\n"
+            "  failure: oracle deviation 1.3877787807814457e-17 exceeds -1.0\n"
+            "  failing state written to gdneg-verify-failure.json\n"
+            "FAIL\n"
+        )
+        first = next(sample_states(2, 3, 1, 7, "hilbert-schmidt"))
+        assert np.array_equal(read_state(tmp_path / "gdneg-verify-failure.json").mat, first.mat)
+
+
+class TestNumericalFault:
+    # A forced kernel failure ends `analyze` and `sweep` in exit code 2 with
+    # one `numerical fault:` line, and `sweep` writes no CSV.
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_exits_2_with_one_line(self, command, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "rho1.csv"
+        argv = {
+            "analyze": ["analyze", str(write_rho1_file(tmp_path))],
+            "sweep": ["sweep", "--family", "rho1", "--from", "0", "--to", "6", "--steps", "25",
+                      "--out", str(out)],
+        }[command]
+        monkeypatch.setattr(measures, "DUAL_NEGATIVITY_ATOL", -1.0)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("numerical fault: ")
+        assert not out.exists()
 
 
 class TestBadInput:
@@ -283,6 +344,13 @@ class TestBadInput:
             read_state(path)
         assert main(["analyze", str(path)]) == 1
         self._one_error_line(capsys)
+
+    def test_dimensions_must_be_positive(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"format": "gdneg-state/1", "m": 0, "n": 3, "entries": []}))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "dimensions must be positive, got 0x3" in err[0]
 
     def test_integer_entry_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

@@ -172,6 +172,12 @@ class TestNorms:
             rho /= np.trace(rho).real
             assert trace_norm(partial_transpose(rho, 2, 3)) >= 1.0 - 1e-12
 
+    def test_trace_norm_rejects_non_hermitian(self):
+        a = np.zeros((2, 2), dtype=complex)
+        a[0, 1] = 1.0
+        with pytest.raises(NotHermitian):
+            trace_norm(a)
+
     def test_hs_norm_sq(self):
         assert hs_norm_sq(np.eye(6)) == pytest.approx(6.0)
         assert hs_norm_sq(np.zeros((4, 4))) == 0.0

@@ -399,3 +399,11 @@ class TestStateValidation:
     def test_pure_state_norm(self):
         with pytest.raises(InvalidState, match="norm"):
             PureState(2, 3, np.ones(6))
+
+    def test_rejects_non_positive_dimension(self):
+        with pytest.raises(InvalidState, match="dimensions must be positive, got 0x3"):
+            DensityMatrix(0, 3, np.zeros((0, 0)))
+
+    def test_pure_state_amplitude_count(self):
+        with pytest.raises(InvalidState, match="amplitude vector length 5 does not match"):
+            PureState(2, 3, np.ones(5) / np.sqrt(5))
