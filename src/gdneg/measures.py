@@ -8,15 +8,15 @@ the m/(m-1)-normalized value is exposed.
 For m = 2 the correlation-tensor formula is exact; for m >= 3 it is a lower
 bound and `geometric_discord` says so via its exactness flag. An independent
 brute-force minimization over qubit von Neumann measurements cross-checks the
-formula. `gd_bruteforce_stack` writes 2 ||rho - Pi_u(rho)||^2 as c^T Q c, with
-c the six products u_a u_b of the direction u and Q a 6 x 6 Gram form built
-once per state from the explicit Pauli sandwiches of rho - Pi_u(rho); it reads
-no Bloch data and no G matrix. It evaluates the form on a sphere grid of
-directions for a whole stack of 2 (x) n states, one matrix product per block
-against a cached, read-only table of c c^T, then refines each state with a
-compass search in (theta, phi) whose rounds try four step scales at once, and
-which stops when its step falls below ORACLE_STEP_ATOL. `gd_bruteforce_2xn`
-runs it on a stack of one.
+formula. `gd_bruteforce_stack` writes 2 ||rho - Pi_u(rho)||^2 as
+Tr rho^2 - u^T M u, with M a 3 x 3 form built once per state from explicit
+Pauli products of rho by the two measurement identities, not from Bloch data:
+it reads no G matrix and solves no eigenproblem. It evaluates the form on a
+sphere grid of directions for a whole stack of 2 (x) n states, one matrix
+product per block against a cached, read-only table of u u^T, then refines
+each state with a compass search in (theta, phi) whose rounds try four step
+scales at once, and which stops when its step falls below ORACLE_STEP_ATOL.
+`gd_bruteforce_2xn` runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
@@ -242,16 +242,13 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
     return ((r4 + np.einsum("...ab,...bicj,...cd->...aidj", s, r4, s)) / 2).reshape(mat.shape)
 
 
-# The Pauli pairs (a, b), a <= b, of the sandwiches (sigma_a (x) I) rho (sigma_b (x) I).
-_PAIR_A = np.array([0, 1, 2, 0, 0, 1])
-_PAIR_B = np.array([0, 1, 2, 1, 2, 2])
 # One compass round tries theta +/- s and phi +/- s at the scales s = h, h/2,
 # ..., h/2^(L-1): the steps of scale h/2^j are entries 4j to 4j+3, in units of h.
 _COMPASS_SCALES = 0.5 ** np.arange(4)
 _COMPASS_T = np.outer(_COMPASS_SCALES, [1.0, -1.0, 0.0, 0.0]).ravel()
 _COMPASS_P = np.outer(_COMPASS_SCALES, [0.0, 0.0, 1.0, -1.0]).ravel()
-# Grid blocks hold at most this many objective values, so the temporaries of
-# the grid stay about 1 MB at any resolution and stack size.
+# Grid blocks hold at most this many form values, so the temporaries of the
+# grid stay about 1 MB at any resolution and stack size.
 _GRID_BLOCK_ENTRIES = 1 << 17
 
 
@@ -263,131 +260,123 @@ def _side_paulis(n: int) -> np.ndarray:
     return stack
 
 
-def _pair_coefficients(theta, phi) -> np.ndarray:
-    """u_a u_b for each Pauli pair, u the unit vector at (theta, phi): shape (..., 6)."""
+def _directions(theta, phi) -> np.ndarray:
+    """The unit vector u at polar angle theta and azimuth phi: shape (..., 3)."""
     sin_t = np.sin(theta)
-    u = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
-    return u[..., _PAIR_A] * u[..., _PAIR_B]
+    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 @lru_cache(maxsize=4)
 def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The resolution x 2*resolution (theta, phi) sphere grid, flattened, and its
-    (36, 2 resolution^2) table of vec(c c^T), c from `_pair_coefficients`, all read-only."""
+    (9, 2 resolution^2) table of vec(u u^T), u from `_directions`, all read-only."""
     theta, phi = np.meshgrid(
         np.linspace(0.0, math.pi, resolution),
         np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False),
         indexing="ij",
     )
     theta, phi = theta.ravel(), phi.ravel()
-    c = np.ascontiguousarray(_pair_coefficients(theta, phi).T)
-    table = (c[:, None] * c[None, :]).reshape(36, -1)
+    u = np.ascontiguousarray(_directions(theta, phi).T)
+    table = (u[:, None] * u[None, :]).reshape(9, -1)
     for array in (theta, phi, table):
         array.setflags(write=False)
     return theta, phi, table
 
 
-def _gram(mats: np.ndarray, n: int) -> np.ndarray:
-    """The objective's 6 x 6 Gram form Q of each state of a (k, 2n, 2n) stack: shape (k, 6, 6).
+def _form(mats: np.ndarray, n: int) -> np.ndarray:
+    """The objective's 3 x 3 form M of each state of a (k, 2n, 2n) stack: shape (k, 3, 3).
 
-    With S = u.sigma (x) I_n, rho - Pi_u(rho) = (rho - S rho S)/2 and
-    S rho S = sum_ab u_a u_b (sigma_a (x) I) rho (sigma_b (x) I); as
-    sum_a u_a^2 = 1, rho - S rho S = sum_p c_p T_p over the pairs p = (a, b),
-    a <= b, with c_p = u_a u_b and T_p = rho - (sigma_a (x) I) rho (sigma_a (x) I)
-    for a = b and minus the two sandwiches of a and b for a < b. Then
-    2 ||rho - Pi_u(rho)||^2 = ||sum_p c_p T_p||^2 / 2 = c^T Q c with the Gram
-    form Q_pq = Re<T_p, T_q>/2.
+    M_ab = Re Tr(rho S_a rho S_b) with S_a = sigma_a (x) I_n. For a unit u,
+    S = u.sigma (x) I_n squares to I and Pi_u(rho) = (rho + S rho S)/2, so
+    Tr(Pi_u(rho)^2) = Tr(rho Pi_u(rho)) = (Tr rho^2 + u^T M u)/2 and
+    2 ||rho - Pi_u(rho)||^2 = 2 (Tr rho^2 - Tr(Pi_u(rho)^2)) = Tr rho^2 - u^T M u.
+    M is the Gram matrix of the sqrt(rho) S_a sqrt(rho), so Re drops only rounding.
     """
-    k, d = len(mats), 2 * n
-    paulis = _side_paulis(n)
-    sandwiches = ((paulis @ mats[:, None])[:, :, None] @ paulis).reshape(k, 3, 3, d * d)
-    diagonal = mats.reshape(k, 1, d * d) - sandwiches[:, _PAIR_A[:3], _PAIR_A[:3]]
-    mixed = -(sandwiches[:, _PAIR_A[3:], _PAIR_B[3:]] + sandwiches[:, _PAIR_B[3:], _PAIR_A[3:]])
-    terms = np.concatenate([diagonal, mixed], axis=1).view(float)
-    return 0.5 * (terms @ terms.transpose(0, 2, 1))
+    products = _side_paulis(n) @ mats[:, None]  # S_a rho
+    return np.einsum("kaij,kbji->kab", products, products).real
 
 
-def _objective(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """2 ||rho - Pi_u(rho)||^2 = c^T Q c of each state at each of its directions.
-
-    gram (k, 6, 6) from `_gram`; coeffs (k, g, 6) from `_pair_coefficients`.
-    """
-    return np.einsum("kgp,kgp->kg", coeffs @ gram, coeffs)
+def _form_values(form: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u^T M u of each state's form (k, 3, 3) at each of its directions u (k, g, 3)."""
+    return np.einsum("kga,kab,kgb->kg", u, form, u)
 
 
 def gd_bruteforce_stack(mats: np.ndarray, n: int, resolution: int = 32) -> np.ndarray:
     """Geometric discord of each state of a (k, 2n, 2n) stack by direct minimization.
 
-    Minimizes 2 ||rho - Pi_u(rho)||^2 over all qubit von Neumann measurements,
-    parametrized by unit vectors u at polar angle theta and azimuth phi. Every
-    value is c^T Q c, with c the six products u_a u_b and Q a 6 x 6 Gram form
-    built once per state from the explicit Pauli sandwiches of rho - Pi_u(rho)
-    (`_gram`). That is exact algebra on the squared norm of that matrix: the
-    search reads no Bloch data and no G matrix, and shares nothing with the
-    correlation-tensor formula it checks.
+    Minimizes 2 ||rho - Pi_u(rho)||^2 = Tr rho^2 - u^T M u over all qubit von
+    Neumann measurements, parametrized by unit vectors u at polar angle theta
+    and azimuth phi, so it maximizes u^T M u; M is the 3 x 3 form of `_form`,
+    built once per state from explicit Pauli products of rho. That is exact
+    algebra on rho's entries and the two measurement identities: the search
+    reads no Bloch data, no G matrix and no eigenproblem, and shares nothing
+    with the correlation-tensor formula it checks, which takes an eigenvalue.
 
     A resolution x 2*resolution (theta, phi) grid, evaluated for the whole
     stack as one matrix product per block against a cached, read-only table
-    of vec(c c^T) per resolution, localizes each state's basin. A compass
+    of vec(u u^T) per resolution, localizes each state's basin. A compass
     search then refines each state from its best grid point. A round tries
     theta +/- s and phi +/- s at the scales s = h, h/2, h/4, h/8 at once and
-    moves to the best step of the largest scale that lowers the value, which
+    moves to the best step of the largest scale that raises the form, which
     becomes h; if none does, h shrinks 16-fold. h starts at the grid's theta
     spacing, no scale below ORACLE_STEP_ATOL is tried, and a state stops when
     h falls below it. So the search visits the points of a compass that
-    halves h after each failed round, in fewer rounds.
+    halves h after each failed round, in fewer rounds. n < 2 raises
+    InvalidDimension.
     """
     if resolution < 2:
         raise InvalidRange(f"resolution must be at least 2, got {resolution}")
+    if n < 2:
+        raise InvalidDimension(f"brute-force discord requires n >= 2, got a 2x{n} stack")
     mats = np.asarray(mats, dtype=complex)
     k, d = len(mats), 2 * n
     if mats.shape != (k, d, d):
         raise DimensionMismatch(f"expected a (k, {d}, {d}) stack of 2x{n} states, got {mats.shape}")
-    gram = _gram(mats, n)
+    form = _form(mats, n)
 
     grid_t, grid_p, table = _grid(resolution)
-    flat = gram.reshape(k, 36)
-    best = np.full(k, math.inf)
+    flat = form.reshape(k, 9)
+    best = np.full(k, -math.inf)
     best_idx = np.zeros(k, dtype=int)
     rows = np.arange(k)
     block = max(1, _GRID_BLOCK_ENTRIES // max(k, 1))
     for start in range(0, len(grid_t), block):
         vals = flat @ table[:, start : start + block]
-        idx = np.argmin(vals, axis=1)
-        lower = vals[rows, idx] < best
-        best[lower] = vals[lower, idx[lower]]
-        best_idx[lower] = start + idx[lower]
+        idx = np.argmax(vals, axis=1)
+        higher = vals[rows, idx] > best
+        best[higher] = vals[higher, idx[higher]]
+        best_idx[higher] = start + idx[higher]
 
-    # theta, phi, h, best and gram hold only the states still refined, whose
-    # indices are `pending`; a state's value goes to `result` when it stops.
-    result = np.empty(k)
+    # theta, phi, h, best and form hold only the states still refined, whose
+    # indices are `pending`; a state's form value goes to `peak` when it stops.
+    peak = np.empty(k)
     pending = np.arange(k)
     theta, phi = grid_t[best_idx], grid_p[best_idx]
     h = np.full(k, math.pi / (resolution - 1))
     levels = len(_COMPASS_SCALES)
-    # The objective is smooth in (theta, phi) for any theta, so a step may
-    # pass a pole or the 2*pi seam without harm.
+    # The form is smooth in (theta, phi) for any theta, so a step may pass a
+    # pole or the 2*pi seam without harm.
     while pending.size:
         t = theta[:, None] + _COMPASS_T * h[:, None]
         p = phi[:, None] + _COMPASS_P * h[:, None]
-        vals = _objective(gram, _pair_coefficients(t, p)).reshape(-1, levels, 4)
-        lowest = vals.min(axis=2)
-        better = (lowest < best[:, None]) & (_COMPASS_SCALES * h[:, None] >= ORACLE_STEP_ATOL)
+        vals = _form_values(form, _directions(t, p)).reshape(-1, levels, 4)
+        highest = vals.max(axis=2)
+        better = (highest > best[:, None]) & (_COMPASS_SCALES * h[:, None] >= ORACLE_STEP_ATOL)
         improved = better.any(axis=1)
-        level = np.argmax(better, axis=1)  # the largest scale that lowers the value
+        level = np.argmax(better, axis=1)  # the largest scale that raises the form
         h *= np.where(improved, _COMPASS_SCALES[level], 0.5**levels)
         moved = np.flatnonzero(improved)
         level = level[moved]
-        pick = 4 * level + np.argmin(vals[moved, level], axis=1)
+        pick = 4 * level + np.argmax(vals[moved, level], axis=1)
         theta[moved], phi[moved] = t[moved, pick], p[moved, pick]
-        best[moved] = lowest[moved, level]
+        best[moved] = highest[moved, level]
         going = h >= ORACLE_STEP_ATOL
         if not going.all():
-            result[pending[~going]] = best[~going]
-            pending, theta, phi, h, best, gram = (
-                array[going] for array in (pending, theta, phi, h, best, gram)
+            peak[pending[~going]] = best[~going]
+            pending, theta, phi, h, best, form = (
+                array[going] for array in (pending, theta, phi, h, best, form)
             )
-    return result
+    return hs_norm_sq(mats) - peak
 
 
 def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
@@ -485,11 +474,15 @@ def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
     The two traces coincide for every von Neumann measurement, and
     ||rho - Pi(rho)||^2 = Tr(rho^2) - Tr((Pi(rho))^2); both identities are
     verified within 1e-10 and a failure raises, since it can only mean a
-    numerical fault. A zero or non-finite u raises InvalidRange.
+    numerical fault. A u that is not three real numbers, or is zero or
+    non-finite, raises InvalidRange.
     """
     if rho.m != 2:
         raise WrongDimension(f"measurement identity requires m = 2, got m={rho.m}")
-    checks, pi_sq, rho_pi = _identity_checks(rho.mat[None], rho.n, np.asarray(u, dtype=float)[None])
+    u = np.asarray(u)
+    if u.shape != (3,) or u.dtype.kind not in "iuf":
+        raise InvalidRange(f"measurement direction must be three real numbers, got {u}")
+    checks, pi_sq, rho_pi = _identity_checks(rho.mat[None], rho.n, u[None])
     fault = first_fault(checks)
     if fault is not None:
         raise fault[1]

@@ -316,6 +316,12 @@ class TestMeasurementIdentity:
             with pytest.raises(InvalidRange, match="direction"):
                 measurement_identity_check(rho, u)
 
+    @pytest.mark.parametrize("u", [(1.0, 0.0), (0, 0, 1, 0), ((0.0, 0.0, 1.0),), ("x", "y", "z")])
+    def test_rejects_a_direction_that_is_not_three_numbers(self, u):
+        rho = random_density_matrix(2, 3, np.random.default_rng(47))
+        with pytest.raises(InvalidRange, match="three real numbers"):
+            measurement_identity_check(rho, u)
+
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
