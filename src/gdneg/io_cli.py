@@ -59,7 +59,7 @@ ENSEMBLES = ("hilbert-schmidt", "pure")
 
 VERIFY_FAILURE_FILE = "gdneg-verify-failure.json"
 VERIFY_ORACLE_SUBSAMPLE = 20
-VERIFY_ORACLE_RESOLUTION = 24
+VERIFY_ORACLE_RESOLUTION = 24  # ignored by the oracle; see `run_verify`
 
 # States are measured in stacks of at most this many matrix entries: enough
 # states to spread the per-call cost of the kernel, few enough to keep the
@@ -359,6 +359,10 @@ def run_verify(
 
     Returns a report dict; on failure it carries the failing state serialized
     to a file for reproduction.
+
+    `resolution` is ignored: the oracle climbs the sphere and has no grid. It
+    is still accepted, with its default VERIFY_ORACLE_RESOLUTION, because the
+    benchmark's worker passes it.
     """
     stacks = _state_stacks(m, n, count, seed, "hilbert-schmidt")
     rng = np.random.default_rng(seed)
@@ -374,7 +378,7 @@ def run_verify(
             # One direction per state, drawn as a state-by-state loop would draw them.
             identity, _, _ = _identity_checks(mats, n, rng.standard_normal((len(mats), 3)))
             todo = min(len(mats), max(0, oracle_subsample - oracle_checked))
-            brute = gd_bruteforce_stack(mats[:todo], n, resolution) if todo else np.zeros(0)
+            brute = gd_bruteforce_stack(mats[:todo], n) if todo else np.zeros(0)
             dev = np.abs(brute - measured.discord[:todo])
             oracle = Check(
                 np.pad(~(dev <= VERIFY_ORACLE_ATOL), (0, len(mats) - todo)),

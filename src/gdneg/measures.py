@@ -11,11 +11,9 @@ brute-force minimization over qubit von Neumann measurements cross-checks the
 formula. `gd_bruteforce_stack` writes 2 ||rho - Pi_u(rho)||^2 as
 Tr rho^2 - u^T M u, with M a 3 x 3 form built once per state from explicit
 Pauli products of rho by the two measurement identities, not from Bloch data:
-it reads no G matrix and solves no eigenproblem. It evaluates the form on a
-sphere grid of directions for a whole stack of 2 (x) n states, one matrix
-product per block against a cached, read-only table of u u^T, then refines
-each state with a compass search in (theta, phi) whose rounds try four step
-scales at once, and which stops when its step falls below ORACLE_STEP_ATOL.
+it reads no G matrix and solves no eigenproblem. For a whole stack of
+2 (x) n states it climbs the sphere by u <- M u / ||M u|| from the three axes
+at once, 2^60 steps taken as 60 squarings of M, and keeps the best direction.
 `gd_bruteforce_2xn` runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
@@ -59,7 +57,6 @@ from .tolerances import (
     DUAL_NEGATIVITY_ATOL,
     IDENTITY_ATOL,
     NEGATIVE_EIGENVALUE_CUTOFF,
-    ORACLE_STEP_ATOL,
     SCHMIDT_CUTOFF,
 )
 
@@ -242,14 +239,10 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
     return ((r4 + np.einsum("...ab,...bicj,...cd->...aidj", s, r4, s)) / 2).reshape(mat.shape)
 
 
-# One compass round tries theta +/- s and phi +/- s at the scales s = h, h/2,
-# ..., h/2^(L-1): the steps of scale h/2^j are entries 4j to 4j+3, in units of h.
-_COMPASS_SCALES = 0.5 ** np.arange(4)
-_COMPASS_T = np.outer(_COMPASS_SCALES, [1.0, -1.0, 0.0, 0.0]).ravel()
-_COMPASS_P = np.outer(_COMPASS_SCALES, [0.0, 0.0, 1.0, -1.0]).ravel()
-# Grid blocks hold at most this many form values, so the temporaries of the
-# grid stay about 1 MB at any resolution and stack size.
-_GRID_BLOCK_ENTRIES = 1 << 17
+# Each squaring of the form doubles the steps u <- M u / ||M u|| taken from the
+# three axes: after p steps from the best axis u^T M u is within 1/(p e) of its
+# maximum whatever M's eigengap, so 2^60 steps leave less than 1e-18.
+_ASCENT_SQUARINGS = 60
 
 
 @lru_cache(maxsize=None)
@@ -258,29 +251,6 @@ def _side_paulis(n: int) -> np.ndarray:
     stack = np.stack([np.kron(s, np.eye(n)) for s in basis_stack(2)])
     stack.setflags(write=False)
     return stack
-
-
-def _directions(theta, phi) -> np.ndarray:
-    """The unit vector u at polar angle theta and azimuth phi: shape (..., 3)."""
-    sin_t = np.sin(theta)
-    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-@lru_cache(maxsize=4)
-def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The resolution x 2*resolution (theta, phi) sphere grid, flattened, and its
-    (9, 2 resolution^2) table of vec(u u^T), u from `_directions`, all read-only."""
-    theta, phi = np.meshgrid(
-        np.linspace(0.0, math.pi, resolution),
-        np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False),
-        indexing="ij",
-    )
-    theta, phi = theta.ravel(), phi.ravel()
-    u = np.ascontiguousarray(_directions(theta, phi).T)
-    table = (u[:, None] * u[None, :]).reshape(9, -1)
-    for array in (theta, phi, table):
-        array.setflags(write=False)
-    return theta, phi, table
 
 
 def _form(mats: np.ndarray, n: int) -> np.ndarray:
@@ -301,31 +271,27 @@ def _form_values(form: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("kga,kab,kgb->kg", u, form, u)
 
 
-def gd_bruteforce_stack(mats: np.ndarray, n: int, resolution: int = 32) -> np.ndarray:
+def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     """Geometric discord of each state of a (k, 2n, 2n) stack by direct minimization.
 
     Minimizes 2 ||rho - Pi_u(rho)||^2 = Tr rho^2 - u^T M u over all qubit von
-    Neumann measurements, parametrized by unit vectors u at polar angle theta
-    and azimuth phi, so it maximizes u^T M u; M is the 3 x 3 form of `_form`,
-    built once per state from explicit Pauli products of rho. That is exact
-    algebra on rho's entries and the two measurement identities: the search
-    reads no Bloch data, no G matrix and no eigenproblem, and shares nothing
-    with the correlation-tensor formula it checks, which takes an eigenvalue.
+    Neumann measurements, unit vectors u, so it maximizes u^T M u; M is the
+    3 x 3 form of `_form`, built once per state from explicit Pauli products
+    of rho. That is exact algebra on rho's entries and the two measurement
+    identities: the search reads no Bloch data, no G matrix and no
+    eigenproblem, and shares nothing with the correlation-tensor formula it
+    checks, which takes an eigenvalue.
 
-    A resolution x 2*resolution (theta, phi) grid, evaluated for the whole
-    stack as one matrix product per block against a cached, read-only table
-    of vec(u u^T) per resolution, localizes each state's basin. A compass
-    search then refines each state from its best grid point. A round tries
-    theta +/- s and phi +/- s at the scales s = h, h/2, h/4, h/8 at once and
-    moves to the best step of the largest scale that raises the form, which
-    becomes h; if none does, h shrinks 16-fold. h starts at the grid's theta
-    spacing, no scale below ORACLE_STEP_ATOL is tried, and a state stops when
-    h falls below it. So the search visits the points of a compass that
-    halves h after each failed round, in fewer rounds. n < 2 raises
+    It climbs the sphere by u <- M u / ||M u||. M is a Gram matrix, so u^T M u
+    is convex and each step maximizes its linearization over the sphere: no
+    step lowers the value. The climb starts from the three axes at once and
+    takes its 2^60 steps as 60 squarings P <- P P / Tr(P P) from P = M, so
+    column j of P is axis j climbed; see `_ASCENT_SQUARINGS` for why that
+    ends within 1e-18 of the maximum. Each value is Tr rho^2 minus the best
+    u^T M u among the three normalized columns, so it is attained by an
+    explicit unit u and never falls below the true minimum. n < 2 raises
     InvalidDimension.
     """
-    if resolution < 2:
-        raise InvalidRange(f"resolution must be at least 2, got {resolution}")
     if n < 2:
         raise InvalidDimension(f"brute-force discord requires n >= 2, got a 2x{n} stack")
     mats = np.asarray(mats, dtype=complex)
@@ -333,63 +299,32 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int, resolution: int = 32) -> np.nd
     if mats.shape != (k, d, d):
         raise DimensionMismatch(f"expected a (k, {d}, {d}) stack of 2x{n} states, got {mats.shape}")
     form = _form(mats, n)
-
-    grid_t, grid_p, table = _grid(resolution)
-    flat = form.reshape(k, 9)
-    best = np.full(k, -math.inf)
-    best_idx = np.zeros(k, dtype=int)
-    rows = np.arange(k)
-    block = max(1, _GRID_BLOCK_ENTRIES // max(k, 1))
-    for start in range(0, len(grid_t), block):
-        vals = flat @ table[:, start : start + block]
-        idx = np.argmax(vals, axis=1)
-        higher = vals[rows, idx] > best
-        best[higher] = vals[higher, idx[higher]]
-        best_idx[higher] = start + idx[higher]
-
-    # theta, phi, h, best and form hold only the states still refined, whose
-    # indices are `pending`; a state's form value goes to `peak` when it stops.
-    peak = np.empty(k)
-    pending = np.arange(k)
-    theta, phi = grid_t[best_idx], grid_p[best_idx]
-    h = np.full(k, math.pi / (resolution - 1))
-    levels = len(_COMPASS_SCALES)
-    # The form is smooth in (theta, phi) for any theta, so a step may pass a
-    # pole or the 2*pi seam without harm.
-    while pending.size:
-        t = theta[:, None] + _COMPASS_T * h[:, None]
-        p = phi[:, None] + _COMPASS_P * h[:, None]
-        vals = _form_values(form, _directions(t, p)).reshape(-1, levels, 4)
-        highest = vals.max(axis=2)
-        better = (highest > best[:, None]) & (_COMPASS_SCALES * h[:, None] >= ORACLE_STEP_ATOL)
-        improved = better.any(axis=1)
-        level = np.argmax(better, axis=1)  # the largest scale that raises the form
-        h *= np.where(improved, _COMPASS_SCALES[level], 0.5**levels)
-        moved = np.flatnonzero(improved)
-        level = level[moved]
-        pick = 4 * level + np.argmax(vals[moved, level], axis=1)
-        theta[moved], phi[moved] = t[moved, pick], p[moved, pick]
-        best[moved] = highest[moved, level]
-        going = h >= ORACLE_STEP_ATOL
-        if not going.all():
-            peak[pending[~going]] = best[~going]
-            pending, theta, phi, h, best, form = (
-                array[going] for array in (pending, theta, phi, h, best, form)
-            )
-    return hs_norm_sq(mats) - peak
+    # Every column is 0 when M = 0 (a pure state with a maximally mixed qubit
+    # side), and one may decay to 0 or below the square root of the smallest
+    # float when M is diagonal. Scaling each column by its largest entry
+    # before its norm keeps that norm in [1, sqrt 3] or at 0: a column is
+    # never blown up past unit length, and a zero column scores 0.
+    tiny = np.finfo(float).tiny
+    p = form
+    for _ in range(_ASCENT_SQUARINGS):
+        p = p @ p
+        p /= np.maximum(np.trace(p, axis1=1, axis2=2), tiny)[:, None, None]
+    u = p.transpose(0, 2, 1)
+    u = u / np.maximum(np.abs(u).max(axis=2, keepdims=True), tiny)
+    u = u / np.maximum(np.linalg.norm(u, axis=2, keepdims=True), 1.0)
+    return hs_norm_sq(mats) - _form_values(form, u).max(axis=1)
 
 
-def gd_bruteforce_2xn(rho: DensityMatrix, resolution: int = 32) -> float:
+def gd_bruteforce_2xn(rho: DensityMatrix) -> float:
     """Geometric discord of a 2 (x) n state by direct minimization.
 
-    `gd_bruteforce_stack` on a stack of one: a resolution x 2*resolution
-    (theta, phi) sphere grid, then a compass search that stops when its
-    step falls below ORACLE_STEP_ATOL. Serves as the independent oracle
-    for `geometric_discord`.
+    `gd_bruteforce_stack` on a stack of one: the climb u <- M u / ||M u|| on
+    the sphere from the three axes. Serves as the independent oracle for
+    `geometric_discord`.
     """
     if rho.m != 2:
         raise WrongDimension(f"brute-force discord requires m = 2, got m={rho.m}")
-    return float(gd_bruteforce_stack(rho.mat[None], rho.n, resolution)[0])
+    return float(gd_bruteforce_stack(rho.mat[None], rho.n)[0])
 
 
 def schmidt(phi: PureState) -> np.ndarray:

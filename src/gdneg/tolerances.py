@@ -18,14 +18,10 @@ DISCORD_CLAMP_FLOOR = -1e-12  # discord down to this is solver noise, clamped to
 IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only by rounding
 SCHMIDT_CUTOFF = 1e-12  # Schmidt coefficients at or below this are rounding noise of a zero
 
-# The brute-force oracle's compass search stops when its step in (theta, phi)
-# falls below this. The objective is quadratic at a minimum, so a point this
-# close to it is off in value by about 1e-18, far below VERIFY_ORACLE_ATOL.
-ORACLE_STEP_ATOL = 1e-9
-
 # Verdicts (families, io_cli).
 VIOLATES_MARGIN_FLOOR = -1e-9  # rho1 with a^2 > 2 b^2 must violate; a margin below this is a fault
 VIOLATION_EPS = 1e-12  # a gap N^2 - D counts as a violation only when it clears float noise
-# Oracle against formula in `verify`: room for a search that stops early in a
-# flat basin, while a wrong formula misses by far more.
-VERIFY_ORACLE_ATOL = 1e-5
+# Oracle against formula in `verify`: the oracle's climb ends within 1e-18 of
+# its maximum, so the two differ by rounding of their sums (at most 1.6e-15
+# seen), while a wrong formula misses by far more.
+VERIFY_ORACLE_ATOL = 1e-10

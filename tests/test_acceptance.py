@@ -186,7 +186,7 @@ def test_criterion_5_oracle_equivalence():
     for m, n, count, seed in [(2, 3, 200, 505), (2, 4, 100, 506)]:
         for rho in sample_states(m, n, count, seed, "hilbert-schmidt"):
             disc, _ = geometric_discord(rho)
-            brute = gd_bruteforce_2xn(rho, resolution=16)
+            brute = gd_bruteforce_2xn(rho)
             worst = max(worst, abs(brute - disc))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 60.0

@@ -144,7 +144,7 @@ def test_verify_failure_mid_chunk_matches_per_state_order(tmp_path, monkeypatch)
     index, rho, message = first_failure
     assert index % io_cli._chunk_size(6) not in (0, io_cli._chunk_size(6) - 1)
 
-    report = run_verify(2, 3, 800, 3, oracle_subsample=2, resolution=8)
+    report = run_verify(2, 3, 800, 3, oracle_subsample=2)
     assert report["passed"] is False
     assert report["checked"] == index
     assert report["failure"] == message
@@ -168,13 +168,13 @@ def test_verify_nan_oracle_deviation_fails(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     real = io_cli.gd_bruteforce_stack
 
-    def nan_at_3(mats, n, resolution):
-        out = real(mats, n, resolution)
+    def nan_at_3(mats, n):
+        out = real(mats, n)
         out[3:4] = np.nan
         return out
 
     monkeypatch.setattr(io_cli, "gd_bruteforce_stack", nan_at_3)
-    report = run_verify(2, 3, 50, 5, oracle_subsample=10, resolution=8)
+    report = run_verify(2, 3, 50, 5, oracle_subsample=10)
     assert report["passed"] is False
     assert report["checked"] == 3
     assert report["failure"] == f"oracle deviation nan exceeds {io_cli.VERIFY_ORACLE_ATOL}"
@@ -276,7 +276,7 @@ def test_each_kernel_check_fires_on_every_path(check, tmp_path, monkeypatch):
 
     assert run_sample(2, 3, count, seed, "hilbert-schmidt").bound_failures == len(failures)
     assert main(["sample", "--dims", "2x3", "--count", str(count), "--seed", str(seed)]) == 2
-    report = run_verify(2, 3, count, seed, oracle_subsample=2, resolution=8)
+    report = run_verify(2, 3, count, seed, oracle_subsample=2)
     assert report["passed"] is False
     assert report["checked"] == index
     assert report["failure"] == str(first)
@@ -389,7 +389,7 @@ def test_passing_verify_builds_no_density_matrix(tmp_path, monkeypatch):
 DEFECT_PATHS = {
     "sample-hs-2x3": (lambda: run_sample(2, 3, 300, 1, "hilbert-schmidt"), 300, 1),
     "sample-hs-4x4": (lambda: run_sample(4, 4, 40, 1, "hilbert-schmidt"), 40, 1),
-    "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2, resolution=8), 30, 1),
+    "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2), 30, 1),
     "sweep-rho1": (lambda: sweep_rows("rho1", 0, 6, 121), 121, 1),
     "analyze": (lambda: main(["analyze", "rho1.json"]), 1, 1),
     "sample-pure-3x3": (lambda: run_sample(3, 3, 100, 1, "pure"), 100, 0),

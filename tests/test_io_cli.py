@@ -244,7 +244,7 @@ class TestVerify:
         assert report["violations"] == 0
 
     def test_oracle_subsample_runs_for_qubit_side(self):
-        report = run_verify(2, 3, 25, 3, oracle_subsample=5, resolution=12)
+        report = run_verify(2, 3, 25, 3, oracle_subsample=5)
         assert report["oracle_states_checked"] == 5
         assert report["max_oracle_deviation"] <= 1e-5
 
@@ -262,7 +262,7 @@ class TestVerify:
             "  states checked:        30\n"
             "  gap > 0 states:        0\n"
             "  oracle states checked: 20\n"
-            "  max oracle deviation:  1.6653345369377348e-16\n"
+            "  max oracle deviation:  1.942890293094024e-16\n"
             "PASS\n"
         )
         assert not (tmp_path / "gdneg-verify-failure.json").exists()
@@ -274,7 +274,7 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "verify 2x3: count=30 seed=7\n"
             "  states checked before failure: 0\n"
-            "  failure: oracle deviation 2.0816681711721685e-17 exceeds -1.0\n"
+            "  failure: oracle deviation 4.85722573273506e-17 exceeds -1.0\n"
             "  failing state written to gdneg-verify-failure.json\n"
             "FAIL\n"
         )

@@ -148,10 +148,10 @@ class TestGeometricDiscord:
 
 class TestBruteForceOracle:
     def test_rho1_52_matches_closed_form(self):
-        assert abs(gd_bruteforce_2xn(rho1(5, 2), resolution=200) - 200 / 841) <= 1e-6
+        assert abs(gd_bruteforce_2xn(rho1(5, 2)) - 200 / 841) <= 1e-6
 
     def test_maximally_mixed(self):
-        assert gd_bruteforce_2xn(DensityMatrix(2, 3, np.eye(6) / 6), resolution=8) <= 1e-9
+        assert gd_bruteforce_2xn(DensityMatrix(2, 3, np.eye(6) / 6)) <= 1e-9
 
     def test_matches_formula_on_random_states(self):
         rng = np.random.default_rng(36)
@@ -159,16 +159,12 @@ class TestBruteForceOracle:
             for _ in range(15):
                 rho = random_density_matrix(2, n, rng)
                 value, _ = geometric_discord(rho)
-                assert abs(gd_bruteforce_2xn(rho, resolution=16) - value) <= 1e-6
+                assert abs(gd_bruteforce_2xn(rho) - value) <= 1e-6
 
     def test_rejects_qutrit_side(self):
         rng = np.random.default_rng(37)
         with pytest.raises(WrongDimension):
             gd_bruteforce_2xn(random_density_matrix(3, 3, rng))
-
-    def test_rejects_resolution_below_two(self):
-        with pytest.raises(InvalidRange, match="resolution"):
-            gd_bruteforce_2xn(rho1(5, 2), resolution=1)
 
 
 class TestSchmidt:

@@ -1,20 +1,24 @@
 """The batched brute-force oracle against the formula it checks.
 
 `gd_bruteforce_stack` minimises 2 ||rho - Pi_u(rho)||^2 over qubit
-measurements for a whole stack: a sphere grid, then a compass search per
-state. Each value is Tr rho^2 - u^T M u, with M_ab = Re Tr(rho S_a rho S_b)
-and S_a = sigma_a (x) I_n, a 3 x 3 form built from rho's entries by explicit
-Pauli products; the formula reaches the same optimum through the Bloch
+measurements for a whole stack. Each value is Tr rho^2 - u^T M u, with
+M_ab = Re Tr(rho S_a rho S_b) and S_a = sigma_a (x) I_n, a 3 x 3 form built
+from rho's entries by explicit Pauli products, at the best of three
+directions climbed from the axes by u <- M u / ||M u||, 2^60 steps taken as
+60 squarings of M. The formula reaches the same optimum through the Bloch
 vector, the correlation tensor and an eigenvalue, so the two share no code.
 These tests pin the oracle to the single-state oracle, to the
 correlation-tensor formula on random and pure states, to the top eigenvalue
 of M (so a search error shows apart from a formula error), to itself under
-local unitaries, and to the right value where the objective is flat or its
-minimiser sits at a pole. They show that it never calls into the formula's
-code and solves no eigenproblem. Its form is pinned to the distance
-measured with `project_a`, and its multi-scale compass to a one-scale
-compass written here.
+local unitaries, and to the right value where the objective is flat, where
+M is zero, where its minimiser sits at a pole, where the top two
+eigenvalues of M nearly tie, which a search with a stopping step crawls on,
+and where a climbed column decays until its square underflows. They show
+that it never calls into the formula's code and solves no eigenproblem. Its
+form is pinned to the distance measured with `project_a`.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -22,8 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdneg import bloch, measures
-from gdneg.errors import DimensionMismatch, InvalidDimension, InvalidRange
-from gdneg.io_cli import VERIFY_ORACLE_RESOLUTION, _state_stacks
+from gdneg.errors import DimensionMismatch, InvalidDimension
+from gdneg.io_cli import _state_stacks
 from gdneg.matrixcore import hs_norm_sq
 from gdneg.measures import (
     DensityMatrix,
@@ -31,9 +35,9 @@ from gdneg.measures import (
     gd_bruteforce_2xn,
     gd_bruteforce_stack,
     geometric_discord,
+    maximal_state,
     project_a,
 )
-from gdneg.tolerances import ORACLE_STEP_ATOL
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -48,17 +52,16 @@ def states(n, count, seed, ensemble="hilbert-schmidt"):
 
 def oracle_in_chunks(mats, n, size=8):
     # As `run_verify` calls it: a chunk of states at a time.
-    parts = [gd_bruteforce_stack(mats[i : i + size], n, VERIFY_ORACLE_RESOLUTION)
-             for i in range(0, len(mats), size)]
+    parts = [gd_bruteforce_stack(mats[i : i + size], n) for i in range(0, len(mats), size)]
     return np.concatenate(parts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stack_oracle_equals_single_state_oracle(n):
     mats = states(n, 24, 60 + n)
-    stacked = gd_bruteforce_stack(mats, n, 12)
+    stacked = gd_bruteforce_stack(mats, n)
     for k, mat in enumerate(mats):
-        assert abs(stacked[k] - gd_bruteforce_2xn(DensityMatrix(2, n, mat), 12)) <= 1e-15
+        assert abs(stacked[k] - gd_bruteforce_2xn(DensityMatrix(2, n, mat))) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -74,8 +77,8 @@ def test_stack_oracle_matches_formula(n, count, ensemble):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_flat_objective_of_the_maximally_mixed_state(n):
-    # Pi_u(I/2n) = I/2n for every u: the grid and the search see a flat zero.
-    assert gd_bruteforce_2xn(DensityMatrix(2, n, np.eye(2 * n) / (2 * n)), 8) <= 1e-15
+    # Pi_u(I/2n) = I/2n for every u: the climb sees a flat zero.
+    assert gd_bruteforce_2xn(DensityMatrix(2, n, np.eye(2 * n) / (2 * n))) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -88,20 +91,28 @@ def test_product_states_have_zero_discord(n):
         rho_a = ga @ ga.conj().T
         rho_b = gb @ gb.conj().T
         mats.append(np.kron(rho_a / np.trace(rho_a), rho_b / np.trace(rho_b)))
-    assert np.max(gd_bruteforce_stack(np.array(mats), n, 16)) <= 1e-12
+    assert np.max(gd_bruteforce_stack(np.array(mats), n)) <= 1e-12
 
 
 @pytest.mark.parametrize("c", [(0.1, 0.2, 0.6), (-0.3, 0.1, -0.5), (0.0, 0.0, 0.4)])
 def test_minimiser_at_the_pole(c):
     # Bell-diagonal (I + sum_i c_i sigma_i (x) sigma_i)/4 with |c_3| largest: the
-    # best measurement is along z, theta = 0, and D = (c_1^2 + c_2^2)/2 in the
-    # m/(m-1) normalisation.
+    # best measurement is along z, and D = (c_1^2 + c_2^2)/2 in the m/(m-1)
+    # normalisation. M is diagonal, so the x and y axes never leave their axis.
     mat = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4
     rho = DensityMatrix(2, 2, mat)
     value, _ = geometric_discord(rho)
     assert abs(value - (c[0] ** 2 + c[1] ** 2) / 2) <= 1e-12
-    for resolution in (2, 7, 24):
-        assert abs(gd_bruteforce_2xn(rho, resolution) - value) <= 1e-12
+    assert abs(gd_bruteforce_2xn(rho) - value) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_form_of_a_maximally_entangled_state_is_zero(n):
+    # The qubit side is maximally mixed, so M = 0 exactly: every u gives
+    # D = Tr rho^2 = 1, and the climb must not divide 0 by 0.
+    rho = maximal_state(2, n)
+    assert not measures._form(rho.mat[None], n).any()
+    assert abs(gd_bruteforce_2xn(rho) - 1.0) <= 1e-12
 
 
 def test_oracle_does_not_touch_the_formula(monkeypatch):
@@ -115,25 +126,13 @@ def test_oracle_does_not_touch_the_formula(monkeypatch):
         monkeypatch.setattr(bloch, name, forbidden)
     monkeypatch.setattr(measures, "_measure_stack", forbidden)
     monkeypatch.setattr(measures, "geometric_discord", forbidden)
-    brute = gd_bruteforce_stack(mats, 3, VERIFY_ORACLE_RESOLUTION)
+    brute = gd_bruteforce_stack(mats, 3)
     assert np.max(np.abs(brute - formula)) <= 1e-12
-    assert abs(gd_bruteforce_2xn(DensityMatrix(2, 3, mats[0]), 8) - formula[0]) <= 1e-12
-
-
-def test_search_stops_on_its_step_tolerance(monkeypatch):
-    # A looser stopping step leaves the value further from the minimum.
-    mats = states(4, 16, 91)
-    formula = _measure_stack(mats, 2, 4).discord
-    tight = np.max(np.abs(gd_bruteforce_stack(mats, 4, 8) - formula))
-    monkeypatch.setattr(measures, "ORACLE_STEP_ATOL", 1e-2)
-    loose = np.max(np.abs(gd_bruteforce_stack(mats, 4, 8) - formula))
-    assert tight <= 1e-12 < loose
+    assert abs(gd_bruteforce_2xn(DensityMatrix(2, 3, mats[0])) - formula[0]) <= 1e-12
 
 
 def test_empty_stack_and_bad_arguments():
     assert gd_bruteforce_stack(np.zeros((0, 6, 6), dtype=complex), 3).shape == (0,)
-    with pytest.raises(InvalidRange, match="resolution"):
-        gd_bruteforce_stack(states(3, 2, 92), 3, 1)
     with pytest.raises(DimensionMismatch):
         gd_bruteforce_stack(states(3, 2, 92), 4)
 
@@ -151,72 +150,9 @@ def test_gram_objective_is_the_measured_distance(n, ensemble):
     assert np.max(np.abs(form - measured)) <= 1e-14
 
 
-def one_scale_compass(mats, n, resolution, atol=ORACLE_STEP_ATOL):
-    # The compass the multi-scale search folds: a round tries theta +/- h and
-    # phi +/- h, moves to the best if it raises u^T M u and halves h
-    # otherwise, until h falls below atol. Returns the values and the number
-    # of rounds, from the oracle's grid start.
-    k = len(mats)
-    form = measures._form(mats, n)
-    grid_t, grid_p, table = measures._grid(resolution)
-    vals = form.reshape(k, 9) @ table
-    start = np.argmax(vals, axis=1)
-    best = vals[np.arange(k), start]
-    theta, phi = grid_t[start], grid_p[start]
-    h = np.full(k, np.pi / (resolution - 1))
-    active = np.arange(k)
-    rounds = 0
-    while active.size:
-        rounds += 1
-        t = theta[active, None] + np.array([1.0, -1.0, 0.0, 0.0]) * h[active, None]
-        p = phi[active, None] + np.array([0.0, 0.0, 1.0, -1.0]) * h[active, None]
-        vals = measures._form_values(form[active], measures._directions(t, p))
-        rows = np.arange(active.size)
-        j = np.argmax(vals, axis=1)
-        highest = vals[rows, j]
-        moved = highest > best[active]
-        step = active[moved]
-        theta[step], phi[step], best[step] = t[rows, j][moved], p[rows, j][moved], highest[moved]
-        h[active[~moved]] /= 2
-        active = active[h[active] >= atol]
-    return hs_norm_sq(mats) - best, rounds
-
-
-def test_multi_scale_rounds_visit_the_one_scale_points_in_fewer_rounds(monkeypatch):
-    mats = states(3, 400, 120)
-    chunks = [mats[i : i + 8] for i in range(0, len(mats), 8)]
-    references = [one_scale_compass(chunk, 3, 24) for chunk in chunks]
-    rounds = []
-    form_values = measures._form_values
-
-    def counted(*args):
-        rounds[-1] += 1
-        return form_values(*args)
-
-    monkeypatch.setattr(measures, "_form_values", counted)
-    for chunk, (reference, _) in zip(chunks, references):
-        rounds.append(0)
-        assert np.max(np.abs(gd_bruteforce_stack(chunk, 3, 24) - reference)) <= 1e-15
-    ratios = np.array(rounds) / [reference_rounds for _, reference_rounds in references]
-    assert len(ratios) == 50
-    assert np.max(ratios) <= 1.0
-    assert np.median(ratios) <= 0.6
-
-
-def test_multi_scale_search_tries_no_step_below_its_tolerance(monkeypatch):
-    # At a coarse stopping step, a move at a scale below it would shift the
-    # value far above rounding.
-    mats = states(3, 80, 121)
-    monkeypatch.setattr(measures, "ORACLE_STEP_ATOL", 1e-3)
-    for i in range(0, len(mats), 8):
-        reference, _ = one_scale_compass(mats[i : i + 8], 3, 24, atol=1e-3)
-        assert np.max(np.abs(gd_bruteforce_stack(mats[i : i + 8], 3, 24) - reference)) <= 1e-15
-
-
 def test_cached_tables_are_read_only():
-    for array in (*measures._grid(24), measures._side_paulis(3)):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    with pytest.raises(ValueError):
+        measures._side_paulis(3)[0] = 0
 
 
 def test_a_one_dimensional_side_is_rejected():
@@ -236,9 +172,9 @@ def test_oracle_solves_no_eigenproblem(monkeypatch):
 
     for name in ("eigvalsh", "eigh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    brute = gd_bruteforce_stack(mats, 3, VERIFY_ORACLE_RESOLUTION)
+    brute = gd_bruteforce_stack(mats, 3)
     assert np.max(np.abs(brute - formula)) <= 1e-12
-    assert abs(gd_bruteforce_2xn(rho, 8) - formula[0]) <= 1e-12
+    assert abs(gd_bruteforce_2xn(rho) - formula[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("ensemble", ["hilbert-schmidt", "pure"])
@@ -265,7 +201,7 @@ def haar_unitary(d, rng):
 @given(n=st.sampled_from([2, 3, 4]), rank=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_oracle_is_invariant_under_local_unitaries(n, rank, seed):
     # (V (x) W) rho (V (x) W)^dag rotates M by the SO(3) image of V and leaves
-    # Tr rho^2 alone, but the sphere grid does not rotate with it.
+    # Tr rho^2 alone, but the three axes the climb starts from do not rotate with it.
     rng = np.random.default_rng(seed)
     shape = (2 * n, min(rank, 2 * n))
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -274,3 +210,34 @@ def test_oracle_is_invariant_under_local_unitaries(n, rank, seed):
     local = np.kron(haar_unitary(2, rng), haar_unitary(n, rng))
     values = gd_bruteforce_stack(np.array([rho, local @ rho @ local.conj().T]), n)
     assert abs(values[1] - values[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 0.0])
+def test_top_two_eigenvalues_of_the_form_nearly_tie(eps):
+    # Bell-diagonal with c = (0.4, 0.4 - eps, 0.1): u^T M u peaks on a ridge
+    # that is flat to eps, where a search that stops on a small step crawls.
+    # D = ((0.4 - eps)^2 + 0.01)/2 whatever the local unitary.
+    c = (0.4, 0.4 - eps, 0.1)
+    mat = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4
+    rng = np.random.default_rng(140)
+    local = [np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(5)]
+    start = time.perf_counter()
+    values = gd_bruteforce_stack(np.array([v @ mat @ v.conj().T for v in local]), 2)
+    assert time.perf_counter() - start < 1.0
+    assert np.max(np.abs(values - ((0.4 - eps) ** 2 + 0.01) / 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("top,near", [(0, 1), (1, 2), (2, 0)])
+def test_columns_that_decay_below_the_square_root_of_the_smallest_float(top, near):
+    # Unrotated Bell-diagonal states have a diagonal M. With c_near k ulps
+    # below c_top, the near axis's column of the squared form decays to
+    # around 1e-160 for some k, where its square underflows: normalising it
+    # by a floored norm would blow it far past unit length.
+    ks = np.arange(1, 400)
+    c = np.full((len(ks), 3), 0.1)
+    c[:, top] = 0.4
+    c[:, near] = 0.4 - ks * np.spacing(0.4)
+    mats = np.array([(np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(row, PAULI))) / 4
+                     for row in c])
+    exact = (c[:, near] ** 2 + 0.01) / 2
+    assert np.max(np.abs(gd_bruteforce_stack(mats, 2) - exact)) <= 1e-12
