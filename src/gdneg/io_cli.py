@@ -17,7 +17,8 @@ stacks of at most CHUNK_ENTRIES matrix entries, measured by one kernel call
 each. A chunk draws its states from the generator in one call, in the same
 order as drawing them one at a time, so the state stream of a seed is the
 same as with per-state drawing, and so are counts and verdicts. Negative
-counts and seeds are rejected as InvalidRange.
+counts and seeds, and sweep ranges with a non-finite bound or width, are
+rejected as InvalidRange.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
 violation (numerical fault).
@@ -157,6 +158,8 @@ def sweep_rows(
         raise UnknownFamily(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
     if steps < 1:
         raise InvalidRange(f"steps must be at least 1, got {steps}")
+    if not np.isfinite(hi - lo):  # else the step lo + 0 * (hi - lo) is NaN
+        raise InvalidRange(f"sweep range [{lo}, {hi}] has a non-finite bound or width")
     if hi < lo:
         raise InvalidRange(f"empty sweep range [{lo}, {hi}]")
     if steps == 1:

@@ -2,9 +2,13 @@
 
 All functions are pure and operate on plain ``numpy`` arrays (complex128,
 row-major). Spectra are returned as real vectors sorted nonincreasing.
-`hermiticity_defect`, `hermitian_eigenvalues`, `hermitian_part_eigenvalues`,
-`partial_transpose` and `hs_norm_sq` also take a stack of matrices, shape
-(..., d, d), and act on each matrix of it.
+`hermiticity_defect`, `hermitian_part`, `hermitian_eigenvalues`,
+`hermitian_part_eigenvalues`, `partial_transpose` and `hs_norm_sq` also take a
+stack of matrices, shape (..., d, d), and act on each matrix of it.
+
+`hermitian_part` is the one copy of (A + A^dag)/2. It feeds every spectrum
+taken here and the positivity screen of state validation, which factors it
+rather than the matrix because a Cholesky factorisation reads one triangle.
 
 `hermitian_eigenvalues` and `trace_norm` check their input against
 HERMITIAN_ATOL. Validated stacks are not re-checked: state validation and the
@@ -34,15 +38,22 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """The Hermitian part (A + A^dag)/2, as a new complex array.
+
+    For finite A it is exactly Hermitian, with a real diagonal, whatever A's defect.
+    """
+    a = np.asarray(a, dtype=complex)
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
 def hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Real eigenvalues of the Hermitian part (A + A^dag)/2, sorted nonincreasing.
 
     No hermiticity check: for matrices whose defect is already known to be
     within HERMITIAN_ATOL, such as validated states and their partial transposes.
     """
-    a = np.asarray(a, dtype=complex)
-    sym = (a + a.conj().swapaxes(-1, -2)) / 2
-    return np.linalg.eigvalsh(sym)[..., ::-1].copy()
+    return np.linalg.eigvalsh(hermitian_part(a))[..., ::-1].copy()
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:

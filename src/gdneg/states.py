@@ -5,9 +5,14 @@ states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
 `errors.first_fault`; the containers run them on a stack of one. Every
 residual is tested as `not (residual <= tol)`, so a NaN residual fails.
 
-This is the one place a state's hermiticity defect is computed. The
-positivity spectrum is taken only of states that passed hermiticity, and
-code that receives validated stacks does not check them again.
+This is the one place a state's hermiticity defect is computed, and code
+that receives validated stacks does not check them again. Positivity is
+decided for the states before the first cheap failure (finiteness,
+hermiticity, trace), first by a screen: one batched Cholesky factorisation
+of their Hermitian parts plus -PSD_MIN_EIGENVALUE * I, which succeeds only
+when every smallest eigenvalue is above PSD_MIN_EIGENVALUE. When it fails,
+their spectrum is taken, and it alone decides the verdict, the index and the
+message.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, InvalidState, first_fault
-from .matrixcore import hermitian_part_eigenvalues, hermiticity_defect
+from .matrixcore import hermitian_part, hermitian_part_eigenvalues, hermiticity_defect
 from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
 
@@ -26,11 +31,30 @@ def _invariant(name: str, residual: np.ndarray, tol: float) -> Check:
     )
 
 
+def _all_positive(mats: np.ndarray) -> bool:
+    """True when the Hermitian parts plus -PSD_MIN_EIGENVALUE * I all have a Cholesky
+    factor, so every smallest eigenvalue is above PSD_MIN_EIGENVALUE.
+
+    False when any state fails, or sits within rounding of the bound.
+    """
+    shifted = hermitian_part(mats)
+    diag = np.arange(mats.shape[-1])
+    shifted[:, diag, diag] -= PSD_MIN_EIGENVALUE  # in place: no second chunk-sized copy
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:  # raised for the whole stack when any state fails
+        return False
+    return True
+
+
 def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
     """The first matrix of a (k, d, d) stack that is not a density matrix, or None.
 
     Returns its index and an InvalidState naming the broken invariant and its
     residual, checked in the order finiteness, hermiticity, trace, positivity.
+    Positivity is screened by one Cholesky factorisation of the states before
+    the first cheap failure; only when the screen fails is their spectrum taken,
+    and the smallest eigenvalue then decides and is reported.
     """
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
         defect = hermiticity_defect(mats)
@@ -45,10 +69,11 @@ def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
     )
     invalid = first_fault(cheap)
     end = len(mats) if invalid is None else invalid[0]
-    # Spectra only before the first cheap failure, which may be NaN; +inf passes.
+    # Positivity only before the first cheap failure, which may be NaN; +inf passes.
     # Those states passed hermiticity, so their defect is not computed again.
     min_eig = np.full(len(mats), np.inf)
-    min_eig[:end] = hermitian_part_eigenvalues(mats[:end])[:, -1]
+    if not _all_positive(mats[:end]):
+        min_eig[:end] = hermitian_part_eigenvalues(mats[:end])[:, -1]
     positivity = Check(
         ~(min_eig >= PSD_MIN_EIGENVALUE),
         lambda i: InvalidState(f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"),

@@ -398,7 +398,7 @@ DEFECT_PATHS = {
 
 @pytest.mark.parametrize("path", DEFECT_PATHS)
 def test_hermiticity_defect_is_computed_by_the_gate_alone(path, tmp_path, monkeypatch):
-    # Neither the positivity spectrum of the gate nor the kernel's partial-
+    # Neither the positivity check of the gate nor the kernel's partial-
     # transpose spectrum checks hermiticity again.
     monkeypatch.chdir(tmp_path)
     write_state("rho1.json", build(FamilySpec("rho1", (5, 2))))

@@ -163,6 +163,19 @@ class TestSweep:
         with pytest.raises(UnknownFamily):
             sweep_rows("rho7", 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [("0", "inf"), ("nan", "1"), ("-inf", "0"), ("0", "nan"), ("-1e308", "1e308")]
+    )
+    def test_non_finite_range_is_rejected_by_name(self, lo, hi, tmp_path, capsys):
+        # The first step lo + 0 * (hi - lo) is NaN when the width is not finite,
+        # and a NaN bound passes the `hi < lo` check.
+        out = tmp_path / "rows.csv"
+        args = ["sweep", "--family", "rho1", f"--from={lo}", f"--to={hi}", "--steps", "3"]
+        assert main(args + ["--out", str(out)]) == 1
+        expected = f"error: sweep range [{float(lo)}, {float(hi)}] has a non-finite bound or width\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_json_summary(self, tmp_path, capsys):
         out = tmp_path / "rho1.csv"
         args = ["sweep", "--family", "rho1", "--from", "0", "--to", "6", "--steps", "25"]

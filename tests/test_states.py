@@ -1,0 +1,168 @@
+"""The positivity screen of `states.first_invalid_state`.
+
+The gate settles positivity with one Cholesky factorisation of the states
+before the first cheap failure and takes their spectrum only when it fails.
+These tests hold it to the `eigvalsh` reference: the same verdict, index and
+message near the -1e-9 bound, wherever the failing state sits in a chunk, and
+behind a cheap failure the screen never sees.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gdneg import matrixcore, measures, states
+from gdneg.io_cli import _chunk_size, _hs_stack, run_sample, run_verify
+from gdneg.states import first_invalid_state
+from gdneg.tolerances import PSD_MIN_EIGENVALUE
+
+NOT_POSITIVE = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+NOT_POSITIVE_MESSAGE = "positivity invariant violated: min eigenvalue -0.2"
+
+
+def unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_spectrum(smallest, rank, d, rng):
+    """U diag(w) U^dag, unit trace: `rank` positive eigenvalues, then `smallest`, then zeros."""
+    w = np.zeros(d)
+    w[:rank] = rng.uniform(0.1, 1.0, rank)
+    w[:rank] *= (1.0 - smallest) / w[:rank].sum()
+    w[rank] = smallest
+    u = unitary(d, rng)
+    return (u * w) @ u.conj().T
+
+
+def reference(mats):
+    """The first state whose reference min eigenvalue is below the bound, with its message."""
+    min_eig = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2)[:, 0]
+    bad = np.flatnonzero(min_eig < PSD_MIN_EIGENVALUE)
+    if not len(bad):
+        return None
+    return int(bad[0]), f"positivity invariant violated: min eigenvalue {min_eig[bad[0]]:.6g}"
+
+
+def forbidden(a):
+    raise AssertionError("the spectrum was taken although the screen passed")
+
+
+def verdict(mats):
+    invalid = first_invalid_state(mats)
+    return None if invalid is None else (invalid[0], str(invalid[1]))
+
+
+@pytest.mark.parametrize("d", [4, 6, 9, 16])
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+def test_states_at_the_bound_get_the_reference_verdict(d, offset, monkeypatch):
+    rng = np.random.default_rng(d)
+    rho = with_spectrum(PSD_MIN_EIGENVALUE + offset, d - 1, d, rng)
+    expected = reference(rho[None])
+    assert (expected is None) == (offset > 0)
+    if offset > 0:  # the screen alone passes a state just above the bound
+        monkeypatch.setattr(states, "hermitian_part_eigenvalues", forbidden)
+    assert verdict(rho[None]) == expected
+    # The same state at the end of a chunk of passing states.
+    mats = _hs_stack(d, _chunk_size(d), rng)
+    mats[-1] = rho
+    assert verdict(mats) == reference(mats)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_non_positive_state_in_a_full_chunk_is_reported_at_its_index(where):
+    size = _chunk_size(4)
+    index = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+    mats = _hs_stack(4, size, np.random.default_rng(3))
+    mats[index] = NOT_POSITIVE
+    assert verdict(mats) == (index, NOT_POSITIVE_MESSAGE)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("hermiticity", "hermiticity invariant violated: residual 0.125"),
+        ("trace", "trace invariant violated: residual 1"),
+    ],
+)
+def test_cheap_failure_hides_a_later_non_positive_state_from_the_screen(
+    fault, message, monkeypatch
+):
+    mats = _hs_stack(4, 8, np.random.default_rng(4))
+    if fault == "hermiticity":
+        mats[3, 0, 1] += 0.125
+    else:
+        mats[3] *= 2.0
+    mats[5] = NOT_POSITIVE
+    screened = []
+
+    def recording(a):
+        screened.append(np.array(a))
+        return matrixcore.hermitian_part(a)
+
+    monkeypatch.setattr(states, "hermitian_part", recording)
+    monkeypatch.setattr(states, "hermitian_part_eigenvalues", forbidden)
+    assert verdict(mats) == (3, message)
+    assert len(screened) == 1
+    assert np.array_equal(screened[0], mats[:3])
+
+
+def test_non_finite_first_state_leaves_the_screen_an_empty_head(monkeypatch):
+    mats = _hs_stack(4, 6, np.random.default_rng(5))
+    mats[0, 2, 2] = np.nan
+    mats[4] = NOT_POSITIVE
+    screened = []
+
+    def recording(a):
+        screened.append(np.shape(a))
+        return matrixcore.hermitian_part(a)
+
+    monkeypatch.setattr(states, "hermitian_part", recording)
+    assert verdict(mats) == (0, "finiteness invariant violated: non-finite entries")
+    assert screened == [(0, 4, 4)]
+
+
+# Each passing path, and the number of states it validates and measures.
+SPECTRUM_PATHS = {
+    "sample-hs-2x3": (lambda: run_sample(2, 3, 300, 1, "hilbert-schmidt"), 300),
+    "sample-hs-4x4": (lambda: run_sample(4, 4, 40, 1, "hilbert-schmidt"), 40),
+    "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2), 30),
+}
+
+
+@pytest.mark.parametrize("path", SPECTRUM_PATHS)
+def test_passing_chunks_take_only_the_partial_transpose_spectrum(path, tmp_path, monkeypatch):
+    # The screen passes every chunk, so the only spectrum of each state is the
+    # kernel's partial-transpose spectrum; a positivity spectrum would double it.
+    monkeypatch.chdir(tmp_path)
+    run, count = SPECTRUM_PATHS[path]
+    matrices = []
+
+    def counting(a):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return matrixcore.hermitian_part_eigenvalues(a)
+
+    for module in (states, measures):
+        monkeypatch.setattr(module, "hermitian_part_eigenvalues", counting)
+    run()
+    assert sum(matrices) == count
+
+
+@st.composite
+def state_stacks(draw):
+    d = draw(st.sampled_from([4, 6, 9, 16]))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    smallest = st.floats(-1e-8, 1e-8).filter(lambda x: abs(x - PSD_MIN_EIGENVALUE) > 1e-13)
+    ranks = st.integers(1, d - 1)
+    return np.array([with_spectrum(draw(smallest), draw(ranks), d, rng) for _ in range(k)])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mats=state_stacks())
+def test_first_invalid_state_is_the_first_state_below_the_bound(mats):
+    # Low-rank states included: fewer than d - 1 positive eigenvalues leave zeros
+    # beside the drawn smallest one.
+    assert verdict(mats) == reference(mats)
