@@ -12,7 +12,7 @@ normalized by 2(p + q):
 For rho1 closed forms for the squared negativity and the geometric discord
 are provided in terms of c = a/b. Construction outside the documented
 parameter windows is permitted behind an explicit flag; positivity is always
-enforced after construction.
+enforced after construction, by one gate per stack of members.
 """
 
 from dataclasses import dataclass
@@ -20,16 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .errors import BoundViolation, InvalidRange, InvalidState, NotAState, UnknownFamily
-from .states import DensityMatrix
+from .errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
+from .states import DensityMatrix, first_invalid_state
 from .tolerances import VIOLATES_MARGIN_FLOOR, VIOLATION_EPS
 
-# name: (parameter count, template entries (p, q, r), documented window)
+# name: (parameter count, template entries (p, q, r), documented window), on arrays too
 _FAMILIES = {
     "rho1": (2, lambda a, b: (a * a, b * b, a * b), lambda a, b: b > 0.0),
-    "rho2": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a), lambda a: 0.0 < a <= 1.0),
-    "rho3": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 1.0), lambda a: 7 / 4 <= a <= 19 / 4),
-    "rho4": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 2.0), lambda a: 7 / 2 <= a <= 17 / 2),
+    "rho2": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a), lambda a: (0.0 < a) & (a <= 1.0)),
+    "rho3": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 1.0), lambda a: (1.75 <= a) & (a <= 4.75)),
+    "rho4": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 2.0), lambda a: (3.5 <= a) & (a <= 8.5)),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -61,29 +61,42 @@ def in_range(spec: FamilySpec) -> bool:
     return _FAMILIES[spec.name][2](*spec.params)
 
 
-def _template(p: float, q: float, r: float) -> np.ndarray:
-    mat = np.zeros((6, 6), dtype=complex)
-    for i, v in enumerate((p, q, 0.0, 0.0, q, p)):
-        mat[i, i] = v
-    for i, j in ((0, 4), (4, 0), (1, 5), (5, 1)):
-        mat[i, j] = r
-    # p + q = 0 gives non-finite entries, which DensityMatrix rejects by name.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return mat / (2.0 * (p + q))
+def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndarray:
+    """The members named by the rows of a (k, arity) array, as a validated (k, 6, 6) stack.
+
+    Raises InvalidRange for the first member outside the documented window,
+    unless `allow_out_of_range`, then NotAState for the first that is not a
+    state, found by one gate for the stack. That is the order of checking one
+    member at a time, as every in-window member is a state (for rho1, unless
+    p + q underflows or overflows): its template is two 2 x 2 blocks
+    [[p, r], [r, q]] whose determinant pq - r^2 is 0 for rho1, a - a^2 >= 0 for
+    rho2 on (0, 1], -a^2 + 5a - 1 > 0 for rho3 on [1.75, 4.75] and
+    -a^2 + 9a - 4 > 0 for rho4 on [3.5, 8.5].
+    """
+    params = np.asarray(params, dtype=float)
+    _, entries, window = _FAMILIES[name]
+    member = lambda i: f"{name}{tuple(params[i].tolist())}"  # as FamilySpec prints
+    if not (allow_out_of_range or (inside := window(*params.T)).all()):
+        raise InvalidRange(f"{member(np.argmin(inside))} is outside the documented parameter "
+                           "window; pass allow_out_of_range=True to construct anyway")
+    # As on floats: p + q = 0 or an overflow gives non-finite entries, which
+    # the gate rejects by name, and no numpy warning.
+    with np.errstate(all="ignore"):
+        p, q, r = entries(*params.T)
+        mats = np.zeros((len(params), 6, 6), dtype=complex)
+        mats[:, [0, 5], [0, 5]] = p[:, None]
+        mats[:, [1, 4], [1, 4]] = q[:, None]
+        mats[:, [0, 4, 1, 5], [4, 0, 5, 1]] = r[:, None]
+        mats /= 2.0 * (p + q)[:, None, None]
+    invalid = first_invalid_state(mats)
+    if invalid is not None:
+        raise NotAState(f"{member(invalid[0])}: {invalid[1]}") from invalid[1]
+    return mats
 
 
 def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:
     """Construct the family member as a validated density matrix, else raise NotAState."""
-    if not allow_out_of_range and not in_range(spec):
-        raise InvalidRange(
-            f"{spec.name}{spec.params} is outside the documented parameter window; "
-            "pass allow_out_of_range=True to construct anyway"
-        )
-    mat = _template(*_FAMILIES[spec.name][1](*spec.params))
-    try:
-        return DensityMatrix(2, 3, mat)
-    except InvalidState as exc:
-        raise NotAState(f"{spec.name}{spec.params}: {exc}") from exc
+    return DensityMatrix(2, 3, member_stack(spec.name, [spec.params], allow_out_of_range)[0])
 
 
 def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:

@@ -12,11 +12,11 @@ are printed with shortest round-trip formatting, so identical inputs and
 seeds give byte-identical output. Randomness comes from numpy's seedable
 PCG64 generator; counts are reproducible only under the same generator.
 
-`sample`, `verify` and `sweep` draw, validate and measure states in chunks:
-stacks of at most CHUNK_ENTRIES matrix entries, measured by one kernel call
-each. A chunk draws its states from the generator in one call, in the same
-order as drawing them one at a time, so the state stream of a seed is the
-same as with per-state drawing, and so are counts and verdicts. Negative
+`sample`, `verify` and `sweep` draw or build, validate and measure states in
+chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
+and measured by one kernel call. Random states are drawn in the order of one
+at a time, so a seed's state stream, counts and verdicts are as with per-state
+drawing; sweep members are built by one `families.member_stack` call. Negative
 counts and seeds, and sweep ranges with a non-finite bound or width, are
 rejected as InvalidRange.
 
@@ -42,7 +42,7 @@ from .errors import (
     UnknownFamily,
     first_fault,
 )
-from .families import FAMILY_NAMES, FamilySpec, build, rho1_closed_forms
+from .families import FAMILY_NAMES, member_stack, rho1_closed_forms
 from .measures import (
     DensityMatrix,
     PureState,
@@ -162,16 +162,13 @@ def sweep_rows(
         raise InvalidRange(f"sweep range [{lo}, {hi}] has a non-finite bound or width")
     if hi < lo:
         raise InvalidRange(f"empty sweep range [{lo}, {hi}]")
-    if steps == 1:
-        params = [lo]
-    else:
-        params = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    params = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
+    members = np.array([(p, 1.0) if family == "rho1" else (p,) for p in params])
     rows = []
     size = _chunk_size(6)
     for start in range(0, len(params), size):
         chunk = params[start : start + size]
-        specs = [FamilySpec(family, (p, 1.0) if family == "rho1" else (p,)) for p in chunk]
-        mats = np.array([build(s, allow_out_of_range=allow_out_of_range).mat for s in specs])
+        mats = member_stack(family, members[start : start + size], allow_out_of_range)
         measured = _measure_stack(mats, 2, 3)
         fault = first_fault(measured.checks)
         if fault is not None:
@@ -181,16 +178,10 @@ def sweep_rows(
             cf_disc = cf_neg_sq = None
             if family == "rho1":
                 cf_neg_sq, cf_disc = rho1_closed_forms(param, 1.0)
-            rows.append(
-                SweepRow(
-                    param=param,
-                    discord=float(disc),
-                    negativity_sq=float(neg) * float(neg),
-                    gap=float(gap),
-                    closed_form_discord=cf_disc,
-                    closed_form_negativity_sq=cf_neg_sq,
-                )
-            )
+            rows.append(SweepRow(
+                param=param, discord=float(disc), negativity_sq=float(neg) * float(neg),
+                gap=float(gap), closed_form_discord=cf_disc, closed_form_negativity_sq=cf_neg_sq,
+            ))
     return rows
 
 

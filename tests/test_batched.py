@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gdneg
-from gdneg import bloch, io_cli, matrixcore, measures, states
+from gdneg import bloch, families, io_cli, matrixcore, measures, states
 from gdneg.errors import BoundViolation, CapViolation, InvalidDimension, InvalidRange, InvalidState
 from gdneg.families import FamilySpec, build
 from gdneg.io_cli import main, run_sample, run_verify, sample_states, sweep_rows, write_state
@@ -381,6 +381,24 @@ def test_passing_verify_builds_no_density_matrix(tmp_path, monkeypatch):
     report = run_verify(2, 3, 300, 13)
     assert report["passed"] is True
     assert report["oracle_states_checked"] == io_cli.VERIFY_ORACLE_SUBSAMPLE
+
+
+def test_sweep_builds_no_density_matrix_and_gates_each_chunk_once(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep member was built as a DensityMatrix")
+
+    gated = []
+
+    def counting(mats):
+        gated.append(len(mats))
+        return first_invalid_state(mats)
+
+    for module in (io_cli, families):
+        monkeypatch.setattr(module, "DensityMatrix", forbidden)
+    monkeypatch.setattr(states, "first_invalid_state", counting)
+    monkeypatch.setattr(families, "first_invalid_state", counting, raising=False)
+    assert len(sweep_rows("rho1", 0, 6, 500)) == 500
+    assert gated == [227, 227, 46]
 
 
 # Each path, the number of states it validates and measures, and how many

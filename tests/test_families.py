@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdneg import families
 from gdneg.errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
-from gdneg.families import FamilySpec, build, in_range, rho1_closed_forms, violates
+from gdneg.families import (
+    FamilySpec,
+    build,
+    in_range,
+    member_stack,
+    rho1_closed_forms,
+    violates,
+)
 from gdneg.matrixcore import hermitian_eigenvalues
 from gdneg.measures import bounds_check, negativity, pt_negative_count
 
@@ -203,3 +212,30 @@ def test_all_family_members_pass_bounds_check():
         report = bounds_check(build(spec))
         assert report.bounds_ok
         assert abs(report.negativity - negativity(build(spec))) <= 1e-15
+
+
+# Parameter ranges inside each documented window, where every member is a state.
+IN_WINDOW = {
+    "rho1": (st.floats(-5.0, 5.0), st.floats(0.1, 5.0)),
+    "rho2": (st.floats(0.0, 1.0, exclude_min=True),),
+    "rho3": (st.floats(1.75, 4.75),),
+    "rho4": (st.floats(3.5, 8.5),),
+}
+
+
+@st.composite
+def member_params(draw):
+    name = draw(st.sampled_from(sorted(IN_WINDOW)))
+    rows = st.tuples(*IN_WINDOW[name])
+    return name, np.array(draw(st.lists(rows, min_size=1, max_size=8)))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(member=member_params())
+def test_member_stack_rows_are_the_members_built_alone(member):
+    name, params = member
+    mats = member_stack(name, params)
+    assert mats.shape == (len(params), 6, 6)
+    for i, row in enumerate(params):
+        alone = build(FamilySpec(name, tuple(row)), allow_out_of_range=True).mat
+        assert np.array_equal(mats[i], alone)

@@ -9,7 +9,7 @@ import pytest
 import gdneg
 from gdneg import io_cli, measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
-from gdneg.families import FamilySpec, build
+from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import (
     main,
     read_state,
@@ -190,6 +190,51 @@ class TestSweep:
         assert main(args) == 1
         assert "window" in capsys.readouterr().err
         assert main(args + ["--allow-out-of-range"]) == 0
+
+    # 500 steps span three chunks of 227 states at 2x3.
+    @pytest.mark.parametrize(
+        "family, lo, hi", [("rho1", 0.0, 6.0), ("rho2", 0.01, 1.0), ("rho3", 1.75, 4.75),
+                           ("rho4", 3.5, 8.5)]
+    )
+    def test_rows_are_the_members_measured_alone(self, family, lo, hi):
+        rows = sweep_rows(family, lo, hi, 500)
+        assert len(rows) == 500
+        for row in rows:
+            params = (row.param, 1.0) if family == "rho1" else (row.param,)
+            report = bounds_check(build(FamilySpec(family, params)))
+            assert row.discord == report.discord
+            assert row.negativity_sq == report.negativity * report.negativity
+            assert row.gap == report.gap
+            if family == "rho1":
+                closed = (row.closed_form_negativity_sq, row.closed_form_discord)
+                assert closed == rho1_closed_forms(row.param, 1.0)
+
+    # The first failing member of a chunk ends the sweep, named as when members
+    # were built one at a time; the rho3 failures sit in the fifth chunk.
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["rho2", "0.5", "2", "31"],
+             "rho2(1.05,) is outside the documented parameter window; "
+             "pass allow_out_of_range=True to construct anyway"),
+            (["rho2", "0.5", "2", "31", "--allow-out-of-range"],
+             "rho2(1.05,): positivity invariant violated: min eigenvalue -0.000968906"),
+            (["rho3", "1.75", "5", "1000", "--allow-out-of-range"],
+             "rho3(4.791791791791791,): positivity invariant violated: "
+             "min eigenvalue -2.83934e-06"),
+            (["rho3", "1.75", "5", "1000"],
+             "rho3(4.752752752752753,) is outside the documented parameter window; "
+             "pass allow_out_of_range=True to construct anyway"),
+        ],
+    )
+    def test_failure_inside_a_stack_names_the_first_member(self, args, expected, tmp_path,
+                                                            capsys):
+        out = tmp_path / "rows.csv"
+        family, lo, hi, steps, *flag = args
+        argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", steps, *flag]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
 
 
 class TestSample:
