@@ -21,7 +21,8 @@ R[(i j),(k l)] = rho[(i k),(j l)] and vec(z) the row-major flattening,
     [vec(I_m), (m/2) vec(z_i^T)]^T  R  [vec(I_n), (n/2) vec(w_j^T)]
         = [[Tr rho, y^T], [x, T]],
 
-which `coefficient_stack` evaluates on a whole stack of states at once.
+which `coefficient_stack` evaluates on a whole stack of states at once;
+`g_stack` weights its rows [x, T] into B = [x, sqrt(2/n) T] and returns G = B B^T.
 
 Hermiticity is checked once, when a state is validated. The data here are
 the real parts of the traces, and Re Tr(rho X) = Tr(H X) for Hermitian X, so
@@ -107,11 +108,11 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
 
 
 def g_matrix(bf: BlochForm) -> np.ndarray:
-    """x x^T + (2/n) T T^T; real symmetric and positive semidefinite."""
-    return g_stack(bf.x[None], bf.T[None], bf.n)[0]
+    """G = B B^T with B = [x, sqrt(2/n) T]; real symmetric and positive semidefinite."""
+    return g_stack(np.column_stack([bf.x, bf.T])[None], bf.n)[0]
 
 
-def g_stack(x: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """`g_matrix` of each state, from (k, m^2-1) x and (k, m^2-1, n^2-1) T."""
-    g = x[:, :, None] * x[:, None, :] + (2.0 / n) * (t @ t.transpose(0, 2, 1))
-    return (g + g.transpose(0, 2, 1)) / 2
+def g_stack(xt: np.ndarray, n: int) -> np.ndarray:
+    """`g_matrix` of each state from its (k, m^2-1, n^2) rows [x, T] of `coefficient_stack`."""
+    b = xt * np.sqrt(np.r_[1.0, np.full(xt.shape[2] - 1, 2.0 / n)])
+    return b @ b.transpose(0, 2, 1)

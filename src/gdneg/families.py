@@ -15,6 +15,7 @@ parameter windows is permitted behind an explicit flag; positivity is always
 enforced after construction, by one gate per stack of members.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,21 @@ from .errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from .states import DensityMatrix, first_invalid_state
 from .tolerances import VIOLATES_MARGIN_FLOOR, VIOLATION_EPS
 
+
+def _rho1_entries(a, b):
+    """rho1's (p, q, r) after scaling (a, b) by a power of two into [1/2, 1).
+
+    The scaling is exact and rho1 depends on a/b alone, so every member keeps
+    its entries while p + q = a^2 + b^2 can no longer underflow or overflow.
+    """
+    e = np.frexp(np.maximum(np.abs(a), np.abs(b)))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    return a * a, b * b, a * b
+
+
 # name: (parameter count, template entries (p, q, r), documented window), on arrays too
 _FAMILIES = {
-    "rho1": (2, lambda a, b: (a * a, b * b, a * b), lambda a, b: b > 0.0),
+    "rho1": (2, _rho1_entries, lambda a, b: b > 0.0),
     "rho2": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a), lambda a: (0.0 < a) & (a <= 1.0)),
     "rho3": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 1.0), lambda a: (1.75 <= a) & (a <= 4.75)),
     "rho4": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 2.0), lambda a: (3.5 <= a) & (a <= 8.5)),
@@ -67,11 +80,10 @@ def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndar
     Raises InvalidRange for the first member outside the documented window,
     unless `allow_out_of_range`, then NotAState for the first that is not a
     state, found by one gate for the stack. That is the order of checking one
-    member at a time, as every in-window member is a state (for rho1, unless
-    p + q underflows or overflows): its template is two 2 x 2 blocks
-    [[p, r], [r, q]] whose determinant pq - r^2 is 0 for rho1, a - a^2 >= 0 for
-    rho2 on (0, 1], -a^2 + 5a - 1 > 0 for rho3 on [1.75, 4.75] and
-    -a^2 + 9a - 4 > 0 for rho4 on [3.5, 8.5].
+    member at a time, as every in-window member is a state: its template is
+    two 2 x 2 blocks [[p, r], [r, q]] whose determinant pq - r^2 is 0 for rho1,
+    a - a^2 >= 0 for rho2 on (0, 1], -a^2 + 5a - 1 > 0 for rho3 on
+    [1.75, 4.75] and -a^2 + 9a - 4 > 0 for rho4 on [3.5, 8.5].
     """
     params = np.asarray(params, dtype=float)
     _, entries, window = _FAMILIES[name]
@@ -106,16 +118,23 @@ def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:
     D = 2c^2/(c^2+1)^2 when c^2 >= 2, else (c^4 + 2c^2) / (2 (c^2 + 1)^2).
     Their difference N^2 - D is positive exactly for
     c^2 in (5 - sqrt 17, 2) union (2, inf) and zero at c^2 = 0, 5 - sqrt 17, 2.
+    They are evaluated in c^2 / 4^k and 1 / 4^k for c = f 2^k, k >= 0 and
+    f^2 < 4: scaling by a power of two is exact, so each value rounds as the
+    plain formula in c^2 does wherever c^2 is finite, and no square overflows.
     """
     if b <= 0:
         raise InvalidRange(f"rho1 requires b > 0, got b={b}")
-    c2 = (a / b) ** 2
-    denom = (c2 + 1.0) ** 2
-    neg_sq = (4.0 * c2 + 2.0 - 2.0 * np.sqrt(4.0 * c2 + 1.0)) / denom
-    if c2 >= 2.0:
-        disc = 2.0 * c2 / denom
+    (fa, ea), (fb, eb) = math.frexp(a), math.frexp(b)
+    k = max(ea - eb, 0) if a else 0
+    c2 = math.ldexp(fa / fb, ea - eb - k) ** 2
+    one = math.ldexp(1.0, -2 * k)
+    denom = (c2 + one) ** 2
+    root = math.ldexp(math.sqrt(4.0 * c2 + one), -k)
+    neg_sq = math.ldexp((4.0 * c2 + 2.0 * one - 2.0 * root) / denom, -2 * k)
+    if c2 >= 2.0 * one:
+        disc = math.ldexp(2.0 * c2 / denom, -2 * k)
     else:
-        disc = (c2 * c2 + 2.0 * c2) / (2.0 * denom)
+        disc = (c2 * c2 + 2.0 * one * c2) / (2.0 * denom)
     return float(neg_sq), float(disc)
 
 

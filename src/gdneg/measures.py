@@ -18,8 +18,8 @@ at once, 2^60 steps taken as 60 squarings of M, and keeps the best direction.
 
 Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
-expressions and the negative-eigenvalue count, and one stacked Bloch
-extraction feeds the discord; each check is one `errors.Check` over the
+expressions and the negative-eigenvalue count, and one spectrum of G per
+state gives the discord; each check is one `errors.Check` over the
 stack. The CLI runs it on chunks of states; `bounds_check` runs it on a stack
 of one and the single-state measures return its fields, so each formula and
 check exists once and each measure raises its state's first fault. The
@@ -131,13 +131,8 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
     neg = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
     count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
     cap = (m - 1) * (n - 1)
-    coeffs = bloch.coefficient_stack(mats, m, n)
-    x, t = coeffs[:, 1:, 0], coeffs[:, 1:, 1:]
-    lam = np.linalg.eigvalsh(bloch.g_stack(x, t, n))[:, ::-1]
-    top = np.sum(lam[:, : m - 1], axis=1)
-    raw = (2.0 / (m * (m - 1) * n)) * (
-        np.sum(x * x, axis=1) + (2.0 / n) * np.sum(t * t, axis=(1, 2)) - top
-    )
+    lam = np.linalg.eigvalsh(bloch.g_stack(bloch.coefficient_stack(mats, m, n)[:, 1:], n))
+    raw = (2.0 / (m * (m - 1) * n)) * np.sum(lam[:, : m * m - m], axis=1)
     disc = np.maximum(raw, 0.0)
     d_max = m / (m - 1)
     gap = neg * neg - disc
@@ -205,8 +200,9 @@ def pt_negative_count(rho: DensityMatrix) -> int:
 def gd_lower_bound(rho: DensityMatrix) -> float:
     """Correlation-tensor lower bound on geometric discord.
 
-    (2/(m(m-1)n)) [ ||x||^2 + (2/n)||T||^2 - sum of top m-1 eigenvalues of
-    G = x x^T + (2/n) T T^T ], clamped at zero within -1e-12 of solver noise.
+    (2/(m(m-1)n)) times the sum of all but the top m - 1 eigenvalues of
+    G = B B^T, B = [x, sqrt(2/n) T], that is Tr G = ||x||^2 + (2/n)||T||^2 less
+    them, clamped at zero within -1e-12 of solver noise.
     The field of `bounds_check`: it raises the state's first fault among all
     the checks.
     """
@@ -232,11 +228,8 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
     this holds for every real u, unit or not. On a (k, 2n, 2n) stack with
     a (k, 3) array of directions, matrix i is measured along u[i].
     """
-    u = np.asarray(u, dtype=float)
-    s = np.einsum("...a,aij->...ij", u, basis_stack(2))
-    mat = np.asarray(mat)
-    r4 = mat.reshape(*mat.shape[:-2], 2, n, 2, n)
-    return ((r4 + np.einsum("...ab,...bicj,...cd->...aidj", s, r4, s)) / 2).reshape(mat.shape)
+    s = np.einsum("...a,aij->...ij", np.asarray(u, dtype=float), _side_paulis(n))
+    return (mat + s @ mat @ s) / 2
 
 
 # Each squaring of the form doubles the steps u <- M u / ||M u|| taken from the

@@ -76,6 +76,32 @@ def test_non_finite_member_is_not_a_state():
         build(FamilySpec("rho1", (0.0, 0.0)), allow_out_of_range=True)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 1e-200), (1e-170, 1e-170), (1e200, 1.0), (-1e300, 1e-300)])
+def test_rho1_is_a_state_whatever_the_scale_of_a_and_b(a, b):
+    # a^2 + b^2 underflows or overflows here, but rho1 depends on a/b alone.
+    rho = build(FamilySpec("rho1", (a, b)))
+    assert np.all(np.isfinite(rho.mat))
+    assert bounds_check(rho).bounds_ok
+
+
+def test_rho1_at_a_tiny_scale_is_rho1_at_one():
+    tiny = build(FamilySpec("rho1", (1e-170, 1e-170)))
+    assert np.array_equal(tiny.mat, build(FamilySpec("rho1", (1.0, 1.0))).mat)
+    report = bounds_check(tiny)
+    assert report.discord == 0.375
+    assert abs(report.gap - (9 - 4 * np.sqrt(5.0)) / 8) <= 1e-15
+
+
+@pytest.mark.parametrize("a,b", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+                                 (0.0, 0.0)])
+def test_rho1_non_finite_or_zero_parameters_are_not_a_state(a, b):
+    with pytest.raises(NotAState) as info:
+        build(FamilySpec("rho1", (a, b)), allow_out_of_range=True)
+    assert str(info.value) == (
+        f"rho1({float(a)}, {float(b)}): finiteness invariant violated: non-finite entries"
+    )
+
+
 def test_unknown_family_and_bad_arity():
     with pytest.raises(UnknownFamily):
         FamilySpec("rho9", (1.0,))
@@ -114,6 +140,19 @@ class TestClosedForms:
         low_branch = (c2 * c2 + 2 * c2) / (2 * (c2 + 1) ** 2)
         assert abs(disc - 4 / 9) <= 1e-12
         assert abs(low_branch - 4 / 9) <= 1e-15
+
+    def test_no_square_overflows(self):
+        # N^2 -> 4/c^2 and D -> 2/c^2 as c grows; c^2 itself overflows at c = 1e155.
+        assert rho1_closed_forms(1e200, 1.0) == (0.0, 0.0)
+        neg_sq, disc = rho1_closed_forms(1e153, 1.0)
+        assert abs(neg_sq / 4e-306 - 1) <= 1e-12 and abs(disc / 2e-306 - 1) <= 1e-12
+        neg_sq, disc = rho1_closed_forms(1e-150, 1e-300)
+        assert abs(neg_sq / 4e-300 - 1) <= 1e-12 and abs(disc / 2e-300 - 1) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (3.0, 1.0), (-0.7, 0.4), (0.0, 2.0)])
+    def test_depends_on_a_over_b_alone(self, a, b):
+        for scale in (2.0**-600, 2.0**600):
+            assert rho1_closed_forms(a * scale, b * scale) == rho1_closed_forms(a, b)
 
     def test_requires_positive_b(self):
         with pytest.raises(InvalidRange):

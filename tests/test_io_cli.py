@@ -132,6 +132,17 @@ class TestSweep:
             assert abs(disc - cf_disc) <= 1e-10
             assert abs(neg_sq - cf_neg_sq) <= 1e-10
 
+    def test_rho1_far_out_sweep(self, tmp_path, capsys):
+        # c^2 = 1e400 is past the largest float; N^2 and D are 0 to the last bit.
+        out = tmp_path / "far.csv"
+        args = ["sweep", "--family", "rho1", "--from", "1e200", "--to", "1e201", "--steps", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        for line in lines[1:]:
+            assert line.split(",")[1:] == ["0.0"] * 5
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--family", "rho2", "--from", "0.01", "--to", "1", "--steps", "40"]
@@ -320,7 +331,7 @@ class TestVerify:
             "  states checked:        30\n"
             "  gap > 0 states:        0\n"
             "  oracle states checked: 20\n"
-            "  max oracle deviation:  1.942890293094024e-16\n"
+            "  max oracle deviation:  1.249000902703301e-16\n"
             "PASS\n"
         )
         assert not (tmp_path / "gdneg-verify-failure.json").exists()
@@ -332,7 +343,7 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "verify 2x3: count=30 seed=7\n"
             "  states checked before failure: 0\n"
-            "  failure: oracle deviation 4.85722573273506e-17 exceeds -1.0\n"
+            "  failure: oracle deviation 2.7755575615628914e-17 exceeds -1.0\n"
             "  failing state written to gdneg-verify-failure.json\n"
             "FAIL\n"
         )
@@ -458,8 +469,8 @@ class TestGoldenJson:
     def test_analyze_rho1_52(self, tmp_path, capsys):
         assert main(["analyze", str(write_rho1_file(tmp_path)), "--json"]) == 0
         assert capsys.readouterr().out == (
-            '{"bounds_ok": true, "discord": 0.2378121284185494, "discord_exact": true, '
-            '"gap": 0.08184467962548267, "m": 2, "n": 3, "negativity": 0.565382001874867, '
+            '{"bounds_ok": true, "discord": 0.23781212841854937, "discord_exact": true, '
+            '"gap": 0.0818446796254827, "m": 2, "n": 3, "negativity": 0.565382001874867, '
             '"negativity_sq": 0.31965680804403207, "pt_negative_cap": 2, '
             '"pt_negative_count": 2}\n'
         )
@@ -469,8 +480,8 @@ class TestGoldenJson:
         assert main(args) == 0
         assert capsys.readouterr().out == (
             '{"bound_failures": 0, "count": 300, "dims": [2, 3], '
-            '"ensemble": "hilbert-schmidt", "max_gap": -0.02435469727442253, '
-            '"min_gap": -0.14555656529583288, "seed": 42, "violations": 0}\n'
+            '"ensemble": "hilbert-schmidt", "max_gap": -0.02435469727442255, '
+            '"min_gap": -0.145556565295833, "seed": 42, "violations": 0}\n'
         )
 
     def test_verify_keys_on_pass(self, capsys):

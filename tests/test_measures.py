@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdneg import measures
 from gdneg.errors import (
@@ -30,6 +32,7 @@ from gdneg.measures import (
     pure_negativity,
     schmidt,
 )
+from gdneg.states import first_invalid_state
 
 
 def rho1(a, b):
@@ -119,6 +122,14 @@ class TestGeometricDiscord:
         _, expected = rho1_closed_forms(a, b)
         value, _ = geometric_discord(rho1(a, b))
         assert abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e2, 1e4, 1e6, 1e8])
+    def test_small_discord_keeps_its_relative_precision(self, c):
+        # D = 2c^2/(c^2+1)^2 is about 2/c^2 here. Summing G's small eigenvalues
+        # keeps it to rounding; Tr G less the top one would cancel its digits away.
+        _, expected = rho1_closed_forms(c, 1.0)
+        value, _ = geometric_discord(rho1(c, 1.0))
+        assert abs(value / expected - 1) <= 1e-14
 
     def test_branch_boundary_value(self):
         # both branches give 4/9 at c^2 = 2
@@ -409,3 +420,63 @@ class TestStateValidation:
     def test_pure_state_amplitude_count(self):
         with pytest.raises(InvalidState, match="amplitude vector length 5 does not match"):
             PureState(2, 3, np.ones(5) / np.sqrt(5))
+
+
+# ---------------------------------------------------------------------------
+# Properties of the kernel's N and D = (2/(m(m-1)n)) (sum of all but the top
+# m - 1 eigenvalues of G), each over a seeded stack of states.
+
+
+def low_rank_states(d, rank, k, rng):
+    g = rng.standard_normal((k, d, rank)) + 1j * rng.standard_normal((k, d, rank))
+    mats = g @ g.conj().transpose(0, 2, 1)
+    return mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+
+
+def haar_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def measured(mats, m, n):
+    assert first_invalid_state(mats) is None
+    result = measures._measure_stack(mats, m, n)
+    assert result.ok.all()
+    return result
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    dims_rank=st.sampled_from([(2, 3), (3, 3)]).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.integers(1, dims[0] * dims[1]))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measures_are_invariant_under_local_unitaries(dims_rank, seed):
+    # (V (x) W) rho (V (x) W)^dag rotates x, T and so G by orthogonal maps and
+    # the PT spectrum by a unitary: N and D do not move.
+    (m, n), rank = dims_rank
+    rng = np.random.default_rng(seed)
+    mats = low_rank_states(m * n, rank, 8, rng)
+    local = np.kron(haar_unitary(m, rng), haar_unitary(n, rng))
+    rotated = local @ mats @ local.conj().T
+    before, after = measured(mats, m, n), measured(rotated, m, n)
+    assert np.max(np.abs(after.negativity - before.negativity)) <= 1e-12
+    assert np.max(np.abs(after.discord - before.discord)) <= 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_discord_bounds_the_squared_negativity_at_2x2(rank, seed):
+    # D >= N^2 for every 2 (x) 2 state (Girolami & Adesso).
+    mats = low_rank_states(4, rank, 32, np.random.default_rng(seed))
+    assert np.max(measured(mats, 2, 2).gap) <= 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_pure_qubit_states_have_discord_equal_to_squared_negativity(n, seed):
+    # Both are 4 c_1^2 c_2^2 for Schmidt coefficients c_1, c_2.
+    mats = low_rank_states(2 * n, 1, 16, np.random.default_rng(seed))
+    assert np.max(np.abs(measured(mats, 2, n).gap)) <= 1e-12
