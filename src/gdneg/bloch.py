@@ -112,7 +112,15 @@ def g_matrix(bf: BlochForm) -> np.ndarray:
     return g_stack(np.column_stack([bf.x, bf.T])[None], bf.n)[0]
 
 
+@lru_cache(maxsize=None)
+def _column_weights(columns: int, n: int) -> np.ndarray:
+    """The read-only weights sqrt([1, 2/n, ..., 2/n]) that turn the columns [x, T] into B."""
+    weights = np.sqrt(np.r_[1.0, np.full(columns - 1, 2.0 / n)])
+    weights.setflags(write=False)
+    return weights
+
+
 def g_stack(xt: np.ndarray, n: int) -> np.ndarray:
     """`g_matrix` of each state from its (k, m^2-1, n^2) rows [x, T] of `coefficient_stack`."""
-    b = xt * np.sqrt(np.r_[1.0, np.full(xt.shape[2] - 1, 2.0 / n)])
+    b = xt * _column_weights(xt.shape[2], n)
     return b @ b.transpose(0, 2, 1)

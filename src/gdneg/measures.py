@@ -13,7 +13,8 @@ Tr rho^2 - u^T M u, with M a 3 x 3 form built once per state from explicit
 Pauli products of rho by the two measurement identities, not from Bloch data:
 it reads no G matrix and solves no eigenproblem. For a whole stack of
 2 (x) n states it climbs the sphere by u <- M u / ||M u|| from the three axes
-at once, 2^60 steps taken as 60 squarings of M, and keeps the best direction.
+at once, 2^60 steps taken as 10 blocks of 6 squarings of M with one trace
+normalisation per block, and keeps the best direction.
 `gd_bruteforce_2xn` runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
@@ -234,8 +235,13 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
 
 # Each squaring of the form doubles the steps u <- M u / ||M u|| taken from the
 # three axes: after p steps from the best axis u^T M u is within 1/(p e) of its
-# maximum whatever M's eigengap, so 2^60 steps leave less than 1e-18.
+# maximum whatever M's eigengap, so 2^60 steps leave less than 1e-18. They are
+# taken as 10 blocks of 6 squarings, one trace normalisation per block: a PSD
+# P of unit trace has top eigenvalue at least 1/3 and no entry above 1, so
+# after 6 squarings its top eigenvalue is at least 3^-64 (about 3e-31), far
+# above the smallest normal float, and no entry overflows.
 _ASCENT_SQUARINGS = 60
+_SQUARINGS_PER_NORMALISATION = 6
 
 
 @lru_cache(maxsize=None)
@@ -278,9 +284,12 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     It climbs the sphere by u <- M u / ||M u||. M is a Gram matrix, so u^T M u
     is convex and each step maximizes its linearization over the sphere: no
     step lowers the value. The climb starts from the three axes at once and
-    takes its 2^60 steps as 60 squarings P <- P P / Tr(P P) from P = M, so
-    column j of P is axis j climbed; see `_ASCENT_SQUARINGS` for why that
-    ends within 1e-18 of the maximum. Each value is Tr rho^2 minus the best
+    takes its 2^60 steps as 10 blocks of 6 squarings P <- P P from
+    P = M / Tr M, with one trace normalisation per block, so column j of P is
+    axis j climbed; a positive scale changes no direction. See
+    `_ASCENT_SQUARINGS` for why that ends within 1e-18 of the maximum and
+    why 6 squarings of a unit-trace P neither underflow (its top eigenvalue
+    stays above 3^-64) nor overflow. Each value is Tr rho^2 minus the best
     u^T M u among the three normalized columns, so it is attained by an
     explicit unit u and never falls below the true minimum. n < 2 raises
     InvalidDimension.
@@ -299,9 +308,10 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     # never blown up past unit length, and a zero column scores 0.
     tiny = np.finfo(float).tiny
     p = form
-    for _ in range(_ASCENT_SQUARINGS):
-        p = p @ p
-        p /= np.maximum(np.trace(p, axis1=1, axis2=2), tiny)[:, None, None]
+    for _ in range(_ASCENT_SQUARINGS // _SQUARINGS_PER_NORMALISATION):
+        p = p / np.maximum(np.einsum("kii->k", p), tiny)[:, None, None]
+        for _ in range(_SQUARINGS_PER_NORMALISATION):
+            p = p @ p
     u = p.transpose(0, 2, 1)
     u = u / np.maximum(np.abs(u).max(axis=2, keepdims=True), tiny)
     u = u / np.maximum(np.linalg.norm(u, axis=2, keepdims=True), 1.0)

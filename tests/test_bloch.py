@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdneg import bloch
 from gdneg.bloch import BlochForm, decompose, g_matrix, reconstruct
 from gdneg.errors import DimensionMismatch
 from gdneg.families import FamilySpec, build
@@ -108,6 +109,16 @@ def test_g_matrix_is_psd_on_random_states():
             g = g_matrix(decompose(random_density_matrix(m, n, rng)))
             assert np.allclose(g, g.T, atol=1e-14)
             assert np.linalg.eigvalsh(g).min() >= -1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_g_stack_weights_are_cached_read_only_and_exact(n):
+    # B = [x, sqrt(2/n) T]: the cached weights are the ones built inline, bit for bit.
+    weights = bloch._column_weights(n * n, n)
+    assert weights is bloch._column_weights(n * n, n)
+    assert np.array_equal(weights, np.sqrt(np.r_[1.0, np.full(n * n - 1, 2.0 / n)]))
+    with pytest.raises(ValueError):
+        weights[0] = 0
 
 
 def test_marginal_consistency():

@@ -331,7 +331,7 @@ class TestVerify:
             "  states checked:        30\n"
             "  gap > 0 states:        0\n"
             "  oracle states checked: 20\n"
-            "  max oracle deviation:  1.249000902703301e-16\n"
+            "  max oracle deviation:  1.3877787807814457e-16\n"
             "PASS\n"
         )
         assert not (tmp_path / "gdneg-verify-failure.json").exists()
@@ -343,7 +343,7 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "verify 2x3: count=30 seed=7\n"
             "  states checked before failure: 0\n"
-            "  failure: oracle deviation 2.7755575615628914e-17 exceeds -1.0\n"
+            "  failure: oracle deviation 1.1102230246251565e-16 exceeds -1.0\n"
             "  failing state written to gdneg-verify-failure.json\n"
             "FAIL\n"
         )

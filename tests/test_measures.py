@@ -480,3 +480,24 @@ def test_pure_qubit_states_have_discord_equal_to_squared_negativity(n, seed):
     # Both are 4 c_1^2 c_2^2 for Schmidt coefficients c_1, c_2.
     mats = low_rank_states(2 * n, 1, 16, np.random.default_rng(seed))
     assert np.max(np.abs(measured(mats, 2, n).gap)) <= 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    dims_rank=st.sampled_from([(2, 3), (3, 3)]).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.integers(1, dims[0] * dims[1]))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partial_transpose_has_at_most_the_capped_number_of_negative_eigenvalues(
+    dims_rank, seed
+):
+    # The partial transpose of an m (x) n state has at most (m-1)(n-1) negative
+    # eigenvalues (Rana, PRA 87, 054301, 2013). Counted here from a partial
+    # transpose made by swapping the two B indices, and compared with the kernel.
+    (m, n), rank = dims_rank
+    mats = low_rank_states(m * n, rank, 16, np.random.default_rng(seed))
+    swapped = mats.reshape(-1, m, n, m, n).transpose(0, 1, 4, 3, 2).reshape(-1, m * n, m * n)
+    count = np.sum(np.linalg.eigvalsh(swapped) < -1e-10, axis=1)
+    assert count.max() <= (m - 1) * (n - 1)
+    assert np.array_equal(measured(mats, m, n).pt_negative_count, count)

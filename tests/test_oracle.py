@@ -5,9 +5,12 @@ measurements for a whole stack. Each value is Tr rho^2 - u^T M u, with
 M_ab = Re Tr(rho S_a rho S_b) and S_a = sigma_a (x) I_n, a 3 x 3 form built
 from rho's entries by explicit Pauli products, at the best of three
 directions climbed from the axes by u <- M u / ||M u||, 2^60 steps taken as
-60 squarings of M. The formula reaches the same optimum through the Bloch
-vector, the correlation tensor and an eigenvalue, so the two share no code.
-These tests pin the oracle to the single-state oracle, to the
+10 blocks of 6 squarings of M, one trace normalisation per block: a PSD form
+of unit trace has top eigenvalue at least 1/3, so 6 squarings leave it above
+3^-64 and no entry overflows. The formula reaches the same optimum through
+the Bloch vector, the correlation tensor and an eigenvalue, so the two share
+no code. These tests pin the oracle to a copy of the climb that normalises
+after every squaring, to the single-state oracle, to the
 correlation-tensor formula on random and pure states, to the top eigenvalue
 of M (so a search error shows apart from a formula error), to itself under
 local unitaries, and to the right value where the objective is flat, where
@@ -241,3 +244,51 @@ def test_columns_that_decay_below_the_square_root_of_the_smallest_float(top, nea
                      for row in c])
     exact = (c[:, near] ** 2 + 0.01) / 2
     assert np.max(np.abs(gd_bruteforce_stack(mats, 2) - exact)) <= 1e-12
+
+
+def per_squaring_climb(mats, n):
+    # Reference climb: the same 60 squarings, each followed by a trace
+    # normalisation, so no entry ever strays far from unit scale.
+    form = measures._form(mats, n)
+    tiny = np.finfo(float).tiny
+    p = form
+    for _ in range(60):
+        p = p @ p
+        p /= np.maximum(np.trace(p, axis1=1, axis2=2), tiny)[:, None, None]
+    u = p.transpose(0, 2, 1)
+    u = u / np.maximum(np.abs(u).max(axis=2, keepdims=True), tiny)
+    u = u / np.maximum(np.linalg.norm(u, axis=2, keepdims=True), 1.0)
+    return hs_norm_sq(mats) - measures._form_values(form, u).max(axis=1)
+
+
+def bell_diagonal_stack(c):
+    return np.array([(np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(row, PAULI))) / 4
+                     for row in c])
+
+
+@pytest.mark.parametrize("ensemble", ["hilbert-schmidt", "pure"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_normalised_climb_matches_the_per_squaring_climb(n, ensemble):
+    # Scaling by a positive number changes no direction, so normalising once
+    # per block moves the values by rounding alone.
+    mats = states(n, 200, 150 + n, ensemble)
+    assert np.max(np.abs(oracle_in_chunks(mats, n) - per_squaring_climb(mats, n))) <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 0.0])
+def test_block_normalised_climb_matches_on_a_near_tie(eps):
+    rng = np.random.default_rng(140)
+    local = [np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(5)]
+    rho = bell_diagonal_stack([(0.4, 0.4 - eps, 0.1)])[0]
+    mats = np.array([v @ rho @ v.conj().T for v in local])
+    assert np.max(np.abs(gd_bruteforce_stack(mats, 2) - per_squaring_climb(mats, 2))) <= 1e-15
+
+
+@pytest.mark.parametrize("top,near", [(0, 1), (1, 2), (2, 0)])
+def test_block_normalised_climb_matches_where_a_column_underflows(top, near):
+    ks = np.arange(1, 400)
+    c = np.full((len(ks), 3), 0.1)
+    c[:, top] = 0.4
+    c[:, near] = 0.4 - ks * np.spacing(0.4)
+    mats = bell_diagonal_stack(c)
+    assert np.max(np.abs(gd_bruteforce_stack(mats, 2) - per_squaring_climb(mats, 2))) <= 1e-15
