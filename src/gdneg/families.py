@@ -9,13 +9,14 @@ normalized by 2(p + q):
     rho3(a):    p = 3a + 1, q = a,   r = 2a - 1   (7/4 <= a <= 19/4)
     rho4(a):    p = 3a + 1, q = a,   r = 2a - 2   (7/2 <= a <= 17/2)
 
-For rho1 closed forms for the squared negativity and the geometric discord
-are provided in terms of c = a/b. Construction outside the documented
-parameter windows is permitted behind an explicit flag; positivity is always
-enforced after construction, by one gate per stack of members.
+With P, Q, R = p/s, q/s, r/s and s = p + q, every member has the closed forms
+N = sqrt(Q^2 + 4R^2) - Q and D = min(2R^2, R^2 + P^2/2), so its gap N^2 - D
+is positive exactly when |r| > sqrt(2) q on the branch R^2 <= P^2/2, and
+`violates` checks each measured gap against them. Construction outside the
+documented parameter windows is permitted behind an explicit flag; positivity
+is always enforced after construction, by one gate per stack of members.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import measures
 from .errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from .states import DensityMatrix, first_invalid_state
-from .tolerances import VIOLATES_MARGIN_FLOOR, VIOLATION_EPS
+from .tolerances import CLOSED_FORM_ATOL, VIOLATION_EPS
 
 
 def _rho1_entries(a, b):
@@ -111,6 +112,24 @@ def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:
     return DensityMatrix(2, 3, member_stack(spec.name, [spec.params], allow_out_of_range)[0])
 
 
+def template_closed_forms(p, q, r):
+    """Closed-form (squared negativity, geometric discord) of the template (p, q, r), on arrays.
+
+    With P, Q, R = p/s, q/s, r/s and s = p + q, the partial transpose splits
+    into two 2 x 2 blocks [[Q, R], [R, 0]] / 2 and their mirror, each with one
+    negative eigenvalue, so N = sqrt(Q^2 + 4R^2) - Q, evaluated as
+    4R^2 / (sqrt(Q^2 + 4R^2) + Q) for Q > 0 so that no digits cancel when R is
+    small. G = diag(3R^2, 3R^2, 3P^2/2), so D = min(2R^2, R^2 + P^2/2). At
+    Q = R = 0 both are 0.
+    """
+    s = p + q
+    p, q, r = p / s, q / s, r / s  # P, Q, R
+    r2 = r * r
+    root = np.sqrt(q * q + 4.0 * r2)
+    neg = np.divide(4.0 * r2, root + q, out=np.asarray(root - q), where=q > 0.0)
+    return neg * neg, np.minimum(2.0 * r2, r2 + 0.5 * p * p)
+
+
 def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:
     """Closed-form (squared negativity, geometric discord) for rho1(a, b).
 
@@ -118,23 +137,13 @@ def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:
     D = 2c^2/(c^2+1)^2 when c^2 >= 2, else (c^4 + 2c^2) / (2 (c^2 + 1)^2).
     Their difference N^2 - D is positive exactly for
     c^2 in (5 - sqrt 17, 2) union (2, inf) and zero at c^2 = 0, 5 - sqrt 17, 2.
-    They are evaluated in c^2 / 4^k and 1 / 4^k for c = f 2^k, k >= 0 and
-    f^2 < 4: scaling by a power of two is exact, so each value rounds as the
-    plain formula in c^2 does wherever c^2 is finite, and no square overflows.
+    They are `template_closed_forms` at rho1's entries, which are scaled
+    exactly by a power of two, so they depend on a/b alone and no square
+    overflows; N keeps its relative precision as c goes to 0.
     """
     if b <= 0:
         raise InvalidRange(f"rho1 requires b > 0, got b={b}")
-    (fa, ea), (fb, eb) = math.frexp(a), math.frexp(b)
-    k = max(ea - eb, 0) if a else 0
-    c2 = math.ldexp(fa / fb, ea - eb - k) ** 2
-    one = math.ldexp(1.0, -2 * k)
-    denom = (c2 + one) ** 2
-    root = math.ldexp(math.sqrt(4.0 * c2 + one), -k)
-    neg_sq = math.ldexp((4.0 * c2 + 2.0 * one - 2.0 * root) / denom, -2 * k)
-    if c2 >= 2.0 * one:
-        disc = math.ldexp(2.0 * c2 / denom, -2 * k)
-    else:
-        disc = (c2 * c2 + 2.0 * one * c2) / (2.0 * denom)
+    neg_sq, disc = template_closed_forms(*_rho1_entries(float(a), float(b)))
     return float(neg_sq), float(disc)
 
 
@@ -143,19 +152,16 @@ def violates(spec: FamilySpec, allow_out_of_range: bool = False) -> tuple[bool, 
 
     The margin is the gap of `measures.bounds_check`, and a violation is
     flagged only when it exceeds the noise floor 1e-12 that `sample` and
-    `verify` use, so the zeros of the gap do not count. For rho1 the sufficient
-    analytic criterion a^2 > 2 b^2 is cross-checked: such parameters are
-    guaranteed to violate, so a nonpositive margin there signals a fault.
-    (The converse does not hold: rho1 also violates on part of a^2 < 2 b^2.
-    Its exact violation region is c^2 = a^2/b^2 in (5 - sqrt 17, 2) union
-    (2, inf).)
+    `verify` use, so the zeros of the gap do not count. Every member's margin
+    is cross-checked against `template_closed_forms` at its entries: a
+    difference above CLOSED_FORM_ATOL, or a NaN, raises BoundViolation.
     """
     margin = measures.bounds_check(build(spec, allow_out_of_range=allow_out_of_range)).gap
-    if spec.name == "rho1":
-        a, b = spec.params
-        if a * a > 2.0 * b * b and margin <= VIOLATES_MARGIN_FLOOR:
-            raise BoundViolation(
-                f"rho1({a}, {b}) satisfies a^2 > 2b^2 but measured "
-                f"N^2 - D = {margin!r}"
-            )
+    neg_sq, disc = template_closed_forms(*_FAMILIES[spec.name][1](*spec.params))
+    closed = float(neg_sq - disc)
+    if not abs(margin - closed) <= CLOSED_FORM_ATOL:
+        raise BoundViolation(
+            f"{spec.name}{spec.params}: measured N^2 - D = {margin!r} but the "
+            f"closed forms give {closed!r}"
+        )
     return margin > VIOLATION_EPS, margin

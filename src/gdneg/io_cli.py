@@ -42,10 +42,9 @@ from .errors import (
     UnknownFamily,
     first_fault,
 )
-from .families import FAMILY_NAMES, member_stack, rho1_closed_forms
+from .families import FAMILY_NAMES, _rho1_entries, member_stack, template_closed_forms
 from .measures import (
     DensityMatrix,
-    PureState,
     _identity_checks,
     _measure_stack,
     bounds_check,
@@ -168,16 +167,17 @@ def sweep_rows(
     size = _chunk_size(6)
     for start in range(0, len(params), size):
         chunk = params[start : start + size]
-        mats = member_stack(family, members[start : start + size], allow_out_of_range)
+        block = members[start : start + size]
+        mats = member_stack(family, block, allow_out_of_range)
         measured = _measure_stack(mats, 2, 3)
         fault = first_fault(measured.checks)
         if fault is not None:
             raise fault[1]
-        columns = zip(chunk, measured.negativity, measured.discord, measured.gap)
-        for param, neg, disc, gap in columns:
-            cf_disc = cf_neg_sq = None
-            if family == "rho1":
-                cf_neg_sq, cf_disc = rho1_closed_forms(param, 1.0)
+        closed = [[None] * len(chunk)] * 2
+        if family == "rho1":  # one array call per chunk, as Python floats
+            closed = [col.tolist() for col in template_closed_forms(*_rho1_entries(*block.T))]
+        columns = zip(chunk, measured.negativity, measured.discord, measured.gap, *closed)
+        for param, neg, disc, gap, cf_neg_sq, cf_disc in columns:
             rows.append(SweepRow(
                 param=param, discord=float(disc), negativity_sq=float(neg) * float(neg),
                 gap=float(gap), closed_form_discord=cf_disc, closed_form_negativity_sq=cf_neg_sq,
@@ -216,16 +216,6 @@ def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((k, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     return v / np.linalg.norm(v, axis=1)[:, None]
-
-
-def random_density_matrix(m: int, n: int, rng: np.random.Generator) -> DensityMatrix:
-    """Hilbert-Schmidt-distributed state: G G^dag / Tr(G G^dag), G square Ginibre."""
-    return DensityMatrix(m, n, _hs_stack(m * n, 1, rng)[0])
-
-
-def random_pure_state(m: int, n: int, rng: np.random.Generator) -> PureState:
-    """Normalized complex Gaussian vector."""
-    return PureState(m, n, _unit_vectors(m * n, 1, rng)[0])
 
 
 def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):

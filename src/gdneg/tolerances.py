@@ -19,7 +19,7 @@ IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only 
 SCHMIDT_CUTOFF = 1e-12  # Schmidt coefficients at or below this are rounding noise of a zero
 
 # Verdicts (families, io_cli).
-VIOLATES_MARGIN_FLOOR = -1e-9  # rho1 with a^2 > 2 b^2 must violate; a margin below this is a fault
+CLOSED_FORM_ATOL = 1e-12  # a family member's measured gap against its closed forms: rounding only
 VIOLATION_EPS = 1e-12  # a gap N^2 - D counts as a violation only when it clears float noise
 # Oracle against formula in `verify`: the oracle's climb ends within 1e-18 of
 # its maximum, so the two differ by rounding of their sums (at most 1.55e-15

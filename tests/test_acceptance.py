@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from gdneg.bloch import decompose, g_matrix, reconstruct
-from gdneg.families import FamilySpec, build, rho1_closed_forms, violates
-from gdneg.io_cli import main, random_pure_state, sample_states, write_state
+from gdneg.families import FamilySpec, build, rho1_closed_forms, template_closed_forms, violates
+from gdneg.io_cli import main, sample_states, write_state
 from gdneg.matrixcore import hermitian_eigenvalues, partial_transpose
 from gdneg.measures import (
     gd_bruteforce_2xn,
@@ -22,6 +22,8 @@ from gdneg.measures import (
     pure_negativity,
     schmidt,
 )
+
+from random_states import random_pure_state
 
 ROOT26 = np.sqrt(26.0)
 EXACT_GAP_52 = (232 - 32 * ROOT26) / 841
@@ -35,6 +37,15 @@ EXACT_GAP_52 = (232 - 32 * ROOT26) / 841
 # but not necessary.
 RHO1_LOWER_ZERO_C2 = 5 - np.sqrt(17.0)
 RHO1_REGION = "c^2 in (5 - sqrt(17), 2) or c^2 > 2"
+
+
+# The template entries (p, q, r) of rho2-rho4 at parameter a, as the paper
+# writes their matrices: diagonal (p, q, 0, 0, q, p), couplings r, over 2(p + q).
+TEMPLATE_ENTRIES = {
+    "rho2": lambda a: (3 * a + 1, a, 2 * a),
+    "rho3": lambda a: (3 * a + 1, a, 2 * a - 1),
+    "rho4": lambda a: (3 * a + 1, a, 2 * a - 2),
+}
 
 
 def _in_rho1_region(c2):
@@ -266,6 +277,15 @@ def test_criterion_8_figure_data(tmp_path):
         all(row[3] > 0 for row in rows[family][1:-1]) for family in ("rho2", "rho3", "rho4")
     )
 
+    # Columns: param, discord, negativity_sq, gap.
+    closed_dev = 0.0
+    for family, entries in TEMPLATE_ENTRIES.items():
+        table = np.array(rows[family])
+        neg_sq, disc = template_closed_forms(*entries(table[:, 0]))
+        closed_dev = max(closed_dev, np.max(np.abs(table[:, 2] - neg_sq)),
+                         np.max(np.abs(table[:, 1] - disc)))
+    closed_ok = closed_dev <= 1e-12
+
     crossing_offenders = [
         (row[0], row[3])
         for row in rows["rho1"]
@@ -273,18 +293,20 @@ def test_criterion_8_figure_data(tmp_path):
     ]
     crossing_ok = not crossing_offenders
 
-    ok = deterministic and interior_ok and crossing_ok
-    detail = f"deterministic={deterministic}, rho2-4 interior gaps positive={interior_ok}"
+    ok = deterministic and interior_ok and closed_ok and crossing_ok
+    detail = (f"deterministic={deterministic}, rho2-4 interior gaps positive={interior_ok}, "
+              f"max dev from closed forms={closed_dev:.2e}")
     if crossing_offenders:
         c, gap = crossing_offenders[0]
         detail += (
             f"; rho1 gap sign does not follow {RHO1_REGION}: {len(crossing_offenders)} "
             f"offending rows, e.g. c={c:.4f} with gap={gap:.4g}"
         )
-    _report(8, f"sweep figure data: determinism, rho2-4 gaps, rho1 gap > 0 iff {RHO1_REGION}",
-            ok, detail)
+    _report(8, f"sweep figure data: determinism, rho2-4 gaps and closed forms, rho1 gap > 0 "
+            f"iff {RHO1_REGION}", ok, detail)
     assert deterministic
     assert interior_ok
+    assert closed_ok, f"rho2-4 sweep rows are {closed_dev!r} off their closed forms"
     assert crossing_ok, (
         f"rho1 sweep gap is not (> 0 for {RHO1_REGION}, <= 0 elsewhere): "
         f"{len(crossing_offenders)} rows disagree, first at c={crossing_offenders[0][0]!r} "

@@ -25,6 +25,8 @@ from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
 from gdneg.states import first_invalid_state
 
+from random_states import random_pure_state
+
 DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
 
 
@@ -352,7 +354,7 @@ def test_pure_chunk_rows_equal_lone_draws(m, n):
     size = io_cli._chunk_size(m * n)
     chunk = io_cli._unit_vectors(m * n, size, np.random.default_rng(30))
     rng = np.random.default_rng(30)
-    lone = [io_cli.random_pure_state(m, n, rng).amplitudes for _ in range(size)]
+    lone = [random_pure_state(m, n, rng).amplitudes for _ in range(size)]
     assert np.array_equal(chunk, np.array(lone))
 
 

@@ -5,9 +5,10 @@ from gdneg import bloch
 from gdneg.bloch import BlochForm, decompose, g_matrix, reconstruct
 from gdneg.errors import DimensionMismatch
 from gdneg.families import FamilySpec, build
-from gdneg.io_cli import random_density_matrix
 from gdneg.matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_trace_b
 from gdneg.su_generators import basis_for, basis_stack
+
+from random_states import random_density_matrix
 
 
 def rho1(a, b):

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdneg import families
+from gdneg import families, measures
 from gdneg.errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from gdneg.families import (
     FamilySpec,
@@ -11,6 +13,7 @@ from gdneg.families import (
     in_range,
     member_stack,
     rho1_closed_forms,
+    template_closed_forms,
     violates,
 )
 from gdneg.matrixcore import hermitian_eigenvalues
@@ -158,6 +161,38 @@ class TestClosedForms:
         with pytest.raises(InvalidRange):
             rho1_closed_forms(1.0, 0.0)
 
+    @pytest.mark.parametrize("c, expected", [(1e-4, 4e-16 - 16e-24), (1e-8, 4e-32)])
+    def test_small_c_keeps_its_relative_precision(self, c, expected):
+        # N^2 = 4c^4 - 16c^6 + O(c^8); sqrt(4c^2 + 1) - 1 would cancel its digits away.
+        neg_sq, _ = rho1_closed_forms(c, 1.0)
+        assert abs(neg_sq / expected - 1) <= 1e-12
+
+    def test_rho2_at_zero_is_zero_not_nan(self):
+        # rho2(0) has q = r = 0: a product state, whose N and D vanish.
+        assert template_closed_forms(1.0, 0.0, 0.0) == (0.0, 0.0)
+        assert violates(FamilySpec("rho2", (0.0,)), allow_out_of_range=True) == (False, 0.0)
+
+
+# Template entries (p, q, r) with r^2 <= pq: every such member is a state.
+TEMPLATE = st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(-1.0, 1.0)).filter(
+    lambda e: e[0] + e[1] > 0.0
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(entries=st.lists(TEMPLATE, min_size=1, max_size=16))
+def test_template_closed_forms_match_the_kernel(entries):
+    p, q, t = np.array(entries).T
+    r = t * np.sqrt(p * q)
+    mats = np.zeros((len(p), 6, 6), dtype=complex)
+    for (i, j), v in {(0, 0): p, (5, 5): p, (1, 1): q, (4, 4): q,
+                      (0, 4): r, (4, 0): r, (1, 5): r, (5, 1): r}.items():
+        mats[:, i, j] = v / (2.0 * (p + q))
+    measured = measures._measure_stack(mats, 2, 3)
+    neg_sq, disc = template_closed_forms(p, q, r)
+    assert np.max(np.abs(measured.negativity**2 - neg_sq)) <= 1e-12
+    assert np.max(np.abs(measured.discord - disc)) <= 1e-12
+
 
 def test_rho1_numeric_matches_closed_forms_on_grid():
     for a in np.linspace(0.0, 5.0, 11):
@@ -197,11 +232,19 @@ class TestViolationRegion:
         flag, margin = violates(FamilySpec("rho1", (c, 1.0)))
         assert flag == expected, f"c={c}: margin={margin}"
 
-    def test_margin_below_the_floor_is_a_fault(self, monkeypatch):
-        # rho1(5, 2) has a^2 > 2 b^2, so a margin at or below the floor is a fault.
-        monkeypatch.setattr(families, "VIOLATES_MARGIN_FLOOR", 1.0)
-        with pytest.raises(BoundViolation, match=r"rho1\(5\.0, 2\.0\) satisfies a\^2 > 2b\^2"):
-            violates(FamilySpec("rho1", (5, 2)))
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("spec, member", [
+        (FamilySpec("rho1", (5, 2)), "rho1(5.0, 2.0)"), (FamilySpec("rho2", (0.5,)), "rho2(0.5,)"),
+        (FamilySpec("rho3", (3.0,)), "rho3(3.0,)"), (FamilySpec("rho4", (6.0,)), "rho4(6.0,)"),
+    ])
+    def test_gap_off_its_closed_forms_is_a_fault(self, monkeypatch, spec, member, which):
+        # Closed forms off by 1e-6 in N^2 or in D: the measured gap no longer matches them.
+        exact = families.template_closed_forms
+        off = lambda p, q, r: tuple(v + 1e-6 * (i == which) for i, v in enumerate(exact(p, q, r)))
+        violates(spec)
+        monkeypatch.setattr(families, "template_closed_forms", off)
+        with pytest.raises(BoundViolation, match=rf"^{re.escape(member)}: measured N\^2 - D = "):
+            violates(spec)
 
     def test_gap_vanishes_at_both_zeros(self):
         for c2 in GAP_ZEROS_C2:

@@ -14,7 +14,6 @@ from gdneg.errors import (
     WrongDimension,
 )
 from gdneg.families import FamilySpec, build, rho1_closed_forms
-from gdneg.io_cli import random_density_matrix, random_pure_state
 from gdneg.matrixcore import hs_norm_sq, partial_transpose, trace_norm
 from gdneg.measures import (
     DensityMatrix,
@@ -33,6 +32,8 @@ from gdneg.measures import (
     schmidt,
 )
 from gdneg.states import first_invalid_state
+
+from random_states import random_density_matrix, random_pure_state
 
 
 def rho1(a, b):
