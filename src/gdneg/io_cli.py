@@ -14,11 +14,13 @@ PCG64 generator; counts are reproducible only under the same generator.
 
 `sample`, `verify` and `sweep` draw or build, validate and measure states in
 chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
-and measured by one kernel call. Random states are drawn in the order of one
-at a time, so a seed's state stream, counts and verdicts are as with per-state
-drawing; sweep members are built by one `families.member_stack` call. Negative
-counts and seeds, and sweep ranges with a non-finite bound or width, are
-rejected as InvalidRange.
+and measured by one kernel call. Pure draws stay unit vectors: a pure chunk
+is measured from its Schmidt coefficients, with the kernel run on the
+projector of its first state as a cross-check. Random states are drawn in the
+order of one at a time, so a seed's state stream, counts and verdicts are as
+with per-state drawing; sweep members are built by one `families.member_stack`
+call. Negative counts and seeds, and sweep ranges with a non-finite bound or
+width, are rejected as InvalidRange.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
 violation (numerical fault).
@@ -46,7 +48,9 @@ from .families import FAMILY_NAMES, _rho1_entries, member_stack, template_closed
 from .measures import (
     DensityMatrix,
     _identity_checks,
+    _measure_pure_stack,
     _measure_stack,
+    _projectors,
     bounds_check,
     gd_bruteforce_stack,
 )
@@ -219,7 +223,8 @@ def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
-    """The state stream of a seed as validated (k, mn, mn) stacks.
+    """The state stream of a seed as validated stacks: (k, mn, mn) density
+    matrices, or (k, mn) unit vectors for the pure ensemble.
 
     Arguments are checked before this returns. A state that fails validation
     ends the stream as it would one drawn and validated alone: the states
@@ -239,30 +244,33 @@ def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
 def _draw_stacks(d: int, count: int, rng: np.random.Generator, ensemble: str):
     """Chunks of the stream, each checked by its ensemble's one validator.
 
-    Pure draws are checked as vectors: a finite unit vector's projector is Hermitian
-    to entry rounding, has trace ||v||^2 within TRACE_ATOL of 1 and has rank 1.
+    Pure draws stay vectors, checked as such: a finite unit vector's projector is
+    Hermitian to entry rounding, has trace ||v||^2 within TRACE_ATOL of 1 and
+    has rank 1.
     """
     size = _chunk_size(d)
     for start in range(0, count, size):
         k = min(size, count - start)
         if ensemble == "pure":
-            vs = _unit_vectors(d, k, rng)
-            invalid = first_invalid_vector(vs)
-            mats = vs[:, :, None] * vs.conj()[:, None, :]
+            stack = _unit_vectors(d, k, rng)
+            invalid = first_invalid_vector(stack)
         else:
-            mats = _hs_stack(d, k, rng)
-            invalid = first_invalid_state(mats)
+            stack = _hs_stack(d, k, rng)
+            invalid = first_invalid_state(stack)
         if invalid is not None:
             if invalid[0]:
-                yield mats[: invalid[0]]
+                yield stack[: invalid[0]]
             raise invalid[1]
-        yield mats
+        yield stack
 
 
 def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
-    """Deterministic stream of `count` random states for the given seed."""
-    for mats in _state_stacks(m, n, count, seed, ensemble):
-        for mat in mats:
+    """Deterministic stream of `count` random states for the given seed.
+
+    Each state is a DensityMatrix; a pure draw is its projector.
+    """
+    for stack in _state_stacks(m, n, count, seed, ensemble):
+        for mat in _projectors(stack) if ensemble == "pure" else stack:
             yield DensityMatrix(m, n, mat)
 
 
@@ -291,15 +299,17 @@ def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
     fault = None
     seen = 0
     max_gap = min_gap = None
-    for mats in _state_stacks(m, n, count, seed, ensemble):
-        measured = _measure_stack(mats, m, n)
-        failures = int(np.count_nonzero(~measured.ok))
+    measure = _measure_pure_stack if ensemble == "pure" else _measure_stack
+    for stack in _state_stacks(m, n, count, seed, ensemble):
+        measured = measure(stack, m, n)
+        ok = measured.ok
+        failures = int(np.count_nonzero(~ok))
         if failures and fault is None:
             i, error = first_fault(measured.checks)
             fault = seen + i, error
         bound_failures += failures
-        seen += len(mats)
-        gaps = measured.gap[measured.ok]
+        seen += len(stack)
+        gaps = measured.gap[ok]
         if gaps.size == 0:
             continue
         violations += int(np.sum(gaps > VIOLATION_EPS))

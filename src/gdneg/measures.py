@@ -30,6 +30,12 @@ alone.
 The kernel takes validated stacks and does not check them again: a partial
 transpose only permutes entries and PT(A)^dag = PT(A^dag), so its
 hermiticity defect is the validated state's.
+
+Pure states need only their Schmidt coefficients. `_measure_pure_stack`
+measures a stack of unit vectors from them, with `pure_negativity`, `pure_gd`
+at m = 2 and the lower bound's spectrum written in Schmidt weights at m >= 3,
+and returns what the kernel would return for their projectors; the kernel
+runs on the projector of its first state as a cross-check.
 """
 
 import math
@@ -58,6 +64,7 @@ from .tolerances import (
     DUAL_NEGATIVITY_ATOL,
     IDENTITY_ATOL,
     NEGATIVE_EIGENVALUE_CUTOFF,
+    PURE_ROUTE_ATOL,
     SCHMIDT_CUTOFF,
 )
 
@@ -111,8 +118,33 @@ class _StackMeasures:
     discord: np.ndarray
     gap: np.ndarray  # N^2 - D
     pt_negative_count: np.ndarray
-    ok: np.ndarray  # True where every check passed
     checks: tuple  # one `Check` per theorem, in the order a state's faults are reported
+
+    @property
+    def ok(self) -> np.ndarray:
+        """True where every check passed."""
+        return ~np.logical_or.reduce([check.failed for check in self.checks])
+
+
+def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
+    """N in [0, 1], D in [0, m/(m-1)] and N^2 - D in [-m/(m-1), 1], each with BOUND_ATOL slack."""
+    d_max = m / (m - 1)
+    return (
+        Check(
+            _outside(neg, 0.0, 1.0),
+            lambda i: BoundViolation(f"negativity {float(neg[i])!r} outside [0, 1]"),
+        ),
+        Check(
+            _outside(disc, 0.0, d_max),
+            lambda i: BoundViolation(f"discord {float(disc[i])!r} outside [0, {d_max}]"),
+        ),
+        Check(
+            _outside(gap, -d_max, 1.0),
+            lambda i: BoundViolation(
+                f"N^2 - D = {float(gap[i])!r} outside [{-d_max}, 1] for a {m}x{n} state"
+            ),
+        ),
+    )
 
 
 def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
@@ -135,7 +167,6 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
     lam = np.linalg.eigvalsh(bloch.g_stack(bloch.coefficient_stack(mats, m, n)[:, 1:], n))
     raw = (2.0 / (m * (m - 1) * n)) * np.sum(lam[:, : m * m - m], axis=1)
     disc = np.maximum(raw, 0.0)
-    d_max = m / (m - 1)
     gap = neg * neg - disc
     checks = (
         Check(
@@ -156,23 +187,103 @@ def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
                 f"for a {m}x{n} state"
             ),
         ),
-        Check(
-            _outside(neg, 0.0, 1.0),
-            lambda i: BoundViolation(f"negativity {float(neg[i])!r} outside [0, 1]"),
-        ),
-        Check(
-            _outside(disc, 0.0, d_max),
-            lambda i: BoundViolation(f"discord {float(disc[i])!r} outside [0, {d_max}]"),
-        ),
-        Check(
-            _outside(gap, -d_max, 1.0),
-            lambda i: BoundViolation(
-                f"N^2 - D = {float(gap[i])!r} outside [{-d_max}, 1] for a {m}x{n} state"
-            ),
+    ) + _interval_checks(neg, disc, gap, m, n)
+    return _StackMeasures(neg, disc, gap, count, checks)
+
+
+# ---------------------------------------------------------------------------
+# Pure states from their Schmidt data
+
+
+def _projectors(vs: np.ndarray) -> np.ndarray:
+    """|v><v| of each vector of a (k, d) stack: shape (k, d, d)."""
+    return vs[:, :, None] * vs.conj()[:, None, :]
+
+
+@lru_cache(maxsize=None)
+def _pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only index arrays (i, j) of every pair i < j of r entries."""
+    pairs = np.triu_indices(r, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _pair_products(x: np.ndarray) -> np.ndarray:
+    """x_i x_j for every pair i < j of the last axis."""
+    i, j = _pairs(x.shape[-1])
+    return x[..., i] * x[..., j]
+
+
+def _schmidt_stack(a: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients of each unit (m, n) amplitude matrix of a (k, m, n) stack: (k, m).
+
+    At m >= 3, one batched SVD. At m = 2, no LAPACK call: c1 c2 =
+    sqrt(det(a a^dag)) is the root of the sum of the squared 2 x 2 minors
+    (Cauchy-Binet), a sum of non-negative terms that keeps its digits near
+    product states. Then c1 = sqrt((1 + sqrt(1 - 4 c1^2 c2^2))/2) >= 1/sqrt(2)
+    and c2 = c1 c2 / c1, so the product, which is all the measures read at
+    m = 2, is kept to rounding.
+    """
+    if a.shape[1] > 2:
+        return np.linalg.svd(a, compute_uv=False)
+    minors = a[:, 0, :, None] * a[:, 1, None, :] - a[:, 0, None, :] * a[:, 1, :, None]
+    product = np.sqrt(0.5 * np.sum(np.abs(minors) ** 2, axis=(1, 2)))  # each pair counted twice
+    c1 = np.sqrt((1.0 + np.sqrt(np.maximum(1.0 - 4.0 * product**2, 0.0))) / 2)
+    return np.stack([c1, product / c1], axis=1)
+
+
+def _pure_lower_bound(p: np.ndarray) -> np.ndarray:
+    """The correlation-tensor lower bound of pure states from their Schmidt weights p = c^2, (k, m).
+
+    For a pure state, G = B B^T of `_measure_stack` has the spectrum m^2 n / 2
+    times {p_i p_j : i != j} together with the m eigenvalues of C diag(p^2) C,
+    C = I - J/m, less one of those, which is 0. So the bound, 2/(m(m-1)n)
+    times G's spectrum less its top m - 1 eigenvalues, is m/(m-1) times
+    the sum of these m^2 values less their top m - 1.
+    """
+    m = p.shape[1]
+    pairs = _pair_products(p)
+    centring = np.eye(m) - 1.0 / m
+    centred = np.linalg.eigvalsh((centring * (p * p)[:, None, :]) @ centring)
+    values = np.sort(np.concatenate([pairs, pairs, centred], axis=1), axis=1)
+    return (m / (m - 1)) * np.sum(values[:, : m * m - m + 1], axis=1)
+
+
+def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
+    """`_measure_stack` of the projectors of a validated (k, mn) stack of unit vectors, m <= n.
+
+    Measured from the Schmidt coefficients c of each (m, n) amplitude matrix:
+    N is `pure_negativity(c)`, D is `pure_gd(c)` at m = 2, where the lower
+    bound is exact, and `_pure_lower_bound` at m >= 3, and the PT negative
+    count is the number of pairs i < j with -c_i c_j below the noise cutoff
+    (a pure state's PT spectrum is the p_i, the +-c_i c_j and zeros, so the
+    count is at most m(m-1)/2 <= (m-1)(n-1)). As a cross-check, `_measure_stack`
+    runs on the projector of the first state: that state gets the kernel's
+    checks, the cap check among them, then the check that the two routes
+    agree on N and D within PURE_ROUTE_ATOL. The interval checks then apply
+    to every state.
+    """
+    k = len(vs)
+    kernel = _measure_stack(_projectors(vs[:1]), m, n)
+    c = _schmidt_stack(vs.reshape(k, m, n))
+    neg = pure_negativity(c, m)
+    disc = pure_gd(c, m) if m == 2 else _pure_lower_bound(c * c)
+    gap = neg * neg - disc
+    count = np.sum(-_pair_products(c) < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
+    dev = np.maximum(np.abs(neg[:1] - kernel.negativity), np.abs(disc[:1] - kernel.discord))
+    cross = Check(
+        ~(dev <= PURE_ROUTE_ATOL),
+        lambda i: BoundViolation(
+            "the Schmidt and projector routes disagree: "
+            f"N {float(neg[0])!r} vs {float(kernel.negativity[0])!r}, "
+            f"D {float(disc[0])!r} vs {float(kernel.discord[0])!r}"
         ),
     )
-    ok = ~np.logical_or.reduce([check.failed for check in checks])
-    return _StackMeasures(neg, disc, gap, count, ok, checks)
+    at_first = np.arange(k) == 0
+    first = tuple(Check(at_first & check.failed[0], check.fault)
+                  for check in kernel.checks + (cross,))
+    return _StackMeasures(neg, disc, gap, count, first + _interval_checks(neg, disc, gap, m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +452,25 @@ def schmidt(phi: PureState) -> np.ndarray:
     return c[c > SCHMIDT_CUTOFF].copy()
 
 
-def pure_negativity(c, m: int) -> float:
-    """Negativity of a pure state from its Schmidt coefficients."""
-    c = np.asarray(c, dtype=float)
-    return (float(np.sum(c)) ** 2 - 1.0) / (m - 1)
+def pure_negativity(c, m: int):
+    """Negativity of a pure state from its Schmidt coefficients: 2 sum_{i<j} c_i c_j / (m-1).
+
+    A sum of non-negative products, equal to ((sum c)^2 - 1)/(m-1) for unit
+    vectors but without its cancellation near product states. On a (..., r)
+    array of coefficients, one value per row of the last axis.
+    """
+    return 2.0 * np.sum(_pair_products(np.asarray(c, dtype=float)), axis=-1) / (m - 1)
 
 
-def pure_gd(c, m: int) -> float:
-    """Geometric discord of a pure state from its Schmidt coefficients."""
+def pure_gd(c, m: int):
+    """Geometric discord of a pure state from its Schmidt coefficients: m/(m-1) sum_{i!=j} p_i p_j.
+
+    With p = c^2: a sum of non-negative products, equal to m/(m-1) (1 - sum p^2)
+    for unit vectors but without its cancellation near product states. On a
+    (..., r) array of coefficients, one value per row of the last axis.
+    """
     c = np.asarray(c, dtype=float)
-    return (m / (m - 1)) * (1.0 - float(np.sum(c**4)))
+    return (2.0 * m / (m - 1)) * np.sum(_pair_products(c * c), axis=-1)
 
 
 def maximal_state(m: int, n: int) -> DensityMatrix:

@@ -16,6 +16,9 @@ DUAL_NEGATIVITY_ATOL = 1e-9  # the two negativity expressions differ only by rou
 BOUND_ATOL = 1e-9  # slack on the proven intervals of N, D and N^2 - D
 DISCORD_CLAMP_FLOOR = -1e-12  # discord down to this is solver noise, clamped to 0; below, a fault
 IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only by rounding
+# N and D of a pure draw from Schmidt data against the kernel on its projector:
+# rounding only (at most 1.5e-15 on 20,900 random pure states at 2x2 to 4x4).
+PURE_ROUTE_ATOL = 1e-12
 SCHMIDT_CUTOFF = 1e-12  # Schmidt coefficients at or below this are rounding noise of a zero
 
 # Verdicts (families, io_cli).

@@ -15,6 +15,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gdneg
 from gdneg import bloch, families, io_cli, matrixcore, measures, states
@@ -87,6 +89,77 @@ def test_kernel_matches_single_state_functions(m, n):
         assert measures.pt_negative_count(rho) == measured.pt_negative_count[k]
 
 
+PURE_DIMS = [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4)]
+
+
+def schmidt_amplitudes(m, n, kind, k, rng):
+    """k unit (m, n) amplitude matrices U diag(c) V^dag: random unitaries, c of the given kind."""
+    if kind == "random":
+        c = np.abs(rng.standard_normal((k, m)))
+    elif kind == "product":
+        c = np.zeros((k, m))
+        c[:, 0] = 1.0
+    elif kind == "near-product":
+        c = np.full((k, m), 1e-9)
+        c[:, 0] = 1.0
+    else:  # maximally entangled
+        c = np.ones((k, m))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    u = np.linalg.qr(rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m)))[0]
+    return (u * c[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    dims=st.sampled_from(PURE_DIMS),
+    kind=st.sampled_from(["random", "product", "near-product", "maximal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pure_route_matches_the_kernel_on_projectors(dims, kind, seed):
+    m, n = dims
+    vs = schmidt_amplitudes(m, n, kind, 6, np.random.default_rng(seed)).reshape(6, m * n)
+    got = measures._measure_pure_stack(vs, m, n)
+    want = _measure_stack(measures._projectors(vs), m, n)
+    assert got.ok.all() and want.ok.all()
+    for field in ("negativity", "discord", "gap"):
+        assert np.max(np.abs(getattr(got, field) - getattr(want, field))) <= 1e-12
+    assert np.array_equal(got.pt_negative_count, want.pt_negative_count)
+
+
+def off_by_1e9(monkeypatch):
+    # The Schmidt route's N, scaled by 1 + 1e-9: only the cross-check can see it.
+    real = measures.pure_negativity
+    monkeypatch.setattr(measures, "pure_negativity", lambda c, m: real(c, m) * (1 + 1e-9))
+
+
+def test_pure_cross_check_fires_on_every_chunk(monkeypatch, capsys):
+    off_by_1e9(monkeypatch)
+    chunks = -(-500 // io_cli._chunk_size(6))
+    assert run_sample(2, 3, 500, 3, "pure").bound_failures == chunks
+    assert main(["sample", "--dims", "2x3", "--ensemble", "pure", "--count", "500",
+                 "--seed", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "numerical fault: state 0: the Schmidt and projector routes disagree: N ")
+
+
+def test_pure_chunk_builds_one_projector(monkeypatch):
+    sizes = []
+    real = measures._measure_stack
+
+    def counting(mats, m, n):
+        sizes.append(len(mats))
+        return real(mats, m, n)
+
+    monkeypatch.setattr(measures, "_measure_stack", counting)
+    monkeypatch.setattr(io_cli, "_measure_stack", counting)
+    size = io_cli._chunk_size(9)
+    run_sample(3, 3, 2 * size + 5, 4, "pure")
+    assert sizes == [1, 1, 1]
+
+
 def test_matrixcore_stacks_act_per_matrix():
     rhos = hs_stack(2, 3, 5, np.random.default_rng(3))
     pts = partial_transpose(rhos, 2, 3)
@@ -128,8 +201,13 @@ def test_run_sample_matches_per_state_loop(m, n, count, ensemble, cutoff, monkey
     violations, max_gap, min_gap, failures = per_state_summary(m, n, count, 2, ensemble)
     assert summary.violations == violations
     assert summary.bound_failures == failures
-    assert summary.max_gap == max_gap
-    assert summary.min_gap == min_gap
+    if ensemble == "pure":
+        # Two routes: Schmidt data in the run, projectors in the loop.
+        assert abs(summary.max_gap - max_gap) <= 1e-12
+        assert abs(summary.min_gap - min_gap) <= 1e-12
+    else:
+        assert summary.max_gap == max_gap
+        assert summary.min_gap == min_gap
     assert (failures > 0) == (cutoff is not None)
 
 
@@ -474,9 +552,9 @@ def test_generated_pure_stacks_are_density_matrices(m, n):
     size = io_cli._chunk_size(m * n)
     for seed in (0, 1, 2):
         stacks = list(io_cli._state_stacks(m, n, 3 * size, seed, "pure"))
-        assert [len(mats) for mats in stacks] == [size] * 3
-        for mats in stacks:
-            assert first_invalid_state(mats) is None
+        assert [len(vs) for vs in stacks] == [size] * 3
+        for vs in stacks:
+            assert first_invalid_state(measures._projectors(vs)) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

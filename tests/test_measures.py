@@ -225,6 +225,26 @@ class TestPureStateFormulas:
                 via_pt = negativity(phi.projector())
                 assert abs(via_schmidt - via_pt) <= 1e-8
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_near_product_states_keep_their_digits(self, eps):
+        # v ∝ e_0 + eps e_4 at 2x3: c = (1, eps)/sqrt(1 + eps^2), so
+        # N = 2 eps/(1 + eps^2) and D = 4 eps^2/(1 + eps^2)^2, where
+        # (sum c)^2 - 1 and 1 - sum c^4 would cancel.
+        v = np.zeros(6, dtype=complex)
+        v[0], v[4] = 1.0, eps
+        c = schmidt(PureState(2, 3, v / np.linalg.norm(v)))
+        exact_n = 2 * eps / (1 + eps**2)
+        exact_d = 4 * eps**2 / (1 + eps**2) ** 2
+        assert abs(pure_negativity(c, 2) - exact_n) <= 1e-12 * exact_n
+        assert abs(pure_gd(c, 2) - exact_d) <= 1e-12 * exact_d
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stacks_give_one_value_per_row(self, m):
+        rng = np.random.default_rng(41)
+        rows = np.stack([schmidt(random_pure_state(m, 4, rng)) for _ in range(5)])
+        for formula in (pure_negativity, pure_gd):
+            assert np.array_equal(formula(rows, m), [formula(c, m) for c in rows])
+
     def test_discord_cross_check_for_qubit_side(self):
         rng = np.random.default_rng(40)
         for n in (3, 4):

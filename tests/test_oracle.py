@@ -35,6 +35,7 @@ from gdneg.matrixcore import hs_norm_sq
 from gdneg.measures import (
     DensityMatrix,
     _measure_stack,
+    _projectors,
     gd_bruteforce_2xn,
     gd_bruteforce_stack,
     geometric_discord,
@@ -50,7 +51,8 @@ PAULI = (
 
 
 def states(n, count, seed, ensemble="hilbert-schmidt"):
-    return np.concatenate(list(_state_stacks(2, n, count, seed, ensemble)))
+    stack = np.concatenate(list(_state_stacks(2, n, count, seed, ensemble)))
+    return _projectors(stack) if ensemble == "pure" else stack
 
 
 def oracle_in_chunks(mats, n, size=8):
