@@ -15,14 +15,15 @@ coefficients follow from Tr(z_i z_j) = 2 delta_ij:
 and the round-trip property decompose -> reconstruct -> identity is what
 pins them down (see tests).
 
-All of them come from one product per state: with the realigned matrix
+All of them come from one product: with the realigned matrix
 R[(i j),(k l)] = rho[(i k),(j l)] and vec(z) the row-major flattening,
 
     [vec(I_m), (m/2) vec(z_i^T)]^T  R  [vec(I_n), (n/2) vec(w_j^T)]
         = [[Tr rho, y^T], [x, T]],
 
-which `coefficient_stack` evaluates on a whole stack of states at once;
-`g_stack` weights its rows [x, T] into B = [x, sqrt(2/n) T] and returns G = B B^T.
+which `coefficient_stack` evaluates on a whole stack of states as two
+chunk-wide products, one per factor; `g_stack` weights its rows [x, T] into
+B = [x, sqrt(2/n) T] and returns G = B B^T.
 
 Hermiticity is checked once, when a state is validated. The data here are
 the real parts of the traces, and Re Tr(rho X) = Tr(H X) for Hermitian X, so
@@ -67,11 +68,16 @@ def coefficient_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
 
     The real part of the product above: x in column 0 and T in the rest of
     rows 1.., y in row 0; the Bloch data of each matrix's Hermitian part.
+    `left` is contracted with the (i, j) block indices of every state at once,
+    by one `tensordot`, and `right` with the (k, l) indices by one matmul, in
+    the order (left R) right of the per-state product.
     """
     k = len(mats)
     left, right = _extraction_maps(m, n)
-    realigned = mats.reshape(k, m, n, m, n).transpose(0, 1, 3, 2, 4).reshape(k, m * m, n * n)
-    return (left @ realigned @ right).real
+    # (m^2, k, n, n): left contracted over (i, j) of rho[(i k),(j l)].
+    half = np.tensordot(left.reshape(m * m, m, m), mats.reshape(k, m, n, m, n), ([1, 2], [1, 3]))
+    full = half.reshape(m * m * k, n * n) @ right
+    return full.reshape(m * m, k, n * n).transpose(1, 0, 2).real
 
 
 def decompose(rho: DensityMatrix) -> BlochForm:

@@ -14,13 +14,14 @@ PCG64 generator; counts are reproducible only under the same generator.
 
 `sample`, `verify` and `sweep` draw or build, validate and measure states in
 chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
-and measured by one kernel call. Pure draws stay unit vectors: a pure chunk
-is measured from its Schmidt coefficients, with the kernel run on the
-projector of its first state as a cross-check. Random states are drawn in the
-order of one at a time, so a seed's state stream, counts and verdicts are as
-with per-state drawing; sweep members are built by one `families.member_stack`
-call. Negative counts and seeds, and sweep ranges with a non-finite bound or
-width, are rejected as InvalidRange.
+and measured by one kernel call; a Hilbert-Schmidt chunk's partial-transpose
+spectrum is taken from the Hermitian parts its gate formed. Pure draws stay
+unit vectors: a pure chunk is measured from its Schmidt coefficients, with the
+kernel run on the projector of its first state as a cross-check. Random
+states are drawn in the order of one at a time, so a seed's state stream,
+counts and verdicts are as with per-state drawing; sweep members are built by
+one `families.member_stack` call. Negative counts and seeds, and sweep ranges
+with a non-finite bound or width, are rejected as InvalidRange.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
 violation (numerical fault).
@@ -48,13 +49,14 @@ from .families import FAMILY_NAMES, _rho1_entries, member_stack, template_closed
 from .measures import (
     DensityMatrix,
     _identity_checks,
+    _measure_parts,
     _measure_pure_stack,
     _measure_stack,
     _projectors,
     bounds_check,
     gd_bruteforce_stack,
 )
-from .states import first_invalid_state, first_invalid_vector
+from .states import _gate, first_invalid_vector
 from .tolerances import VERIFY_ORACLE_ATOL, VIOLATION_EPS
 
 STATE_FORMAT = "gdneg-state/1"
@@ -208,11 +210,18 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def _hs_stack(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k Hilbert-Schmidt states G G^dag / Tr(G G^dag) as a (k, d, d) stack."""
+    """k Hilbert-Schmidt states G G^dag / Tr(G G^dag) as a (k, d, d) stack.
+
+    G is written part by part and the trace divided out in place, which
+    rounds exactly as z[:, 0] + 1j * z[:, 1] and a division would.
+    """
     z = rng.standard_normal((k, 2, d, d))
-    g = z[:, 0] + 1j * z[:, 1]
+    g = np.empty((k, d, d), dtype=complex)
+    g.real = z[:, 0]
+    g.imag = z[:, 1]
     mats = g @ g.conj().transpose(0, 2, 1)
-    return mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    return mats
 
 
 def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,6 +234,16 @@ def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
 def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
     """The state stream of a seed as validated stacks: (k, mn, mn) density
     matrices, or (k, mn) unit vectors for the pure ensemble.
+
+    As `_state_chunks`, without the Hermitian parts.
+    """
+    return (stack for stack, _ in _state_chunks(m, n, count, seed, ensemble))
+
+
+def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
+    """The state stream of a seed as validated (stack, h) pairs: (k, mn, mn) density
+    matrices and their Hermitian parts, or, for the pure ensemble, (k, mn) unit
+    vectors, which stand in for both.
 
     Arguments are checked before this returns. A state that fails validation
     ends the stream as it would one drawn and validated alone: the states
@@ -242,7 +261,8 @@ def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
 
 
 def _draw_stacks(d: int, count: int, rng: np.random.Generator, ensemble: str):
-    """Chunks of the stream, each checked by its ensemble's one validator.
+    """Chunks of the stream as (stack, h) pairs, each checked by its ensemble's
+    one validator; h is the Hermitian parts the gate of a matrix stack formed.
 
     Pure draws stay vectors, checked as such: a finite unit vector's projector is
     Hermitian to entry rounding, has trace ||v||^2 within TRACE_ATOL of 1 and
@@ -253,15 +273,15 @@ def _draw_stacks(d: int, count: int, rng: np.random.Generator, ensemble: str):
         k = min(size, count - start)
         if ensemble == "pure":
             stack = _unit_vectors(d, k, rng)
-            invalid = first_invalid_vector(stack)
+            invalid, h = first_invalid_vector(stack), stack
         else:
             stack = _hs_stack(d, k, rng)
-            invalid = first_invalid_state(stack)
+            invalid, h = _gate(stack)
         if invalid is not None:
             if invalid[0]:
-                yield stack[: invalid[0]]
+                yield stack[: invalid[0]], h[: invalid[0]]
             raise invalid[1]
-        yield stack
+        yield stack, h
 
 
 def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
@@ -299,9 +319,11 @@ def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
     fault = None
     seen = 0
     max_gap = min_gap = None
-    measure = _measure_pure_stack if ensemble == "pure" else _measure_stack
-    for stack in _state_stacks(m, n, count, seed, ensemble):
-        measured = measure(stack, m, n)
+    for stack, h in _state_chunks(m, n, count, seed, ensemble):
+        if ensemble == "pure":
+            measured = _measure_pure_stack(stack, m, n)
+        else:
+            measured = _measure_parts(stack, h, m, n)
         ok = measured.ok
         failures = int(np.count_nonzero(~ok))
         if failures and fault is None:
@@ -358,15 +380,15 @@ def run_verify(
     is still accepted, with its default VERIFY_ORACLE_RESOLUTION, because the
     benchmark's worker passes it.
     """
-    stacks = _state_stacks(m, n, count, seed, "hilbert-schmidt")
+    chunks = _state_chunks(m, n, count, seed, "hilbert-schmidt")
     rng = np.random.default_rng(seed)
     run = {"dims": [m, n], "count": count, "seed": seed}
     checked = 0
     violations = 0
     oracle_checked = 0
     max_oracle_dev = 0.0
-    for mats in stacks:
-        measured = _measure_stack(mats, m, n)
+    for mats, h in chunks:
+        measured = _measure_parts(mats, h, m, n)
         checks = measured.checks
         if m == 2:
             # One direction per state, drawn as a state-by-state loop would draw them.
@@ -374,8 +396,10 @@ def run_verify(
             todo = min(len(mats), max(0, oracle_subsample - oracle_checked))
             brute = gd_bruteforce_stack(mats[:todo], n) if todo else np.zeros(0)
             dev = np.abs(brute - measured.discord[:todo])
+            failed = np.zeros(len(mats), dtype=bool)
+            failed[:todo] = ~(dev <= VERIFY_ORACLE_ATOL)
             oracle = Check(
-                np.pad(~(dev <= VERIFY_ORACLE_ATOL), (0, len(mats) - todo)),
+                failed,
                 lambda i: BoundViolation(
                     f"oracle deviation {float(dev[i])!r} exceeds {VERIFY_ORACLE_ATOL}"
                 ),

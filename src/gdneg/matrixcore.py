@@ -3,16 +3,16 @@
 All functions are pure and operate on plain ``numpy`` arrays (complex128,
 row-major). Spectra are returned as real vectors sorted nonincreasing.
 `hermiticity_defect`, `hermitian_part`, `hermitian_eigenvalues`,
-`hermitian_part_eigenvalues`, `partial_transpose` and `hs_norm_sq` also take a
-stack of matrices, shape (..., d, d), and act on each matrix of it.
+`partial_transpose` and `hs_norm_sq` also take a stack of matrices, shape
+(..., d, d), and act on each matrix of it.
 
-`hermitian_part` is the one copy of (A + A^dag)/2. It feeds every spectrum
-taken here and the positivity screen of state validation, which factors it
-rather than the matrix because a Cholesky factorisation reads one triangle.
+`hermitian_part` is the one copy of (A + A^dag)/2. State validation forms it
+once per stack and hands it on: the positivity screen factors it, because a
+Cholesky factorisation reads one triangle, and the measures kernel takes its
+spectra from it with `_spectrum`, which neither checks nor symmetrizes again.
 
 `hermitian_eigenvalues` and `trace_norm` check their input against
-HERMITIAN_ATOL. Validated stacks are not re-checked: state validation and the
-measures kernel take their spectra with `hermitian_part_eigenvalues`.
+HERMITIAN_ATOL. Validated stacks are not re-checked.
 """
 
 import numpy as np
@@ -41,19 +41,22 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """The Hermitian part (A + A^dag)/2, as a new complex array.
 
-    For finite A it is exactly Hermitian, with a real diagonal, whatever A's defect.
+    For finite A it is exactly Hermitian, with a real diagonal, whatever A's
+    defect. Halving in place is exact, so it equals (A + A^dag)/2 bit for bit.
     """
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    h = a + a.conj().swapaxes(-1, -2)
+    h *= 0.5
+    return h
 
 
-def hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of the Hermitian part (A + A^dag)/2, sorted nonincreasing.
+def _spectrum(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of exactly Hermitian matrices, sorted nonincreasing, as a view.
 
-    No hermiticity check: for matrices whose defect is already known to be
-    within HERMITIAN_ATOL, such as validated states and their partial transposes.
+    No check and no symmetrization: for Hermitian parts, such as those of
+    validated states and their partial transposes.
     """
-    return np.linalg.eigvalsh(hermitian_part(a))[..., ::-1].copy()
+    return np.linalg.eigvalsh(h)[..., ::-1]
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -68,7 +71,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_ATOL:.1e}"
         )
-    return hermitian_part_eigenvalues(a)
+    return _spectrum(hermitian_part(a)).copy()
 
 
 def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:

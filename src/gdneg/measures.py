@@ -27,9 +27,14 @@ check exists once and each measure raises its state's first fault. The
 measurement identities run on stacks the same way. The package needs numpy
 alone.
 
-The kernel takes validated stacks and does not check them again: a partial
-transpose only permutes entries and PT(A)^dag = PT(A^dag), so its
-hermiticity defect is the validated state's.
+The kernel, `_measure_parts`, takes validated states together with their
+Hermitian parts H, which the CLI's state validation formed, and checks and
+symmetrizes nothing again: a partial transpose only permutes entries, so
+PT(H) is the Hermitian part of PT(rho), bit for bit, and its spectrum is
+taken as it is. The Bloch data are read from the states themselves: they
+are those of H up to rounding, and reading rho keeps the last bits of D that
+fixed-seed outputs pin. `_measure_stack` forms H of a stack once and runs the
+kernel; `bounds_check`, sweeps and the pure cross-check use it.
 
 Pure states need only their Schmidt coefficients. `_measure_pure_stack`
 measures a stack of unit vectors from them, with `pure_negativity`, `pure_gd`
@@ -55,7 +60,7 @@ from .errors import (
     WrongDimension,
     first_fault,
 )
-from .matrixcore import hermitian_part_eigenvalues, hs_norm_sq, partial_transpose
+from .matrixcore import _spectrum, hermitian_part, hs_norm_sq, partial_transpose
 from .states import DensityMatrix, PureState
 from .su_generators import basis_stack
 from .tolerances import (
@@ -148,18 +153,25 @@ def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
 
 
 def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
-    """Negativity, discord, gap N^2 - D and PT negative count of a validated (k, mn, mn) stack.
+    """`_measure_parts` of a validated (k, mn, mn) stack and its Hermitian parts."""
+    return _measure_parts(mats, hermitian_part(mats), m, n)
+
+
+def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMeasures:
+    """Negativity, discord, gap N^2 - D and PT negative count of a validated
+    (k, mn, mn) stack `mats`, given its Hermitian parts `h`.
 
     The checks, in order: the two negativity expressions agree, the discord
     is not negative beyond solver noise, the PT negative count is at most
     (m-1)(n-1), and N, D and N^2 - D lie in their proven intervals. A failing
-    state raises nothing; `errors.first_fault(checks)` gives its error. The
-    PT spectra and Bloch data are those of the Hermitian part, with no second
-    hermiticity check. m < 2 or n < 2 raises InvalidDimension.
+    state raises nothing; `errors.first_fault(checks)` gives its error. The PT
+    spectra are those of `h`; the Bloch data, the real parts of traces, are read
+    from `mats` and are those of `h` up to rounding. No hermiticity check is made
+    again. m < 2 or n < 2 raises InvalidDimension.
     """
     if m < 2 or n < 2:
         raise InvalidDimension(f"measures require m >= 2 and n >= 2, got a {m}x{n} state")
-    w = hermitian_part_eigenvalues(partial_transpose(mats, m, n))
+    w = _spectrum(partial_transpose(h, m, n))
     via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
     neg = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
     count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)

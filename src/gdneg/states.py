@@ -6,13 +6,14 @@ states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
 residual is tested as `not (residual <= tol)`, so a NaN residual fails.
 
 This is the one place a state's hermiticity defect is computed, and code
-that receives validated stacks does not check them again. Positivity is
-decided for the states before the first cheap failure (finiteness,
-hermiticity, trace), first by a screen: one batched Cholesky factorisation
-of their Hermitian parts plus -PSD_MIN_EIGENVALUE * I, which succeeds only
-when every smallest eigenvalue is above PSD_MIN_EIGENVALUE. When it fails,
-their spectrum is taken, and it alone decides the verdict, the index and the
-message.
+that receives validated stacks does not check them again. The gate forms the
+Hermitian parts of the states before the first cheap failure (finiteness,
+hermiticity, trace) once, and `_gate` hands them on to the measures kernel.
+Their positivity is decided first by a screen: one batched Cholesky
+factorisation of a copy of those Hermitian parts shifted by
+-PSD_MIN_EIGENVALUE * I, which succeeds only when every smallest eigenvalue
+is above PSD_MIN_EIGENVALUE. When it fails, their spectrum is taken, and it
+alone decides the verdict, the index and the message.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Check, InvalidState, first_fault
-from .matrixcore import hermitian_part, hermitian_part_eigenvalues, hermiticity_defect
+from .matrixcore import _spectrum, hermitian_part, hermiticity_defect
 from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
 
@@ -31,15 +32,15 @@ def _invariant(name: str, residual: np.ndarray, tol: float) -> Check:
     )
 
 
-def _all_positive(mats: np.ndarray) -> bool:
-    """True when the Hermitian parts plus -PSD_MIN_EIGENVALUE * I all have a Cholesky
-    factor, so every smallest eigenvalue is above PSD_MIN_EIGENVALUE.
+def _all_positive(h: np.ndarray) -> bool:
+    """True when the Hermitian parts h plus -PSD_MIN_EIGENVALUE * I all have a
+    Cholesky factor, so every smallest eigenvalue is above PSD_MIN_EIGENVALUE.
 
     False when any state fails, or sits within rounding of the bound.
     """
-    shifted = hermitian_part(mats)
-    diag = np.arange(mats.shape[-1])
-    shifted[:, diag, diag] -= PSD_MIN_EIGENVALUE  # in place: no second chunk-sized copy
+    shifted = h.copy()
+    diag = np.arange(h.shape[-1])
+    shifted[:, diag, diag] -= PSD_MIN_EIGENVALUE
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:  # raised for the whole stack when any state fails
@@ -47,14 +48,12 @@ def _all_positive(mats: np.ndarray) -> bool:
     return True
 
 
-def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
-    """The first matrix of a (k, d, d) stack that is not a density matrix, or None.
+def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray]:
+    """`first_invalid_state` of a (k, d, d) stack, and the Hermitian parts it formed.
 
-    Returns its index and an InvalidState naming the broken invariant and its
-    residual, checked in the order finiteness, hermiticity, trace, positivity.
-    Positivity is screened by one Cholesky factorisation of the states before
-    the first cheap failure; only when the screen fails is their spectrum taken,
-    and the smallest eigenvalue then decides and is reported.
+    Those are the parts of the states before the first cheap failure, a prefix
+    at least as long as the valid one, computed once: the positivity screen
+    reads a shifted copy of them, and the measures kernel reads them as they are.
     """
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
         defect = hermiticity_defect(mats)
@@ -71,14 +70,27 @@ def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
     end = len(mats) if invalid is None else invalid[0]
     # Positivity only before the first cheap failure, which may be NaN; +inf passes.
     # Those states passed hermiticity, so their defect is not computed again.
+    h = hermitian_part(mats[:end])
     min_eig = np.full(len(mats), np.inf)
-    if not _all_positive(mats[:end]):
-        min_eig[:end] = hermitian_part_eigenvalues(mats[:end])[:, -1]
+    if not _all_positive(h):
+        min_eig[:end] = _spectrum(h)[:, -1]
     positivity = Check(
         ~(min_eig >= PSD_MIN_EIGENVALUE),
         lambda i: InvalidState(f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"),
     )
-    return first_fault(cheap + (positivity,))
+    return first_fault(cheap + (positivity,)), h
+
+
+def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
+    """The first matrix of a (k, d, d) stack that is not a density matrix, or None.
+
+    Returns its index and an InvalidState naming the broken invariant and its
+    residual, checked in the order finiteness, hermiticity, trace, positivity.
+    Positivity is screened by one Cholesky factorisation of the states before
+    the first cheap failure; only when the screen fails is their spectrum taken,
+    and the smallest eigenvalue then decides and is reported.
+    """
+    return _gate(mats)[0]
 
 
 def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:

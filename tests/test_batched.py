@@ -422,7 +422,9 @@ def test_hermiticity_is_reported_before_trace():
 def test_draw_stacks_yields_the_states_before_the_first_invalid_one(monkeypatch):
     monkeypatch.setattr(io_cli, "_hs_stack", lambda d, k, rng: mixed_stack())
     stacks = io_cli._draw_stacks(4, 7, np.random.default_rng(0), "hilbert-schmidt")
-    assert np.array_equal(next(stacks), mixed_stack()[:2])
+    stack, h = next(stacks)
+    assert np.array_equal(stack, mixed_stack()[:2])
+    assert np.array_equal(h, matrixcore.hermitian_part(mixed_stack()[:2]))
     with pytest.raises(InvalidState, match="^positivity invariant violated"):
         next(stacks)
 

@@ -55,7 +55,7 @@ def shifted_pt_spectrum(w):
 # (check, mutation as (module, name, replacement), run returning the first fault, message start)
 TABLE = [
     ("dual negativity",
-     wrapped(measures, "hermitian_part_eigenvalues", lambda w: w * np.nan),
+     wrapped(measures, "_spectrum", lambda w: w * np.nan),
      lambda: sample_fault(2, 3), "the two negativity expressions disagree: nan"),
     ("negative discord",
      wrapped(bloch, "g_stack", lambda g: -g),
@@ -64,7 +64,7 @@ TABLE = [
      (measures, "NEGATIVE_EIGENVALUE_CUTOFF", 0.15),
      lambda: sample_fault(2, 3), "4 negative partial-transpose eigenvalues exceed the cap 2"),
     ("N interval",
-     wrapped(measures, "hermitian_part_eigenvalues", shifted_pt_spectrum),
+     wrapped(measures, "_spectrum", shifted_pt_spectrum),
      lambda: sample_fault(2, 2), "negativity "),
     ("D interval",
      wrapped(bloch, "g_stack", lambda g: 100 * g),

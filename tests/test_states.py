@@ -4,7 +4,9 @@ The gate settles positivity with one Cholesky factorisation of the states
 before the first cheap failure and takes their spectrum only when it fails.
 These tests hold it to the `eigvalsh` reference: the same verdict, index and
 message near the -1e-9 bound, wherever the failing state sits in a chunk, and
-behind a cheap failure the screen never sees.
+behind a cheap failure the screen never sees. Near both tolerances at once,
+the gate and the measures kernel must read the Hermitian part that a
+per-state reference forms explicitly.
 """
 
 import numpy as np
@@ -14,8 +16,10 @@ from hypothesis import strategies as st
 
 from gdneg import matrixcore, measures, states
 from gdneg.io_cli import _chunk_size, _hs_stack, run_sample, run_verify
+from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.states import first_invalid_state
-from gdneg.tolerances import PSD_MIN_EIGENVALUE
+from gdneg.su_generators import basis_stack
+from gdneg.tolerances import HERMITIAN_ATOL, NEGATIVE_EIGENVALUE_CUTOFF, PSD_MIN_EIGENVALUE
 
 NOT_POSITIVE = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
 NOT_POSITIVE_MESSAGE = "positivity invariant violated: min eigenvalue -0.2"
@@ -63,7 +67,7 @@ def test_states_at_the_bound_get_the_reference_verdict(d, offset, monkeypatch):
     expected = reference(rho[None])
     assert (expected is None) == (offset > 0)
     if offset > 0:  # the screen alone passes a state just above the bound
-        monkeypatch.setattr(states, "hermitian_part_eigenvalues", forbidden)
+        monkeypatch.setattr(states, "_spectrum", forbidden)
     assert verdict(rho[None]) == expected
     # The same state at the end of a chunk of passing states.
     mats = _hs_stack(d, _chunk_size(d), rng)
@@ -103,7 +107,7 @@ def test_cheap_failure_hides_a_later_non_positive_state_from_the_screen(
         return matrixcore.hermitian_part(a)
 
     monkeypatch.setattr(states, "hermitian_part", recording)
-    monkeypatch.setattr(states, "hermitian_part_eigenvalues", forbidden)
+    monkeypatch.setattr(states, "_spectrum", forbidden)
     assert verdict(mats) == (3, message)
     assert len(screened) == 1
     assert np.array_equal(screened[0], mats[:3])
@@ -142,10 +146,10 @@ def test_passing_chunks_take_only_the_partial_transpose_spectrum(path, tmp_path,
 
     def counting(a):
         matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return matrixcore.hermitian_part_eigenvalues(a)
+        return matrixcore._spectrum(a)
 
     for module in (states, measures):
-        monkeypatch.setattr(module, "hermitian_part_eigenvalues", counting)
+        monkeypatch.setattr(module, "_spectrum", counting)
     run()
     assert sum(matrices) == count
 
@@ -166,3 +170,85 @@ def test_first_invalid_state_is_the_first_state_below_the_bound(mats):
     # Low-rank states included: fewer than d - 1 positive eigenvalues leave zeros
     # beside the drawn smallest one.
     assert verdict(mats) == reference(mats)
+
+
+# Near both tolerances: every state carries anti-Hermitian noise just under
+# HERMITIAN_ATOL, which the lower triangle alone would read, and has its
+# smallest eigenvalue within 2e-11 of PSD_MIN_EIGENVALUE. Read from the lower
+# triangle alone, about a third of these states would land on the other side.
+BOUNDARY_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
+
+
+def anti_hermitian_noise(d, k, rng):
+    """k anti-Hermitian matrices with a zero diagonal, so the trace is kept, whose
+    defect max|E - E^dag| = 2 max|E| is 0.98 HERMITIAN_ATOL."""
+    e = rng.uniform(-1, 1, (k, d, d)) + 1j * rng.uniform(-1, 1, (k, d, d))
+    e = e - e.conj().swapaxes(1, 2)
+    e[:, np.arange(d), np.arange(d)] = 0.0
+    return e * (0.49 * HERMITIAN_ATOL / np.abs(e).max(axis=(1, 2), keepdims=True))
+
+
+def near_boundary_stack(d, k, rng):
+    mats = np.array([
+        with_spectrum(PSD_MIN_EIGENVALUE + rng.uniform(2e-12, 2e-11), d - 1, d, rng)
+        for _ in range(k)
+    ])
+    return mats + anti_hermitian_noise(d, k, rng)
+
+
+def reference_measures(mat, m, n):
+    """N, D and the PT negative count of one state, from (A + A^dag)/2 formed here.
+
+    N and the count as the kernel writes them; D from the Bloch data written as
+    explicit traces, x_i = (m/2) Tr(H z_i (x) I) and T_ij = (mn/4) Tr(H z_i (x) w_j).
+    """
+    h = (mat + mat.conj().T) / 2
+    w = np.linalg.eigvalsh(partial_transpose(h, m, n))[::-1]
+    neg = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0)) / (m - 1)
+    count = int(np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF))
+    z, v = basis_stack(m), basis_stack(n)
+    x = np.array([(m / 2) * np.trace(h @ np.kron(zi, np.eye(n))).real for zi in z])
+    t = np.array([[(m * n / 4) * np.trace(h @ np.kron(zi, vj)).real for vj in v] for zi in z])
+    g = np.outer(x, x) + (2.0 / n) * t @ t.T
+    lam = np.linalg.eigvalsh(g)
+    disc = max((2.0 / (m * (m - 1) * n)) * np.sum(lam[: m * m - m]), 0.0)
+    return neg, disc, count
+
+
+@pytest.mark.parametrize("m,n", BOUNDARY_DIMS)
+def test_gate_and_kernel_read_the_hermitian_part_near_both_tolerances(m, n, monkeypatch):
+    d = m * n
+    rng = np.random.default_rng(40 + d)
+    mats = near_boundary_stack(d, 12, rng)
+    assert np.all(hermiticity_defect(mats) < HERMITIAN_ATOL)
+    assert np.all(hermiticity_defect(mats) > 0.9 * HERMITIAN_ATOL)
+    # Every state is above the bound, so the screen alone must pass them.
+    monkeypatch.setattr(states, "_spectrum", forbidden)
+    invalid, h = states._gate(mats)
+    assert invalid is None and verdict(mats) is None
+    assert np.array_equal(h, (mats + mats.conj().swapaxes(1, 2)) / 2)
+    measured = measures._measure_parts(mats, h, m, n)
+    assert measured.ok.all()
+    for k, mat in enumerate(mats):
+        neg, disc, count = reference_measures(mat, m, n)
+        assert measured.negativity[k] == neg
+        assert measured.pt_negative_count[k] == count
+        assert abs(measured.discord[k] - disc) <= 1e-15
+
+
+@pytest.mark.parametrize("m,n", BOUNDARY_DIMS)
+@pytest.mark.parametrize("where", [0, 5, 11])
+def test_gate_verdict_near_both_tolerances_is_the_per_state_reference(m, n, where):
+    d = m * n
+    rng = np.random.default_rng(60 + d + where)
+    # One state near both tolerances among Hilbert-Schmidt draws with the same noise.
+    mats = _hs_stack(d, 12, rng) + anti_hermitian_noise(d, 12, rng)
+    mats[where] = with_spectrum(PSD_MIN_EIGENVALUE - rng.uniform(2e-12, 2e-11), d - 1, d, rng)
+    mats[where] += anti_hermitian_noise(d, 1, rng)[0]
+    min_eig = [np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0] for mat in mats]
+    assert [k for k, e in enumerate(min_eig) if e < PSD_MIN_EIGENVALUE] == [where]
+    expected = (where, f"positivity invariant violated: min eigenvalue {min_eig[where]:.6g}")
+    assert verdict(mats) == expected
+    invalid, h = states._gate(mats)
+    assert (invalid[0], str(invalid[1])) == expected
+    assert np.array_equal(h, (mats + mats.conj().swapaxes(1, 2)) / 2)
