@@ -23,7 +23,7 @@ import numpy as np
 
 from . import measures
 from .errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
-from .states import DensityMatrix, first_invalid_state
+from .states import DensityMatrix, _gate
 from .tolerances import CLOSED_FORM_ATOL, VIOLATION_EPS
 
 
@@ -86,6 +86,11 @@ def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndar
     a - a^2 >= 0 for rho2 on (0, 1], -a^2 + 5a - 1 > 0 for rho3 on
     [1.75, 4.75] and -a^2 + 9a - 4 > 0 for rho4 on [3.5, 8.5].
     """
+    return _member_parts(name, params, allow_out_of_range)[0]
+
+
+def _member_parts(name: str, params, allow_out_of_range: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`member_stack`, and the Hermitian parts its gate formed, for the measures kernel."""
     params = np.asarray(params, dtype=float)
     _, entries, window = _FAMILIES[name]
     member = lambda i: f"{name}{tuple(params[i].tolist())}"  # as FamilySpec prints
@@ -101,10 +106,10 @@ def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndar
         mats[:, [1, 4], [1, 4]] = q[:, None]
         mats[:, [0, 4, 1, 5], [4, 0, 5, 1]] = r[:, None]
         mats /= 2.0 * (p + q)[:, None, None]
-    invalid = first_invalid_state(mats)
+    invalid, h = _gate(mats)
     if invalid is not None:
         raise NotAState(f"{member(invalid[0])}: {invalid[1]}") from invalid[1]
-    return mats
+    return mats, h
 
 
 def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:

@@ -14,14 +14,18 @@ PCG64 generator; counts are reproducible only under the same generator.
 
 `sample`, `verify` and `sweep` draw or build, validate and measure states in
 chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
-and measured by one kernel call; a Hilbert-Schmidt chunk's partial-transpose
-spectrum is taken from the Hermitian parts its gate formed. Pure draws stay
-unit vectors: a pure chunk is measured from its Schmidt coefficients, with the
-kernel run on the projector of its first state as a cross-check. Random
-states are drawn in the order of one at a time, so a seed's state stream,
-counts and verdicts are as with per-state drawing; sweep members are built by
-one `families.member_stack` call. Negative counts and seeds, and sweep ranges
-with a non-finite bound or width, are rejected as InvalidRange.
+and measured by one kernel call; the partial-transpose spectrum of a
+Hilbert-Schmidt or sweep chunk is taken from the Hermitian parts its gate
+formed. Pure draws stay unit vectors: a pure chunk is measured from its
+Schmidt coefficients, with the kernel run on the projector of its first state
+as a cross-check. Random states are drawn in the order of one at a time, so a
+seed's state stream, counts and verdicts are as with per-state drawing; the
+members of a sweep chunk are built and gated by one `families` call. Negative
+counts and seeds, and sweep ranges with a non-finite bound or width, are
+rejected as InvalidRange.
+
+`numpy.random` is loaded by the first draw, not at import (the generator
+annotations below are strings), so `analyze` and `sweep` never load it.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
 violation (numerical fault).
@@ -45,13 +49,12 @@ from .errors import (
     UnknownFamily,
     first_fault,
 )
-from .families import FAMILY_NAMES, _rho1_entries, member_stack, template_closed_forms
+from .families import FAMILY_NAMES, _member_parts, _rho1_entries, template_closed_forms
 from .measures import (
     DensityMatrix,
     _identity_checks,
     _measure_parts,
     _measure_pure_stack,
-    _measure_stack,
     _projectors,
     bounds_check,
     gd_bruteforce_stack,
@@ -174,8 +177,7 @@ def sweep_rows(
     for start in range(0, len(params), size):
         chunk = params[start : start + size]
         block = members[start : start + size]
-        mats = member_stack(family, block, allow_out_of_range)
-        measured = _measure_stack(mats, 2, 3)
+        measured = _measure_parts(*_member_parts(family, block, allow_out_of_range), 2, 3)
         fault = first_fault(measured.checks)
         if fault is not None:
             raise fault[1]
@@ -209,7 +211,7 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 # Random state generation
 
 
-def _hs_stack(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def _hs_stack(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
     """k Hilbert-Schmidt states G G^dag / Tr(G G^dag) as a (k, d, d) stack.
 
     G is written part by part and the trace divided out in place, which
@@ -224,7 +226,7 @@ def _hs_stack(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return mats
 
 
-def _unit_vectors(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def _unit_vectors(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
     """k normalized complex Gaussian vectors as a (k, d) array."""
     z = rng.standard_normal((k, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
@@ -260,7 +262,7 @@ def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
     return _draw_stacks(m * n, count, np.random.default_rng(seed), ensemble)
 
 
-def _draw_stacks(d: int, count: int, rng: np.random.Generator, ensemble: str):
+def _draw_stacks(d: int, count: int, rng: "np.random.Generator", ensemble: str):
     """Chunks of the stream as (stack, h) pairs, each checked by its ensemble's
     one validator; h is the Hermitian parts the gate of a matrix stack formed.
 

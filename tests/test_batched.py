@@ -154,7 +154,6 @@ def test_pure_chunk_builds_one_projector(monkeypatch):
         return real(mats, m, n)
 
     monkeypatch.setattr(measures, "_measure_stack", counting)
-    monkeypatch.setattr(io_cli, "_measure_stack", counting)
     size = io_cli._chunk_size(9)
     run_sample(3, 3, 2 * size + 5, 4, "pure")
     assert sizes == [1, 1, 1]
@@ -473,14 +472,26 @@ def test_sweep_builds_no_density_matrix_and_gates_each_chunk_once(monkeypatch):
 
     def counting(mats):
         gated.append(len(mats))
-        return first_invalid_state(mats)
+        return states._gate(mats)
 
     for module in (io_cli, families):
         monkeypatch.setattr(module, "DensityMatrix", forbidden)
-    monkeypatch.setattr(states, "first_invalid_state", counting)
-    monkeypatch.setattr(families, "first_invalid_state", counting, raising=False)
+    monkeypatch.setattr(families, "_gate", counting)
     assert len(sweep_rows("rho1", 0, 6, 500)) == 500
     assert gated == [227, 227, 46]
+
+
+def test_sweep_forms_one_hermitian_part_per_chunk(monkeypatch):
+    formed = []
+
+    def counting(a):
+        formed.append(len(a))
+        return matrixcore.hermitian_part(a)
+
+    for module in (states, measures):
+        monkeypatch.setattr(module, "hermitian_part", counting)
+    sweep_rows("rho1", 0, 6, 500)
+    assert formed == [227, 227, 46]
 
 
 # Each path, the number of states it validates and measures, and how many
@@ -652,3 +663,45 @@ def test_import_does_not_load_scipy_optimize(tmp_path):
                          text=True, check=True, timeout=60, cwd=tmp_path)
     assert out.stdout.strip().splitlines()[-1] == "0 True"
 
+
+# Run in one fresh process after `import gdneg.io_cli`; none of these draws a state.
+NO_DRAW_COMMANDS = [
+    ["analyze", "rho1.json", "--json"],
+    *(["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", "5", "--out", "x.csv"]
+      for family, lo, hi in [("rho1", "0", "6"), ("rho2", "0.01", "1"), ("rho3", "1.75", "4.75"),
+                             ("rho4", "3.5", "8.5")]),
+    ["sample", "--dims", "2x3", "--count", "-5", "--seed", "1"],
+    ["sample", "--dims", "2x3", "--count", "10", "--seed", "-1"],
+]
+NO_DRAW_CODES = [0, 0, 0, 0, 0, 1, 1]
+
+
+def run_fresh(commands, cwd):
+    """Exit code of each command run by `main` in one fresh process, and whether
+    `numpy.random` was loaded after it; None when `import numpy` loads it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gdneg.__file__)))
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "if 'numpy.random' in sys.modules:\n"
+            "    print('null'); sys.exit()\n"
+            "from gdneg.io_cli import main\n"
+            "print(json.dumps([(main(argv), 'numpy.random' in sys.modules)\n"
+            "                  for argv in json.loads(sys.argv[1])]))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True, timeout=60)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    return None if loaded is None else [tuple(entry) for entry in loaded]
+
+
+def test_commands_that_draw_no_state_do_not_load_numpy_random(tmp_path):
+    write_state(tmp_path / "rho1.json", build(FamilySpec("rho1", (5, 2))))
+    loaded = run_fresh(NO_DRAW_COMMANDS, tmp_path)
+    if loaded is None:
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert loaded == [(code, False) for code in NO_DRAW_CODES]
+    # The first draw loads it.
+    sample = ["sample", "--dims", "2x3", "--count", "5", "--seed", "1"]
+    verify = ["verify", "--dims", "2x3", "--count", "5", "--seed", "1"]
+    assert run_fresh([sample], tmp_path) == [(0, True)]
+    assert run_fresh([verify], tmp_path) == [(0, True)]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdneg import bloch
 from gdneg.bloch import BlochForm, decompose, g_matrix, reconstruct
 from gdneg.errors import DimensionMismatch
 from gdneg.families import FamilySpec, build
 from gdneg.matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_trace_b
+from gdneg.states import DensityMatrix
 from gdneg.su_generators import basis_for, basis_stack
 
-from random_states import random_density_matrix
+from random_states import low_rank_states, random_density_matrix
 
 
 def rho1(a, b):
@@ -40,8 +43,6 @@ def test_rho1_decomposition_matches_closed_form(a, b):
 
 
 def test_maximally_mixed_has_zero_bloch_data():
-    from gdneg.measures import DensityMatrix
-
     bf = decompose(DensityMatrix(2, 3, np.eye(6) / 6))
     assert np.max(np.abs(bf.x)) <= 1e-14
     assert np.max(np.abs(bf.y)) <= 1e-14
@@ -55,6 +56,20 @@ def test_round_trip_on_random_states():
             rho = random_density_matrix(m, n, rng)
             rebuilt = reconstruct(decompose(rho))
             assert np.max(np.abs(rebuilt - rho.mat)) <= 1e-10
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    dims_rank=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.integers(1, dims[0] * dims[1]))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reconstruct_inverts_decompose(dims_rank, seed):
+    (m, n), rank = dims_rank
+    for mat in low_rank_states(m * n, rank, 4, np.random.default_rng(seed)):
+        rho = DensityMatrix(m, n, mat)
+        assert np.max(np.abs(reconstruct(decompose(rho)) - rho.mat)) <= 1e-12
 
 
 def test_reconstruct_zero_data_is_maximally_mixed():

@@ -33,7 +33,7 @@ from gdneg.measures import (
 )
 from gdneg.states import first_invalid_state
 
-from random_states import random_density_matrix, random_pure_state
+from random_states import low_rank_states, random_density_matrix, random_pure_state
 
 
 def rho1(a, b):
@@ -446,12 +446,6 @@ class TestStateValidation:
 # ---------------------------------------------------------------------------
 # Properties of the kernel's N and D = (2/(m(m-1)n)) (sum of all but the top
 # m - 1 eigenvalues of G), each over a seeded stack of states.
-
-
-def low_rank_states(d, rank, k, rng):
-    g = rng.standard_normal((k, d, rank)) + 1j * rng.standard_normal((k, d, rank))
-    mats = g @ g.conj().transpose(0, 2, 1)
-    return mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None]
 
 
 def haar_unitary(d, rng):
