@@ -69,14 +69,16 @@ def coefficient_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
     The real part of the product above: x in column 0 and T in the rest of
     rows 1.., y in row 0; the Bloch data of each matrix's Hermitian part.
     `left` is contracted with the (i, j) block indices of every state at once,
-    by one `tensordot`, and `right` with the (k, l) indices by one matmul, in
-    the order (left R) right of the per-state product.
+    by one `np.dot`, and `right` with the (k, l) indices by one matmul, in the
+    order (left R) right of the per-state product. The first product is
+    `np.tensordot`'s own recipe, a transpose and reshape then one `np.dot`,
+    without its argument handling.
     """
     k = len(mats)
     left, right = _extraction_maps(m, n)
-    # (m^2, k, n, n): left contracted over (i, j) of rho[(i k),(j l)].
-    half = np.tensordot(left.reshape(m * m, m, m), mats.reshape(k, m, n, m, n), ([1, 2], [1, 3]))
-    full = half.reshape(m * m * k, n * n) @ right
+    # (m^2, k n n): left contracted over (i, j) of rho[(i k),(j l)].
+    realigned = mats.reshape(k, m, n, m, n).transpose(1, 3, 0, 2, 4).reshape(m * m, k * n * n)
+    full = np.dot(left, realigned).reshape(m * m * k, n * n) @ right
     return full.reshape(m * m, k, n * n).transpose(1, 0, 2).real
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and the one walk for the first failing `Check`."""
+"""Exception types shared across the package, and the one walk for the first failing `Check`.
+
+A set of checks is walked once: `failed_states` joins their masks with one `|`
+per check, and `first_fault` reads that union with ndarray methods, building
+only the error it returns.
+"""
 
 from typing import Callable, NamedTuple
 
@@ -63,10 +68,18 @@ class Check(NamedTuple):
     fault: Callable[[int], Exception]
 
 
+def failed_states(checks) -> np.ndarray:
+    """True for each state that fails any of one or more checks over one stack."""
+    failed = checks[0].failed
+    for check in checks[1:]:
+        failed = failed | check.failed
+    return failed
+
+
 def first_fault(checks) -> tuple[int, Exception] | None:
     """The first state failing any check, with the error of its first failing check, or None."""
-    failed = np.logical_or.reduce([check.failed for check in checks])
+    failed = failed_states(checks)
     if not failed.any():
         return None
-    i = int(np.argmax(failed))
+    i = int(failed.argmax())
     return i, next(check.fault(i) for check in checks if check.failed[i])

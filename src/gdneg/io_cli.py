@@ -222,7 +222,7 @@ def _hs_stack(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
     g.real = z[:, 0]
     g.imag = z[:, 1]
     mats = g @ g.conj().transpose(0, 2, 1)
-    mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    mats /= mats.trace(axis1=1, axis2=2).real[:, None, None]
     return mats
 
 
@@ -230,7 +230,7 @@ def _unit_vectors(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
     """k normalized complex Gaussian vectors as a (k, d) array."""
     z = rng.standard_normal((k, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
-    return v / np.linalg.norm(v, axis=1)[:, None]
+    return v / np.sqrt((v.conj() * v).real.sum(axis=1))[:, None]  # np.linalg.norm's recipe
 
 
 def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
@@ -327,16 +327,16 @@ def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
         else:
             measured = _measure_parts(stack, h, m, n)
         ok = measured.ok
-        failures = int(np.count_nonzero(~ok))
+        failures = len(ok) - int(ok.sum())
         if failures and fault is None:
             i, error = first_fault(measured.checks)
             fault = seen + i, error
         bound_failures += failures
         seen += len(stack)
-        gaps = measured.gap[ok]
+        gaps = measured.gap[ok] if failures else measured.gap
         if gaps.size == 0:
             continue
-        violations += int(np.sum(gaps > VIOLATION_EPS))
+        violations += int((gaps > VIOLATION_EPS).sum())
         hi, lo = float(gaps.max()), float(gaps.min())
         max_gap = hi if max_gap is None else max(max_gap, hi)
         min_gap = lo if min_gap is None else min(min_gap, lo)
@@ -408,11 +408,11 @@ def run_verify(
             )
             checks += identity + (oracle,)
             oracle_checked += todo  # both reported on a pass only, when every dev <= atol
-            max_oracle_dev = float(np.max(dev, initial=max_oracle_dev))
+            max_oracle_dev = float(dev.max(initial=max_oracle_dev))
         fault = first_fault(checks)
         passed = len(mats) if fault is None else fault[0]
         checked += passed
-        violations += int(np.count_nonzero(measured.gap[:passed] > VIOLATION_EPS))
+        violations += int((measured.gap[:passed] > VIOLATION_EPS).sum())
         if fault is not None:
             write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[passed]))
             return {

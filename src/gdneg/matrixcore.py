@@ -29,7 +29,7 @@ def hermiticity_defect(a: np.ndarray):
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    defect = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     return float(defect) if a.ndim == 2 else defect
 
 

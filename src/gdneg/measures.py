@@ -41,6 +41,21 @@ measures a stack of unit vectors from them, with `pure_negativity`, `pure_gd`
 at m = 2 and the lower bound's spectrum written in Schmidt weights at m >= 3,
 and returns what the kernel would return for their projectors; the kernel
 runs on the projector of its first state as a cross-check.
+
+At the chunk sizes the CLI runs, much of a chunk's time is fixed cost per
+numpy call, so the chunk path, from the draw through the gate, the kernel,
+the identities and the oracle to the walk of the checks, calls numpy's C
+entry points: ufuncs, ndarray methods (`sum`, `max`, `trace`, `argmax`),
+matmul and `np.dot`, `default_rng`, and of `np.linalg` only the gate's
+`cholesky` and the kernel's two `eigvalsh`. The Python helpers that wrap
+them (`np.sum`, `np.max`, `np.trace`, `np.where`, `np.tensordot`,
+`np.linalg.norm`) are written as the calls they make, with the same bytes.
+Beside those: `np.asarray` where a public function takes its input,
+`np.empty` and `np.zeros` to allocate, the gate's `np.errstate`, and `einsum`
+only where outputs pin its order of summation, in the oracle's form and
+objective and in the identities. The pure route adds its SVD at m >= 3 and
+the lower bound's `eigvalsh`. Each set of checks is built once and walked
+once: `errors.first_fault` joins the failure masks with one `|` per check.
 """
 
 import math
@@ -58,6 +73,7 @@ from .errors import (
     InvalidDimension,
     InvalidRange,
     WrongDimension,
+    failed_states,
     first_fault,
 )
 from .matrixcore import _spectrum, hermitian_part, hs_norm_sq, partial_transpose
@@ -128,7 +144,7 @@ class _StackMeasures:
     @property
     def ok(self) -> np.ndarray:
         """True where every check passed."""
-        return ~np.logical_or.reduce([check.failed for check in self.checks])
+        return ~failed_states(self.checks)
 
 
 def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
@@ -172,12 +188,14 @@ def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMea
     if m < 2 or n < 2:
         raise InvalidDimension(f"measures require m >= 2 and n >= 2, got a {m}x{n} state")
     w = _spectrum(partial_transpose(h, m, n))
-    via_trace_norm = (np.sum(np.abs(w), axis=1) - 1.0) / (m - 1)
-    neg = 2.0 * np.sum(np.where(w < 0.0, -w, 0.0), axis=1) / (m - 1)
-    count = np.sum(w < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
+    via_trace_norm = (np.abs(w).sum(axis=1) - 1.0) / (m - 1)
+    # The sum of the negative eigenvalues, negated: fmin, like the mask w < 0,
+    # drops NaN, and 0.0 - s keeps N = +0.0 where -s would give -0.0.
+    neg = 2.0 * (0.0 - np.fmin(w, 0.0).sum(axis=1)) / (m - 1)
+    count = (w < NEGATIVE_EIGENVALUE_CUTOFF).sum(axis=1)
     cap = (m - 1) * (n - 1)
     lam = np.linalg.eigvalsh(bloch.g_stack(bloch.coefficient_stack(mats, m, n)[:, 1:], n))
-    raw = (2.0 / (m * (m - 1) * n)) * np.sum(lam[:, : m * m - m], axis=1)
+    raw = (2.0 / (m * (m - 1) * n)) * lam[:, : m * m - m].sum(axis=1)
     disc = np.maximum(raw, 0.0)
     gap = neg * neg - disc
     checks = (
@@ -240,9 +258,19 @@ def _schmidt_stack(a: np.ndarray) -> np.ndarray:
     if a.shape[1] > 2:
         return np.linalg.svd(a, compute_uv=False)
     minors = a[:, 0, :, None] * a[:, 1, None, :] - a[:, 0, None, :] * a[:, 1, :, None]
-    product = np.sqrt(0.5 * np.sum(np.abs(minors) ** 2, axis=(1, 2)))  # each pair counted twice
-    c1 = np.sqrt((1.0 + np.sqrt(np.maximum(1.0 - 4.0 * product**2, 0.0))) / 2)
-    return np.stack([c1, product / c1], axis=1)
+    product = np.sqrt(0.5 * (np.abs(minors) ** 2).sum(axis=(1, 2)))  # each pair counted twice
+    c = np.empty((len(a), 2))
+    c[:, 0] = np.sqrt((1.0 + np.sqrt(np.maximum(1.0 - 4.0 * product**2, 0.0))) / 2)
+    c[:, 1] = product / c[:, 0]
+    return c
+
+
+@lru_cache(maxsize=None)
+def _centring(m: int) -> np.ndarray:
+    """The read-only centring matrix C = I - J/m."""
+    centring = np.eye(m) - 1.0 / m
+    centring.setflags(write=False)
+    return centring
 
 
 def _pure_lower_bound(p: np.ndarray) -> np.ndarray:
@@ -256,10 +284,11 @@ def _pure_lower_bound(p: np.ndarray) -> np.ndarray:
     """
     m = p.shape[1]
     pairs = _pair_products(p)
-    centring = np.eye(m) - 1.0 / m
+    centring = _centring(m)
     centred = np.linalg.eigvalsh((centring * (p * p)[:, None, :]) @ centring)
-    values = np.sort(np.concatenate([pairs, pairs, centred], axis=1), axis=1)
-    return (m / (m - 1)) * np.sum(values[:, : m * m - m + 1], axis=1)
+    values = np.concatenate([pairs, pairs, centred], axis=1)
+    values.sort(axis=1)
+    return (m / (m - 1)) * values[:, : m * m - m + 1].sum(axis=1)
 
 
 def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
@@ -282,7 +311,7 @@ def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
     neg = pure_negativity(c, m)
     disc = pure_gd(c, m) if m == 2 else _pure_lower_bound(c * c)
     gap = neg * neg - disc
-    count = np.sum(-_pair_products(c) < NEGATIVE_EIGENVALUE_CUTOFF, axis=1)
+    count = (-_pair_products(c) < NEGATIVE_EIGENVALUE_CUTOFF).sum(axis=1)
     dev = np.maximum(np.abs(neg[:1] - kernel.negativity), np.abs(disc[:1] - kernel.discord))
     cross = Check(
         ~(dev <= PURE_ROUTE_ATOL),
@@ -365,6 +394,7 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
 # above the smallest normal float, and no entry overflows.
 _ASCENT_SQUARINGS = 60
 _SQUARINGS_PER_NORMALISATION = 6
+_TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=None)
@@ -429,15 +459,14 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     # float when M is diagonal. Scaling each column by its largest entry
     # before its norm keeps that norm in [1, sqrt 3] or at 0: a column is
     # never blown up past unit length, and a zero column scores 0.
-    tiny = np.finfo(float).tiny
     p = form
     for _ in range(_ASCENT_SQUARINGS // _SQUARINGS_PER_NORMALISATION):
-        p = p / np.maximum(np.einsum("kii->k", p), tiny)[:, None, None]
+        p = p / np.maximum(p.trace(axis1=1, axis2=2), _TINY)[:, None, None]
         for _ in range(_SQUARINGS_PER_NORMALISATION):
             p = p @ p
     u = p.transpose(0, 2, 1)
-    u = u / np.maximum(np.abs(u).max(axis=2, keepdims=True), tiny)
-    u = u / np.maximum(np.linalg.norm(u, axis=2, keepdims=True), 1.0)
+    u = u / np.maximum(np.abs(u).max(axis=2, keepdims=True), _TINY)
+    u = u / np.maximum(np.sqrt((u * u).sum(axis=2, keepdims=True)), 1.0)
     return hs_norm_sq(mats) - _form_values(form, u).max(axis=1)
 
 
@@ -471,7 +500,7 @@ def pure_negativity(c, m: int):
     vectors but without its cancellation near product states. On a (..., r)
     array of coefficients, one value per row of the last axis.
     """
-    return 2.0 * np.sum(_pair_products(np.asarray(c, dtype=float)), axis=-1) / (m - 1)
+    return 2.0 * _pair_products(np.asarray(c, dtype=float)).sum(axis=-1) / (m - 1)
 
 
 def pure_gd(c, m: int):
@@ -482,7 +511,7 @@ def pure_gd(c, m: int):
     (..., r) array of coefficients, one value per row of the last axis.
     """
     c = np.asarray(c, dtype=float)
-    return (2.0 * m / (m - 1)) * np.sum(_pair_products(c * c), axis=-1)
+    return (2.0 * m / (m - 1)) * _pair_products(c * c).sum(axis=-1)
 
 
 def maximal_state(m: int, n: int) -> DensityMatrix:
@@ -505,9 +534,9 @@ def _identity_checks(mats: np.ndarray, n: int, us) -> tuple[tuple, np.ndarray, n
     them, and Tr((Pi(rho))^2) and Tr(rho Pi(rho)) per state.
     """
     us = np.asarray(us, dtype=float)
-    norms = np.linalg.norm(us, axis=-1)
+    norms = np.sqrt((us * us).sum(axis=-1))
     usable = (0.0 < norms) & (norms < math.inf)
-    units = np.where(usable[:, None], us, 0.0) / np.where(usable, norms, 1.0)[:, None]
+    units = np.divide(us, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
     projected = project_a(mats, n, units)
     pi_sq = np.einsum("kij,kji->k", projected, projected).real
     rho_pi = np.einsum("kij,kji->k", mats, projected).real

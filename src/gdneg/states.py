@@ -10,13 +10,20 @@ that receives validated stacks does not check them again. The gate forms the
 Hermitian parts of the states before the first cheap failure (finiteness,
 hermiticity, trace) once, and `_gate` hands them on to the measures kernel.
 Their positivity is decided first by a screen: one batched Cholesky
-factorisation of a copy of those Hermitian parts shifted by
--PSD_MIN_EIGENVALUE * I, which succeeds only when every smallest eigenvalue
+factorisation of those Hermitian parts less a cached, read-only
+PSD_MIN_EIGENVALUE * I, which succeeds only when every smallest eigenvalue
 is above PSD_MIN_EIGENVALUE. When it fails, their spectrum is taken, and it
 alone decides the verdict, the index and the message.
+
+Each set of checks is built once and walked once: the gate walks the cheap
+checks once per chunk, and builds and walks the positivity check only when
+the screen fails. Like the rest of the chunk path (see `measures`), the gate
+calls ufuncs, ndarray methods and `np.linalg.cholesky`, and takes a spectrum
+with `eigvalsh` only behind a failed screen.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,17 +39,23 @@ def _invariant(name: str, residual: np.ndarray, tol: float) -> Check:
     )
 
 
+@lru_cache(maxsize=None)
+def _psd_shift(d: int) -> np.ndarray:
+    """The read-only (d, d) matrix PSD_MIN_EIGENVALUE * I."""
+    shift = np.diag(np.full(d, PSD_MIN_EIGENVALUE))
+    shift.setflags(write=False)
+    return shift
+
+
 def _all_positive(h: np.ndarray) -> bool:
     """True when the Hermitian parts h plus -PSD_MIN_EIGENVALUE * I all have a
     Cholesky factor, so every smallest eigenvalue is above PSD_MIN_EIGENVALUE.
 
-    False when any state fails, or sits within rounding of the bound.
+    False when any state fails, or sits within rounding of the bound. Off the
+    diagonal the shift subtracts 0.0, which leaves those entries as they are.
     """
-    shifted = h.copy()
-    diag = np.arange(h.shape[-1])
-    shifted[:, diag, diag] -= PSD_MIN_EIGENVALUE
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(h - _psd_shift(h.shape[-1]))
     except np.linalg.LinAlgError:  # raised for the whole stack when any state fails
         return False
     return True
@@ -54,31 +67,34 @@ def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray
     Those are the parts of the states before the first cheap failure, a prefix
     at least as long as the valid one, computed once: the positivity screen
     reads a shifted copy of them, and the measures kernel reads them as they are.
+    The cheap checks are walked once; positivity is checked only when the screen
+    fails, and only on that prefix, so a positivity failure comes first.
     """
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
         defect = hermiticity_defect(mats)
-        trace_residual = np.abs(np.trace(mats, axis1=1, axis2=2) - 1.0)
-    cheap = (
+        trace_residual = np.abs(mats.trace(axis1=1, axis2=2) - 1.0)
+    invalid = first_fault((
         Check(
             ~np.isfinite(mats).all(axis=(1, 2)),
             lambda i: InvalidState("finiteness invariant violated: non-finite entries"),
         ),
         _invariant("hermiticity", defect, HERMITIAN_ATOL),
         _invariant("trace", trace_residual, TRACE_ATOL),
-    )
-    invalid = first_fault(cheap)
+    ))
     end = len(mats) if invalid is None else invalid[0]
-    # Positivity only before the first cheap failure, which may be NaN; +inf passes.
+    # Positivity only before the first cheap failure, which may be NaN.
     # Those states passed hermiticity, so their defect is not computed again.
     h = hermitian_part(mats[:end])
-    min_eig = np.full(len(mats), np.inf)
     if not _all_positive(h):
-        min_eig[:end] = _spectrum(h)[:, -1]
-    positivity = Check(
-        ~(min_eig >= PSD_MIN_EIGENVALUE),
-        lambda i: InvalidState(f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"),
-    )
-    return first_fault(cheap + (positivity,)), h
+        min_eig = _spectrum(h)[:, -1]
+        positivity = Check(
+            ~(min_eig >= PSD_MIN_EIGENVALUE),
+            lambda i: InvalidState(
+                f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"
+            ),
+        )
+        invalid = first_fault((positivity,)) or invalid
+    return invalid, h
 
 
 def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
@@ -95,7 +111,8 @@ def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
 
 def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:
     """The first vector of a (k, d) stack that is not a finite unit vector, as for states."""
-    return first_fault((_invariant("norm", np.abs(np.linalg.norm(vs, axis=1) - 1.0), NORM_ATOL),))
+    norms = np.sqrt((vs.conj() * vs).real.sum(axis=1))  # np.linalg.norm's own recipe
+    return first_fault((_invariant("norm", np.abs(norms - 1.0), NORM_ATOL),))
 
 
 @dataclass(frozen=True)

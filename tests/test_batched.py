@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gdneg
-from gdneg import bloch, families, io_cli, matrixcore, measures, states
+from gdneg import bloch, errors, families, io_cli, matrixcore, measures, states
 from gdneg.errors import BoundViolation, CapViolation, InvalidDimension, InvalidRange, InvalidState
 from gdneg.families import FamilySpec, build
 from gdneg.io_cli import main, run_sample, run_verify, sample_states, sweep_rows, write_state
@@ -479,6 +479,27 @@ def test_sweep_builds_no_density_matrix_and_gates_each_chunk_once(monkeypatch):
     monkeypatch.setattr(families, "_gate", counting)
     assert len(sweep_rows("rho1", 0, 6, 500)) == 500
     assert gated == [227, 227, 46]
+
+
+def test_gate_walks_its_checks_once_per_chunk(monkeypatch):
+    # The cheap checks are walked once per chunk; the positivity check is built
+    # and walked only when the Cholesky screen fails, and then once.
+    walks = []
+
+    def counting(checks):
+        walks.append(checks)
+        return errors.first_fault(checks)
+
+    monkeypatch.setattr(states, "first_fault", counting)
+    run_sample(2, 3, 1000, 4, "hilbert-schmidt")
+    assert [len(checks) for checks in walks] == [3] * 5  # chunks of 227, 227, 227, 227, 92
+    walks.clear()
+    mats = mixed_stack()
+    index, error = first_invalid_state(mats)
+    assert (index, str(error)) == (2, "positivity invariant violated: min eigenvalue -0.2")
+    assert [len(checks) for checks in walks] == [3, 1]
+    walked = [check for checks in walks for check in checks]
+    assert len({id(check) for check in walked}) == len(walked)
 
 
 def test_sweep_forms_one_hermitian_part_per_chunk(monkeypatch):

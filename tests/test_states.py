@@ -179,21 +179,24 @@ def test_first_invalid_state_is_the_first_state_below_the_bound(mats):
 BOUNDARY_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
 
 
-def anti_hermitian_noise(d, k, rng):
+def anti_hermitian_noise(d, k, rng, size=0.49 * HERMITIAN_ATOL):
     """k anti-Hermitian matrices with a zero diagonal, so the trace is kept, whose
-    defect max|E - E^dag| = 2 max|E| is 0.98 HERMITIAN_ATOL."""
+    largest entry is `size`: by default their defect max|E - E^dag| = 2 max|E| is
+    0.98 HERMITIAN_ATOL."""
     e = rng.uniform(-1, 1, (k, d, d)) + 1j * rng.uniform(-1, 1, (k, d, d))
     e = e - e.conj().swapaxes(1, 2)
     e[:, np.arange(d), np.arange(d)] = 0.0
-    return e * (0.49 * HERMITIAN_ATOL / np.abs(e).max(axis=(1, 2), keepdims=True))
+    return e * (size / np.abs(e).max(axis=(1, 2), keepdims=True))
 
 
-def near_boundary_stack(d, k, rng):
+def near_boundary_stack(d, k, rng, above=(2e-12, 2e-11), noise=0.49 * HERMITIAN_ATOL):
+    """k states whose smallest eigenvalue is PSD_MIN_EIGENVALUE plus a uniform
+    draw from `above`, with anti-Hermitian noise of largest entry `noise`."""
     mats = np.array([
-        with_spectrum(PSD_MIN_EIGENVALUE + rng.uniform(2e-12, 2e-11), d - 1, d, rng)
+        with_spectrum(PSD_MIN_EIGENVALUE + rng.uniform(*above), d - 1, d, rng)
         for _ in range(k)
     ])
-    return mats + anti_hermitian_noise(d, k, rng)
+    return mats + anti_hermitian_noise(d, k, rng, noise)
 
 
 def reference_measures(mat, m, n):
@@ -252,3 +255,29 @@ def test_gate_verdict_near_both_tolerances_is_the_per_state_reference(m, n, wher
     invalid, h = states._gate(mats)
     assert (invalid[0], str(invalid[1])) == expected
     assert np.array_equal(h, (mats + mats.conj().swapaxes(1, 2)) / 2)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(dims=st.sampled_from([(2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_measures_near_the_boundary_are_invariant_under_local_unitaries(dims, seed):
+    # Smallest eigenvalue about -5e-10 and anti-Hermitian noise of 1e-11 per
+    # entry, which a local unitary spreads without lifting the defect past
+    # HERMITIAN_ATOL: both stacks pass the gate, and N, D_lb and the PT
+    # negative count do not move.
+    m, n = dims
+    d = m * n
+    rng = np.random.default_rng(seed)
+    mats = near_boundary_stack(d, 8, rng, above=(4.9e-10, 5.1e-10), noise=1e-11)
+    local = np.kron(unitary(m, rng), unitary(n, rng))
+    rotated = local @ mats @ local.conj().T
+    results = []
+    for stack in (mats, rotated):
+        invalid, h = states._gate(stack)
+        assert invalid is None
+        assert np.all(np.abs(np.linalg.eigvalsh(h)[:, 0] + 5e-10) <= 2e-11)
+        results.append(measures._measure_parts(stack, h, m, n))
+    before, after = results
+    assert before.ok.all() and after.ok.all()
+    assert np.max(np.abs(after.negativity - before.negativity)) <= 1e-12
+    assert np.max(np.abs(after.discord - before.discord)) <= 1e-12
+    assert np.array_equal(after.pt_negative_count, before.pt_negative_count)
