@@ -534,9 +534,12 @@ def _identity_checks(mats: np.ndarray, n: int, us) -> tuple[tuple, np.ndarray, n
     them, and Tr((Pi(rho))^2) and Tr(rho Pi(rho)) per state.
     """
     us = np.asarray(us, dtype=float)
-    norms = np.sqrt((us * us).sum(axis=-1))
+    # Each direction scaled by a power of two so its largest entry is in [1/2, 1):
+    # exact, and its squared norm can no longer overflow or underflow.
+    scaled = np.ldexp(us, -np.frexp(np.abs(us).max(axis=-1))[1][:, None])
+    norms = np.sqrt((scaled * scaled).sum(axis=-1))
     usable = (0.0 < norms) & (norms < math.inf)
-    units = np.divide(us, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
+    units = np.divide(scaled, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
     projected = project_a(mats, n, units)
     pi_sq = np.einsum("kij,kji->k", projected, projected).real
     rho_pi = np.einsum("kij,kji->k", mats, projected).real

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -501,3 +502,89 @@ class TestGoldenJson:
             "dims", "count", "seed", "checked", "passed", "failure", "failure_state_file",
         }
         assert report["passed"] is False
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdneg.__file__)))
+
+
+def write_nan_file(directory):
+    """A 2x3 state file with a NaN entry, as the benchmark's bad input."""
+    entries = [[0.0, 0.0] for _ in range(36)]
+    entries[0][0] = entries[35][0] = 0.5
+    entries[1][0] = entries[6][0] = float("nan")
+    doc = {"format": "gdneg-state/1", "m": 2, "n": 3, "entries": entries}
+    (directory / "nan_2x3.json").write_text(json.dumps(doc))
+
+
+def run_python(args, cwd):
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+
+
+ENTRY_COMMANDS = [
+    ["sweep", "--family", "rho1", "--from", "0", "--to", "6", "--steps", "121", "--out", "rho1.csv"],
+    ["sample", "--dims", "2x3", "--count", "-5", "--seed", "1"],
+    ["analyze", "nan_2x3.json"],
+]
+
+
+class TestProcessEntry:
+    """`entry` freezes the import-time heap for the process; `main` leaves it alone."""
+
+    @pytest.mark.parametrize("argv", [
+        ENTRY_COMMANDS[0],
+        ["sample", "--dims", "2x3", "--count", "20", "--seed", "1"],
+        ENTRY_COMMANDS[1],
+    ])
+    def test_main_leaves_the_collector_alone(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count(), gc.isenabled()
+        main(argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("how", ["module", "script"])
+    def test_entry_freezes_the_heap_before_main(self, how, tmp_path):
+        # Spy on main's first call, parse_args: by then the module and numpy are
+        # frozen, so neither is among the objects the collector still tracks.
+        module, run = {
+            "module": ("__main__",  # as `python -m gdneg.io_cli`
+                       "runpy.run_module('gdneg.io_cli', run_name='__main__', alter_sys=True)"),
+            "script": ("gdneg.io_cli",  # as the console script's wrapper
+                       "from gdneg.io_cli import entry; sys.exit(entry())"),
+        }[how]
+        code = (
+            "import argparse, gc, runpy, sys\n"
+            "parse = argparse.ArgumentParser.parse_args\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    tracked = {id(o) for o in gc.get_objects()}\n"
+            f"    mod = sys.modules[{module!r}]\n"
+            "    print(gc.get_freeze_count(), id(mod) in tracked, id(mod.np) in tracked,\n"
+            "          file=sys.stderr)\n"
+            "    return parse(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.parse_args = spy\n"
+            "sys.argv[1:] = ['sample', '--dims', '2x2', '--count', '3', '--seed', '1']\n"
+            f"{run}\n"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        frozen, module_tracked, numpy_tracked = out.stderr.split()
+        assert int(frozen) > 1000 and module_tracked == numpy_tracked == "False"
+
+    def test_console_script_runs_the_entry(self):
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'gdneg = "gdneg.io_cli:entry"\n' in fh.read()
+
+    @pytest.mark.parametrize("argv", ENTRY_COMMANDS)
+    def test_module_run_matches_main_in_process(self, argv, tmp_path, monkeypatch, capsys):
+        inside, outside = tmp_path / "in", tmp_path / "out"
+        for directory in (inside, outside):
+            directory.mkdir()
+            write_nan_file(directory)
+        monkeypatch.chdir(inside)
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = run_python(["-m", "gdneg.io_cli", *argv], outside)
+        assert (out.returncode, out.stdout, out.stderr) == (code, captured.out, captured.err)
+        assert sorted(p.name for p in inside.iterdir()) == sorted(p.name for p in outside.iterdir())
+        for path in inside.iterdir():
+            assert path.read_bytes() == (outside / path.name).read_bytes()

@@ -344,6 +344,14 @@ class TestMeasurementIdentity:
             with pytest.raises(InvalidRange, match="direction"):
                 measurement_identity_check(rho, u)
 
+    @pytest.mark.parametrize("u", [(1e200, 0.0, 0.0), (1e-200, 0.0, 0.0), (1e-310, 0.0, 0.0)])
+    def test_accepts_directions_whose_squared_norm_overflows_or_underflows(self, u):
+        rho = maximal_state(2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = measurement_identity_check(rho, u)
+        assert traces == measurement_identity_check(rho, (1.0, 0.0, 0.0))
+
     @pytest.mark.parametrize("u", [(1.0, 0.0), (0, 0, 1, 0), ((0.0, 0.0, 1.0),), ("x", "y", "z")])
     def test_rejects_a_direction_that_is_not_three_numbers(self, u):
         rho = random_density_matrix(2, 3, np.random.default_rng(47))

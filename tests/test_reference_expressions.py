@@ -12,7 +12,9 @@ and fancy-index shift for one subtraction of a cached matrix, the list
 `np.logical_or.reduce` of the fault walk for one `|` per check,
 `np.linalg.norm` for its own recipe and the oracle's `einsum("kii->k")` for
 `trace`. Each old expression is kept below, and the new one must give the
-same bytes on seeded stacks at 2x2 to 4x4, PPT states included.
+same bytes on seeded stacks at 2x2 to 4x4, PPT states included. The
+identities' unit directions, now scaled by a power of two before the norm,
+must keep the bytes of the unscaled ones on the directions `verify` draws.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 
 from gdneg import bloch, errors, measures, states
 from gdneg.errors import Check
-from gdneg.io_cli import _chunk_size, _hs_stack, _unit_vectors
+from gdneg.io_cli import _chunk_size, _hs_stack, _state_chunks, _unit_vectors
 from gdneg.matrixcore import _spectrum, hermitian_part, hs_norm_sq, partial_transpose
 from gdneg.tolerances import NORM_ATOL, PSD_MIN_EIGENVALUE
 
@@ -137,6 +139,13 @@ def old_identity_traces(mats, n, us):
     pi_sq = np.einsum("kij,kji->k", projected, projected).real
     rho_pi = np.einsum("kij,kji->k", mats, projected).real
     return usable, pi_sq, rho_pi
+
+
+def unscaled_units(us):
+    """The identities' unit directions before each was scaled by a power of two."""
+    norms = np.sqrt((us * us).sum(axis=-1))
+    usable = (0.0 < norms) & (norms < np.inf)
+    return np.divide(us, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
 
 
 def ppt_states(m, n):
@@ -259,3 +268,19 @@ def test_oracle_and_identity_traces_are_the_old_expressions_bit_for_bit(n):
         usable, old_pi_sq, old_rho_pi = old_identity_traces(mats, n, us)
         assert bits(pi_sq) == bits(old_pi_sq) and bits(rho_pi) == bits(old_rho_pi)
         assert np.array_equal(checks[0].failed, ~usable)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identity_units_are_the_unscaled_ones_on_verify_draws(n, monkeypatch):
+    # The power-of-two scaling is exact: directions drawn as `run_verify` draws
+    # them keep their unit vectors, and so their traces, byte for byte.
+    units = []
+    project_a = measures.project_a
+    monkeypatch.setattr(measures, "project_a",
+                        lambda mats, n, u: units.append(u) or project_a(mats, n, u))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for mats, _ in _state_chunks(2, n, 2 * _chunk_size(2 * n), seed, "hilbert-schmidt"):
+            us = rng.standard_normal((len(mats), 3))
+            measures._identity_checks(mats, n, us)
+            assert bits(units.pop()) == bits(unscaled_units(us))
