@@ -13,8 +13,10 @@ Tr rho^2 - u^T M u, with M a 3 x 3 form built once per state from explicit
 Pauli products of rho by the two measurement identities, not from Bloch data:
 it reads no G matrix and solves no eigenproblem. For a whole stack of
 2 (x) n states it climbs the sphere by u <- M u / ||M u|| from the three axes
-at once, 2^60 steps taken as 10 blocks of 6 squarings of M with one trace
-normalisation per block, and keeps the best direction.
+at once, up to 2^60 steps taken as 10 blocks of 6 squarings of M with one
+trace normalisation per block, stops at a block start once a rank-one
+certificate proves every state of the stack within 9e-20 of its maximum
+(most seeded chunks after 12 squarings), and keeps the best direction.
 `gd_bruteforce_2xn` runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
@@ -61,6 +63,7 @@ once: `errors.first_fault` joins the failure masks with one `|` per check.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +89,7 @@ from .tolerances import (
     IDENTITY_ATOL,
     NEGATIVE_EIGENVALUE_CUTOFF,
     PURE_ROUTE_ATOL,
+    RANK_ONE_DEFECT_ATOL,
     SCHMIDT_CUTOFF,
 )
 
@@ -131,8 +135,7 @@ def _outside(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return ~((lo - BOUND_ATOL <= values) & (values <= hi + BOUND_ATOL))
 
 
-@dataclass(frozen=True)
-class _StackMeasures:
+class _StackMeasures(NamedTuple):
     """Measures of a stack of states and their per-state verdicts."""
 
     negativity: np.ndarray
@@ -392,6 +395,21 @@ def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
 # P of unit trace has top eigenvalue at least 1/3 and no entry above 1, so
 # after 6 squarings its top eigenvalue is at least 3^-64 (about 3e-31), far
 # above the smallest normal float, and no entry overflows.
+#
+# The climb stops at the start of block b > 0 once the rank-one defect
+# eta = 1 - ||P'||_F^2 of each state's unit-trace P' is at most
+# RANK_ONE_DEFECT_ATOL, which keeps that promise. After q = 2^(6b) steps, P'
+# has M's eigenvectors w_i and weights mu_i = lambda_i^q / sum lambda^q, with
+# lambda_1 >= lambda_2 >= lambda_3 >= 0. So delta = 1 - mu_1 <= 2/3,
+# ||P'||_F^2 <= (1 - delta)^2 + delta^2 and eta >= 2 delta (1 - delta): eta <
+# 4/9 gives delta <= 1/2, and then delta <= eta. Column j of P' is
+# sum mu_i (w_i.e_j) w_i; for the axis j with (w_1.e_j)^2 >= 1/3, its Rayleigh
+# quotient v_j is a weighted mean of the lambda_i with lambda_1 - v_j <=
+# lambda_1 delta^2 / (mu_1^2 / 3) <= 3 lambda_1 eta^2 / (1 - eta)^2. As
+# lambda_1 <= Tr M <= 3 Tr rho^2 <= 3, at eta <= 1e-10 the best column is
+# within 9e-20 of lambda_1. A near tie stops the climb only once its steps
+# resolve the gap; a zero form (eta = 1), a tie within rounding (eta near 1/2)
+# or a NaN never does.
 _ASCENT_SQUARINGS = 60
 _SQUARINGS_PER_NORMALISATION = 6
 _TINY = np.finfo(float).tiny
@@ -423,6 +441,15 @@ def _form_values(form: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("kga,kab,kgb->kg", u, form, u)
 
 
+def _rank_one(p: np.ndarray) -> bool:
+    """True when each unit-trace P' of a (k, 3, 3) stack has 1 - ||P'||_F^2 <= RANK_ONE_DEFECT_ATOL.
+
+    The certificate that stops the oracle's climb; see `_ASCENT_SQUARINGS`.
+    A NaN defect fails it.
+    """
+    return bool((1.0 - (p * p).sum(axis=(1, 2)) <= RANK_ONE_DEFECT_ATOL).all())
+
+
 def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     """Geometric discord of each state of a (k, 2n, 2n) stack by direct minimization.
 
@@ -437,15 +464,19 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     It climbs the sphere by u <- M u / ||M u||. M is a Gram matrix, so u^T M u
     is convex and each step maximizes its linearization over the sphere: no
     step lowers the value. The climb starts from the three axes at once and
-    takes its 2^60 steps as 10 blocks of 6 squarings P <- P P from
+    takes up to 2^60 steps as 10 blocks of 6 squarings P <- P P from
     P = M / Tr M, with one trace normalisation per block, so column j of P is
-    axis j climbed; a positive scale changes no direction. See
-    `_ASCENT_SQUARINGS` for why that ends within 1e-18 of the maximum and
-    why 6 squarings of a unit-trace P neither underflow (its top eigenvalue
-    stays above 3^-64) nor overflow. Each value is Tr rho^2 minus the best
-    u^T M u among the three normalized columns, so it is attained by an
-    explicit unit u and never falls below the true minimum. n < 2 raises
-    InvalidDimension.
+    axis j climbed; a positive scale changes no direction. It stops at the
+    start of a later block once every state's unit-trace P' is rank one to
+    within 1 - ||P'||_F^2 <= 1e-10, which puts the best column within 9e-20
+    of the maximum; a tie within rounding, a zero form or a NaN runs all 60.
+    So a value depends, at rounding, on the other states of its stack. See
+    `_ASCENT_SQUARINGS` for the proof of the stop, for why 60 squarings end
+    within 1e-18 of the maximum and why 6 squarings of a unit-trace P neither
+    underflow (its top eigenvalue stays above 3^-64) nor overflow. Each value
+    is Tr rho^2 minus the best u^T M u among the three normalized columns, so
+    it is attained by an explicit unit u and never falls below the true
+    minimum. n < 2 raises InvalidDimension.
     """
     if n < 2:
         raise InvalidDimension(f"brute-force discord requires n >= 2, got a 2x{n} stack")
@@ -460,8 +491,10 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     # before its norm keeps that norm in [1, sqrt 3] or at 0: a column is
     # never blown up past unit length, and a zero column scores 0.
     p = form
-    for _ in range(_ASCENT_SQUARINGS // _SQUARINGS_PER_NORMALISATION):
+    for block in range(_ASCENT_SQUARINGS // _SQUARINGS_PER_NORMALISATION):
         p = p / np.maximum(p.trace(axis1=1, axis2=2), _TINY)[:, None, None]
+        if block and _rank_one(p):
+            break
         for _ in range(_SQUARINGS_PER_NORMALISATION):
             p = p @ p
     u = p.transpose(0, 2, 1)

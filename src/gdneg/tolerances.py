@@ -20,6 +20,7 @@ IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only 
 # rounding only (at most 1.5e-15 on 20,900 random pure states at 2x2 to 4x4).
 PURE_ROUTE_ATOL = 1e-12
 SCHMIDT_CUTOFF = 1e-12  # Schmidt coefficients at or below this are rounding noise of a zero
+RANK_ONE_DEFECT_ATOL = 1e-10  # the oracle's stop: its best column is then within 9e-20 of the max
 
 # Verdicts (families, io_cli).
 CLOSED_FORM_ATOL = 1e-12  # a family member's measured gap against its closed forms: rounding only

@@ -4,12 +4,13 @@
 measurements for a whole stack. Each value is Tr rho^2 - u^T M u, with
 M_ab = Re Tr(rho S_a rho S_b) and S_a = sigma_a (x) I_n, a 3 x 3 form built
 from rho's entries by explicit Pauli products, at the best of three
-directions climbed from the axes by u <- M u / ||M u||, 2^60 steps taken as
-10 blocks of 6 squarings of M, one trace normalisation per block: a PSD form
-of unit trace has top eigenvalue at least 1/3, so 6 squarings leave it above
-3^-64 and no entry overflows. The formula reaches the same optimum through
-the Bloch vector, the correlation tensor and an eigenvalue, so the two share
-no code. These tests pin the oracle to a copy of the climb that normalises
+directions climbed from the axes by u <- M u / ||M u||, up to 2^60 steps
+taken as 10 blocks of 6 squarings of M, one trace normalisation per block: a
+PSD form of unit trace has top eigenvalue at least 1/3, so 6 squarings leave
+it above 3^-64 and no entry overflows. The climb stops at a block start once
+every state's unit-trace form P' is rank one to 1 - ||P'||_F^2 <= 1e-10. The
+formula reaches the same optimum through the Bloch vector, the correlation
+tensor and an eigenvalue, so the two share no code. These tests pin the oracle to a copy of the climb that normalises
 after every squaring, to the single-state oracle, to the
 correlation-tensor formula on random and pure states, to the top eigenvalue
 of M (so a search error shows apart from a formula error), to itself under
@@ -18,7 +19,10 @@ M is zero, where its minimiser sits at a pole, where the top two
 eigenvalues of M nearly tie, which a search with a stopping step crawls on,
 and where a climbed column decays until its square underflows. They show
 that it never calls into the formula's code and solves no eigenproblem. Its
-form is pinned to the distance measured with `project_a`.
+form is pinned to the distance measured with `project_a`. The stop is shown
+to fire on a seeded chunk after 12 squarings, on a near tie only once the
+climb resolves it, never on an exact tie, a zero form or a NaN, and only
+when every state of the stack is certified; a looser threshold fails a test.
 """
 
 import time
@@ -294,3 +298,91 @@ def test_block_normalised_climb_matches_where_a_column_underflows(top, near):
     c[:, near] = 0.4 - ks * np.spacing(0.4)
     mats = bell_diagonal_stack(c)
     assert np.max(np.abs(gd_bruteforce_stack(mats, 2) - per_squaring_climb(mats, 2))) <= 1e-15
+
+
+def certificate_verdicts(monkeypatch, mats, n):
+    # The stop's verdict at each block start after the first, in order.
+    verdicts = []
+    real = measures._rank_one
+    monkeypatch.setattr(measures, "_rank_one", lambda p: verdicts.append(real(p)) or verdicts[-1])
+    gd_bruteforce_stack(mats, n)
+    return verdicts
+
+
+def rotated(rho, count, seed):
+    rng = np.random.default_rng(seed)
+    n = len(rho) // 2
+    local = [np.kron(haar_unitary(2, rng), haar_unitary(n, rng)) for _ in range(count)]
+    return np.array([v @ rho @ v.conj().T for v in local])
+
+
+def test_the_climb_stops_after_two_blocks_on_a_seeded_chunk(monkeypatch):
+    # A chunk of 8 as `verify` draws it at 2x3: every form is rank one to 1e-10
+    # after 12 squarings, and the values keep their digits.
+    mats = states(3, 8, 7)
+    verdicts = certificate_verdicts(monkeypatch, mats, 3)
+    assert len(verdicts) <= 2 and verdicts[-1] and not any(verdicts[:-1]), verdicts
+    assert np.max(np.abs(gd_bruteforce_stack(mats, 3) - per_squaring_climb(mats, 3))) <= 1e-15
+
+
+@pytest.mark.parametrize("eps,blocks", [(1e-5, 4), (1e-9, 6), (1e-12, 8)])
+def test_a_near_tie_is_certified_once_the_climb_resolves_it(monkeypatch, eps, blocks):
+    # The top two eigenvalues of M differ by 0.4 eps in 0.265, a relative gap
+    # g near 1.5 eps: the defect falls below 1e-10 at the first block start
+    # whose 2^(6b) steps exceed about 24/g, as 2 e^(-24) is near 1e-10.
+    mats = rotated(bell_diagonal_stack([(0.4, 0.4 - eps, 0.1)])[0], 8, 140)
+    assert certificate_verdicts(monkeypatch, mats, 2) == [False] * (blocks - 1) + [True]
+    assert np.max(np.abs(gd_bruteforce_stack(mats, 2) - per_squaring_climb(mats, 2))) <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [np.spacing(0.4), 0.0])
+def test_a_tie_within_an_ulp_runs_all_ten_blocks(monkeypatch, eps):
+    # 2^54 steps cannot resolve a relative gap of 1e-16 or less.
+    mats = rotated(bell_diagonal_stack([(0.4, 0.4 - eps, 0.1)])[0], 8, 140)
+    assert certificate_verdicts(monkeypatch, mats, 2) == [False] * 9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_zero_form_runs_all_ten_blocks(monkeypatch, n):
+    # M = 0, so P' = 0 and its defect is 1.
+    mats = np.array([maximal_state(2, n).mat] * 3)
+    assert certificate_verdicts(monkeypatch, mats, n) == [False] * 9
+
+
+def test_a_nan_state_runs_all_ten_blocks(monkeypatch):
+    mats = states(2, 4, 180)
+    mats[2, 0, 1] = np.nan
+    assert certificate_verdicts(monkeypatch, mats, 2) == [False] * 9
+
+
+def test_the_stop_waits_for_every_state_of_the_stack():
+    # Seven seeded states are certified after 12 squarings, the near tie only
+    # after 36: stopping at 12 would leave it about 6e-15 short.
+    eps = 1e-9
+    tie = rotated(bell_diagonal_stack([(0.4, 0.4 - eps, 0.1)])[0], 1, 140)
+    mats = np.concatenate([states(2, 7, 170), tie])
+    values = gd_bruteforce_stack(mats, 2)
+    assert abs(values[-1] - ((0.4 - eps) ** 2 + 0.01) / 2) <= 1e-12
+    assert np.max(np.abs(values - per_squaring_climb(mats, 2))) <= 1e-15
+
+
+def assert_moderate_eigengap_chunk_is_exact():
+    # Bell-diagonal c = (0.4, 0.3, 0.1) has M eigenvalues (1 + 2 c_a^2 - |c|^2)/4,
+    # 0.265, 0.23 and 0.19: after 6 squarings the rank-one defect is about
+    # 2 (0.23/0.265)^64, near 2e-4, and after 12 it is 0. D = (0.3^2 + 0.1^2)/2.
+    mats = rotated(bell_diagonal_stack([(0.4, 0.3, 0.1)])[0], 8, 160)
+    values = gd_bruteforce_stack(mats, 2)
+    assert np.max(np.abs(values - 0.05)) <= 1e-12
+    assert np.max(np.abs(values - per_squaring_climb(mats, 2))) <= 1e-15
+
+
+def test_a_moderate_eigengap_waits_for_the_certificate():
+    assert_moderate_eigengap_chunk_is_exact()
+
+
+def test_a_loose_certificate_threshold_fails(monkeypatch):
+    # The stop at a defect of 1e-2 ends this chunk after 6 squarings, about
+    # 1.3e-10 short of the maximum.
+    monkeypatch.setattr(measures, "RANK_ONE_DEFECT_ATOL", 1e-2)
+    with pytest.raises(AssertionError):
+        assert_moderate_eigengap_chunk_is_exact()
