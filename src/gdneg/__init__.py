@@ -5,51 +5,76 @@ bound, pure-state formulas), Bloch decomposition over SU(d) generator bases,
 partial-transpose spectra, built-in families of 2 (x) 3 states where the
 squared negativity exceeds the geometric discord, and a CLI for analysis,
 sweeps, sampling and bound verification.
+
+The names below are resolved on first use (PEP 562): `import gdneg` loads
+no layer and no numpy, and `gdneg.bounds_check` is `gdneg.measures.bounds_check`,
+looked up in its module on every access.
 """
 
-from .bloch import BlochForm, decompose, g_matrix, reconstruct
-from .errors import (
-    BoundViolation,
-    CapViolation,
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidRange,
-    InvalidState,
-    NotAState,
-    NotHermitian,
-    NotSquare,
-    ParseError,
-    UnknownFamily,
-    WrongDimension,
-)
-from .families import FAMILY_NAMES, FamilySpec, build, in_range, rho1_closed_forms, violates
-from .matrixcore import (
-    hermitian_eigenvalues,
-    hermiticity_defect,
-    hs_norm_sq,
-    kron,
-    partial_trace_b,
-    partial_transpose,
-    trace_norm,
-)
-from .measures import (
-    DensityMatrix,
-    MeasureReport,
-    PureState,
-    bounds_check,
-    gd_bruteforce_2xn,
-    gd_bruteforce_stack,
-    gd_lower_bound,
-    geometric_discord,
-    maximal_state,
-    measurement_identity_check,
-    negativity,
-    project_a,
-    pt_negative_count,
-    pure_gd,
-    pure_negativity,
-    schmidt,
-)
-from .su_generators import basis_for
+import importlib
 
 __version__ = "0.1.0"
+
+# module: the names the package exports from it
+_EXPORTS = {
+    "bloch": ("BlochForm", "decompose", "g_matrix", "reconstruct"),
+    "errors": (
+        "BoundViolation",
+        "CapViolation",
+        "DimensionMismatch",
+        "InvalidDimension",
+        "InvalidRange",
+        "InvalidState",
+        "NotAState",
+        "NotHermitian",
+        "NotSquare",
+        "ParseError",
+        "UnknownFamily",
+        "WrongDimension",
+        "FAMILY_NAMES",
+    ),
+    "families": ("FamilySpec", "build", "in_range", "rho1_closed_forms", "violates"),
+    "matrixcore": (
+        "hermitian_eigenvalues",
+        "hermiticity_defect",
+        "hs_norm_sq",
+        "kron",
+        "partial_trace_b",
+        "partial_transpose",
+        "trace_norm",
+    ),
+    "measures": (
+        "DensityMatrix",
+        "MeasureReport",
+        "PureState",
+        "bounds_check",
+        "gd_bruteforce_2xn",
+        "gd_bruteforce_stack",
+        "gd_lower_bound",
+        "geometric_discord",
+        "maximal_state",
+        "measurement_identity_check",
+        "negativity",
+        "project_a",
+        "pt_negative_count",
+        "pure_gd",
+        "pure_negativity",
+        "schmidt",
+    ),
+    "su_generators": ("basis_for",),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

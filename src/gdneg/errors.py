@@ -2,12 +2,14 @@
 
 A set of checks is walked once: `failed_states` joins their masks with one `|`
 per check, and `first_fault` reads that union with ndarray methods, building
-only the error it returns.
+only the error it returns. The module imports no numpy, so the CLI can check
+its arguments, family names included, before numpy loads.
 """
 
 from typing import Callable, NamedTuple
 
-import numpy as np
+# The built-in families, in order; `families` defines each one under its name.
+FAMILY_NAMES = ("rho1", "rho2", "rho3", "rho4")
 
 
 class NotSquare(ValueError):
@@ -64,11 +66,11 @@ class BoundViolation(ArithmeticError):
 class Check(NamedTuple):
     """One check over a stack of states: which states fail it, and the error for state i."""
 
-    failed: np.ndarray
+    failed: "numpy.ndarray"
     fault: Callable[[int], Exception]
 
 
-def failed_states(checks) -> np.ndarray:
+def failed_states(checks) -> "numpy.ndarray":
     """True for each state that fails any of one or more checks over one stack."""
     failed = checks[0].failed
     for check in checks[1:]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
+from .errors import FAMILY_NAMES, BoundViolation, InvalidRange, NotAState, UnknownFamily
 from .states import DensityMatrix, _gate
 from .tolerances import CLOSED_FORM_ATOL, VIOLATION_EPS
 
@@ -38,15 +38,14 @@ def _rho1_entries(a, b):
     return a * a, b * b, a * b
 
 
-# name: (parameter count, template entries (p, q, r), documented window), on arrays too
-_FAMILIES = {
-    "rho1": (2, _rho1_entries, lambda a, b: b > 0.0),
-    "rho2": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a), lambda a: (0.0 < a) & (a <= 1.0)),
-    "rho3": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 1.0), lambda a: (1.75 <= a) & (a <= 4.75)),
-    "rho4": (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 2.0), lambda a: (3.5 <= a) & (a <= 8.5)),
-}
-
-FAMILY_NAMES = tuple(_FAMILIES)
+# name: (parameter count, template entries (p, q, r), documented window), on arrays too.
+# The names are FAMILY_NAMES (rho1 to rho4), kept in `errors` without numpy for the CLI.
+_FAMILIES = dict(zip(FAMILY_NAMES, (
+    (2, _rho1_entries, lambda a, b: b > 0.0),
+    (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a), lambda a: (0.0 < a) & (a <= 1.0)),
+    (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 1.0), lambda a: (1.75 <= a) & (a <= 4.75)),
+    (1, lambda a: (3.0 * a + 1.0, a, 2.0 * a - 2.0), lambda a: (3.5 <= a) & (a <= 8.5)),
+), strict=True))
 
 
 @dataclass(frozen=True)

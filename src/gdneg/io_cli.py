@@ -21,20 +21,28 @@ Schmidt coefficients, with the kernel run on the projector of its first state
 as a cross-check. Random states are drawn in the order of one at a time, so a
 seed's state stream, counts and verdicts are as with per-state drawing; the
 members of a sweep chunk are built and gated by one `families` call. Negative
-counts and seeds, and sweep ranges with a non-finite bound or width, are
-rejected as InvalidRange.
+counts and seeds, and sweep ranges with a non-finite bound or width or whose
+steps overflow, are rejected as InvalidRange.
 
-`numpy.random` is loaded by the first draw, not at import (the generator
-annotations below are strings), so `analyze` and `sweep` never load it.
+Nothing numeric loads at import: this module and the package `__init__`
+import no numpy and no layer, and each command imports numpy and the layers
+it computes with only once its numpy-free checks have passed (argparse's, the
+state file's structure, a sweep's range, a sample's or a verify's dimensions,
+ensemble, count and seed). So `--help`, a usage error and a rejected argument
+exit before numpy loads; `analyze` loads numpy, `states` and `measures`,
+`sweep` those and `families`, which no other command loads, and `sample` and
+`verify` load `measures` and, when their stream of states starts,
+`numpy.random`, which `analyze` and `sweep` never load.
 
 A process enters through `entry`: the `gdneg` script and `python -m
-gdneg.io_cli` both call it. It freezes the heap that importing numpy and
-gdneg left behind (about 22,000 objects the garbage collector tracks) before
-it runs `main`, so the full collections CPython makes at exit no longer walk
-them; that walk was about a tenth of a cold command's wall time. Freezing
-changes no output, exit code, written file or atexit handler. `main` itself
-leaves the collector alone, so calling it in a process (tests, a benchmark
-harness) changes nothing process-wide.
+gdneg.io_cli` both call it. It freezes the heap as it runs `main`: once
+before `main`, and again in each command path once its layers have loaded,
+before it computes (`_layers_loaded`). So the full collections CPython makes
+at exit no longer walk the objects that importing numpy and gdneg left (about
+22,000 the garbage collector tracks); that walk was about a tenth of a cold
+command's wall time. Freezing changes no output, exit code, written file or
+atexit handler. `main` itself leaves the collector alone, so calling it in a
+process (tests, a benchmark harness) changes nothing process-wide.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
 violation (numerical fault).
@@ -43,12 +51,13 @@ violation (numerical fault).
 import argparse
 import gc
 import json
+import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import (
+    FAMILY_NAMES,
     BoundViolation,
     CapViolation,
     Check,
@@ -59,17 +68,6 @@ from .errors import (
     UnknownFamily,
     first_fault,
 )
-from .families import FAMILY_NAMES, _member_parts, _rho1_entries, template_closed_forms
-from .measures import (
-    DensityMatrix,
-    _identity_checks,
-    _measure_parts,
-    _measure_pure_stack,
-    _projectors,
-    bounds_check,
-    gd_bruteforce_stack,
-)
-from .states import _gate, first_invalid_vector
 from .tolerances import VERIFY_ORACLE_ATOL, VIOLATION_EPS
 
 STATE_FORMAT = "gdneg-state/1"
@@ -98,7 +96,7 @@ def _fmt(x: float) -> str:
 # State files
 
 
-def write_state(path, rho: DensityMatrix) -> None:
+def write_state(path, rho: "DensityMatrix") -> None:
     """Serialize a density matrix to a JSON state file."""
     entries = [[float(z.real), float(z.imag)] for z in rho.mat.ravel()]
     doc = {"format": STATE_FORMAT, "m": rho.m, "n": rho.n, "entries": entries}
@@ -107,7 +105,7 @@ def write_state(path, rho: DensityMatrix) -> None:
         fh.write("\n")
 
 
-def read_state(path) -> DensityMatrix:
+def read_state(path) -> "DensityMatrix":
     """Parse and validate a state file.
 
     Structural problems raise ParseError; a well-formed matrix that fails a
@@ -138,6 +136,10 @@ def read_state(path) -> DensityMatrix:
     if not all(type(e) is list and len(e) == 2 and {type(x) for x in e} <= {int, float}
                for e in entries):  # json gives bool for true/false, str for "6"
         raise ParseError(f"{path}: entries must be [re, im] pairs of JSON numbers")
+    import numpy as np
+
+    from .states import DensityMatrix
+
     try:
         mat = np.array(entries, dtype=float).view(complex).reshape(d, d)
     except OverflowError as exc:
@@ -176,10 +178,18 @@ def sweep_rows(
         raise UnknownFamily(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
     if steps < 1:
         raise InvalidRange(f"steps must be at least 1, got {steps}")
-    if not np.isfinite(hi - lo):  # else the step lo + 0 * (hi - lo) is NaN
+    if not math.isfinite(hi - lo):  # else the step lo + 0 * (hi - lo) is NaN
         raise InvalidRange(f"sweep range [{lo}, {hi}] has a non-finite bound or width")
+    if not math.isfinite((steps - 1) * (hi - lo)):  # the largest product the steps form
+        raise InvalidRange(f"sweep range [{lo}, {hi}] overflows in {steps} steps")
     if hi < lo:
         raise InvalidRange(f"empty sweep range [{lo}, {hi}]")
+    import numpy as np
+
+    from .families import _member_parts, _rho1_entries, template_closed_forms
+    from .measures import _measure_parts
+
+    _layers_loaded()
     params = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
     members = np.array([(p, 1.0) if family == "rho1" else (p,) for p in params])
     rows = []
@@ -221,12 +231,14 @@ def render_sweep_csv(rows: list[SweepRow]) -> str:
 # Random state generation
 
 
-def _hs_stack(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
+def _hs_stack(d: int, k: int, rng: "np.random.Generator") -> "np.ndarray":
     """k Hilbert-Schmidt states G G^dag / Tr(G G^dag) as a (k, d, d) stack.
 
     G is written part by part and the trace divided out in place, which
     rounds exactly as z[:, 0] + 1j * z[:, 1] and a division would.
     """
+    import numpy as np
+
     z = rng.standard_normal((k, 2, d, d))
     g = np.empty((k, d, d), dtype=complex)
     g.real = z[:, 0]
@@ -236,8 +248,10 @@ def _hs_stack(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
     return mats
 
 
-def _unit_vectors(d: int, k: int, rng: "np.random.Generator") -> np.ndarray:
+def _unit_vectors(d: int, k: int, rng: "np.random.Generator") -> "np.ndarray":
     """k normalized complex Gaussian vectors as a (k, d) array."""
+    import numpy as np
+
     z = rng.standard_normal((k, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     return v / np.sqrt((v.conj() * v).real.sum(axis=1))[:, None]  # np.linalg.norm's recipe
@@ -269,17 +283,29 @@ def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
         raise InvalidRange(f"count must be non-negative, got {count}")
     if seed < 0:
         raise InvalidRange(f"seed must be non-negative, got {seed}")
-    return _draw_stacks(m * n, count, np.random.default_rng(seed), ensemble)
+    return _draw_stacks(m * n, count, seed, ensemble)
 
 
-def _draw_stacks(d: int, count: int, rng: "np.random.Generator", ensemble: str):
+def _draw_stacks(d: int, count: int, seed, ensemble: str):
     """Chunks of the stream as (stack, h) pairs, each checked by its ensemble's
     one validator; h is the Hermitian parts the gate of a matrix stack formed.
+    `seed` is what `np.random.default_rng` takes, a Generator included.
 
     Pure draws stay vectors, checked as such: a finite unit vector's projector is
     Hermitian to entry rounding, has trace ||v||^2 within TRACE_ATOL of 1 and
     has rank 1.
+
+    The random generator is made, so `numpy.random` loaded, when the stream
+    starts, after the caller has imported the layers it measures with: compiling
+    them on top of the heap `numpy.random` leaves raised the peak RSS of a cold
+    `sample` or `verify` by about 0.7 MB. The heap is then frozen for `entry`.
     """
+    import numpy as np
+
+    from .states import _gate, first_invalid_vector
+
+    rng = np.random.default_rng(seed)
+    _layers_loaded()
     size = _chunk_size(d)
     for start in range(0, count, size):
         k = min(size, count - start)
@@ -301,6 +327,9 @@ def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
 
     Each state is a DensityMatrix; a pure draw is its projector.
     """
+    from .measures import _projectors
+    from .states import DensityMatrix
+
     for stack in _state_stacks(m, n, count, seed, ensemble):
         for mat in _projectors(stack) if ensemble == "pure" else stack:
             yield DensityMatrix(m, n, mat)
@@ -326,12 +355,15 @@ def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSu
 
 def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
     """`run_sample`'s summary, and the first failing state's index and error, or None."""
+    chunks = _state_chunks(m, n, count, seed, ensemble)
+    from .measures import _measure_parts, _measure_pure_stack
+
     violations = 0
     bound_failures = 0
     fault = None
     seen = 0
     max_gap = min_gap = None
-    for stack, h in _state_chunks(m, n, count, seed, ensemble):
+    for stack, h in chunks:
         if ensemble == "pure":
             measured = _measure_pure_stack(stack, m, n)
         else:
@@ -393,6 +425,10 @@ def run_verify(
     benchmark's worker passes it.
     """
     chunks = _state_chunks(m, n, count, seed, "hilbert-schmidt")
+    import numpy as np
+
+    from .measures import _identity_checks, _measure_parts, gd_bruteforce_stack
+
     rng = np.random.default_rng(seed)
     run = {"dims": [m, n], "count": count, "seed": seed}
     checked = 0
@@ -424,6 +460,8 @@ def run_verify(
         checked += passed
         violations += int((measured.gap[:passed] > VIOLATION_EPS).sum())
         if fault is not None:
+            from .states import DensityMatrix
+
             write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[passed]))
             return {
                 **run,
@@ -452,6 +490,9 @@ def _print_json(payload: dict) -> None:
 
 def cmd_analyze(args) -> int:
     rho = read_state(args.file)
+    from .measures import bounds_check
+
+    _layers_loaded()
     report = bounds_check(rho)
     if args.json:
         _print_json({**asdict(report), "m": rho.m, "n": rho.n})
@@ -535,6 +576,12 @@ def _dims(text: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token of "-" then a digit or ".digit" is a value, so that -1e-3 and -5. are
+        # negative numbers as -1 and -.5 are; sub-parsers are built with this class.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # a usage error is bad input: exit 1 with one line
         raise ParseError(f"{self.prog}: {message}")
 
@@ -598,9 +645,22 @@ def main(argv=None) -> int:
         return 2
 
 
+# Set by `entry` alone: the process freezes the heap each command's layers leave.
+_freeze_loaded_layers = False
+
+
+def _layers_loaded() -> None:
+    """Called by each command path once its numeric layers are imported, before it
+    computes: in a process entered through `entry`, freeze the heap they left."""
+    if _freeze_loaded_layers:
+        gc.freeze()
+
+
 def entry() -> int:
-    """`main`'s exit code, run after the import-time heap is frozen (see the module
+    """`main`'s exit code, with the import-time heap frozen (see the module
     docstring); the process entry of the `gdneg` script and of `-m`."""
+    global _freeze_loaded_layers
+    _freeze_loaded_layers = True
     gc.freeze()
     return main()
 

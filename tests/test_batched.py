@@ -245,14 +245,14 @@ def test_verify_oracle_failure_at_state_zero(tmp_path, monkeypatch):
 
 def test_verify_nan_oracle_deviation_fails(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    real = io_cli.gd_bruteforce_stack
+    real = measures.gd_bruteforce_stack
 
     def nan_at_3(mats, n):
         out = real(mats, n)
         out[3:4] = np.nan
         return out
 
-    monkeypatch.setattr(io_cli, "gd_bruteforce_stack", nan_at_3)
+    monkeypatch.setattr(measures, "gd_bruteforce_stack", nan_at_3)
     report = run_verify(2, 3, 50, 5, oracle_subsample=10)
     assert report["passed"] is False
     assert report["checked"] == 3
@@ -458,10 +458,14 @@ def test_passing_verify_builds_no_density_matrix(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a passing state was built as a DensityMatrix")
 
-    monkeypatch.setattr(io_cli, "DensityMatrix", forbidden)
+    monkeypatch.setattr(states, "DensityMatrix", forbidden)
     report = run_verify(2, 3, 300, 13)
     assert report["passed"] is True
     assert report["oracle_states_checked"] == io_cli.VERIFY_ORACLE_SUBSAMPLE
+    # The patch is the DensityMatrix run_verify builds: a failing state meets it.
+    monkeypatch.setattr(io_cli, "VERIFY_ORACLE_ATOL", -1.0)
+    with pytest.raises(AssertionError, match="built as a DensityMatrix"):
+        run_verify(2, 3, 300, 13)
 
 
 def test_sweep_builds_no_density_matrix_and_gates_each_chunk_once(monkeypatch):
@@ -474,11 +478,16 @@ def test_sweep_builds_no_density_matrix_and_gates_each_chunk_once(monkeypatch):
         gated.append(len(mats))
         return states._gate(mats)
 
-    for module in (io_cli, families):
+    for module in (states, families):
         monkeypatch.setattr(module, "DensityMatrix", forbidden)
     monkeypatch.setattr(families, "_gate", counting)
     assert len(sweep_rows("rho1", 0, 6, 500)) == 500
     assert gated == [227, 227, 46]
+    # Both patches are the DensityMatrix the CLI and the families build.
+    with pytest.raises(AssertionError, match="built as a DensityMatrix"):
+        next(sample_states(2, 3, 1, 0, "hilbert-schmidt"))
+    with pytest.raises(AssertionError, match="built as a DensityMatrix"):
+        families.build(families.FamilySpec("rho1", (5, 2)))
 
 
 def test_gate_walks_its_checks_once_per_chunk(monkeypatch):

@@ -73,7 +73,7 @@ TABLE = [
      wrapped(measures, "pure_negativity", lambda neg: neg * (1 + 1e-9)),
      lambda: sample_fault(2, 3, "pure"), "the Schmidt and projector routes disagree"),
     ("oracle",
-     wrapped(io_cli, "gd_bruteforce_stack", lambda d: d + 1e-9),
+     wrapped(measures, "gd_bruteforce_stack", lambda d: d + 1e-9),
      verify_fault, "oracle deviation "),
     ("measurement identity",
      (measures, "project_a", lambda mat, n, u: mat / 2),

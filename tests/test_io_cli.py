@@ -189,6 +189,32 @@ class TestSweep:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    def test_last_step_overflow_is_rejected_by_name(self, tmp_path, capsys):
+        # Every bound and the width are finite, but 2 * (hi - lo) is not.
+        with pytest.raises(InvalidRange, match=r"overflows in 3 steps"):
+            sweep_rows("rho1", 0.0, 1e308, 3)
+        out = tmp_path / "rows.csv"
+        args = ["sweep", "--family", "rho1", "--from", "0", "--to", "1e308", "--steps", "3"]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sweep range [0.0, 1e+308] overflows in 3 steps\n"
+        assert not out.exists()
+        # One step forms no product, and the widest finite two-step range keeps its bytes.
+        assert [row.param for row in sweep_rows("rho1", 0.0, 1e308, 1)] == [0.0]
+        assert [row.param for row in sweep_rows("rho1", 0.0, 1e308, 2)] == [0.0, 1e308]
+
+    @pytest.mark.parametrize("lo, hi", [("-1e-3", "1e-3"), ("-1E3", "-5."), ("-.5", "-0.25")])
+    def test_negative_bounds_in_any_spelling_are_values(self, lo, hi, tmp_path, capsys):
+        # argparse before 3.13 reads -1e-3, -1E3 and -5. as option flags after a space.
+        texts = []
+        for how, bounds in [("space", ["--from", lo, "--to", hi]),
+                            ("equals", [f"--from={lo}", f"--to={hi}"])]:
+            out = tmp_path / f"{how}.csv"
+            argv = ["sweep", "--family", "rho1", *bounds, "--steps", "3", "--out", str(out)]
+            assert main(argv) == 0, capsys.readouterr().err
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0].decode().splitlines()[1].startswith(f"{float(lo)!r},")
+
     def test_json_summary(self, tmp_path, capsys):
         out = tmp_path / "rho1.csv"
         args = ["sweep", "--family", "rho1", "--from", "0", "--to", "6", "--steps", "25"]
@@ -546,32 +572,36 @@ class TestProcessEntry:
         assert (gc.get_freeze_count(), gc.isenabled()) == before
 
     @pytest.mark.parametrize("how", ["module", "script"])
-    def test_entry_freezes_the_heap_before_main(self, how, tmp_path):
-        # Spy on main's first call, parse_args: by then the module and numpy are
-        # frozen, so neither is among the objects the collector still tracks.
-        module, run = {
-            "module": ("__main__",  # as `python -m gdneg.io_cli`
-                       "runpy.run_module('gdneg.io_cli', run_name='__main__', alter_sys=True)"),
-            "script": ("gdneg.io_cli",  # as the console script's wrapper
-                       "from gdneg.io_cli import entry; sys.exit(entry())"),
+    def test_entry_freezes_the_heap_once_the_layers_load(self, how, tmp_path):
+        # Spy on gc.freeze: entry freezes before main, and the sample path again once
+        # numpy, numpy.random and the layers have loaded, before it prints anything.
+        # After the run none of those modules is among the objects the collector tracks.
+        run = {
+            "module": "runpy.run_module('gdneg.io_cli', run_name='__main__', alter_sys=True)",
+            "script": "from gdneg.io_cli import entry; sys.exit(entry())",  # the script's wrapper
         }[how]
+        layers = ["numpy", "numpy.random", "gdneg.states", "gdneg.measures"]
         code = (
-            "import argparse, gc, runpy, sys\n"
-            "parse = argparse.ArgumentParser.parse_args\n"
-            "def spy(self, *args, **kwargs):\n"
-            "    tracked = {id(o) for o in gc.get_objects()}\n"
-            f"    mod = sys.modules[{module!r}]\n"
-            "    print(gc.get_freeze_count(), id(mod) in tracked, id(mod.np) in tracked,\n"
-            "          file=sys.stderr)\n"
-            "    return parse(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.parse_args = spy\n"
-            "sys.argv[1:] = ['sample', '--dims', '2x2', '--count', '3', '--seed', '1']\n"
-            f"{run}\n"
+            "import gc, runpy, sys\n"
+            "freeze = gc.freeze\n"
+            "def spy():\n"
+            "    freeze()\n"
+            f"    print('freeze', *(name in sys.modules for name in {layers!r}))\n"
+            "gc.freeze = spy\n"
+            "sys.argv[1:] = ['sample', '--dims', '2x2', '--count', '3', '--seed', '1', '--json']\n"
+            "try:\n"
+            f"    {run}\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "tracked = {id(o) for o in gc.get_objects()}\n"
+            f"print('tracked', *(id(sys.modules[name]) in tracked for name in {layers!r}))\n"
         )
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
-        frozen, module_tracked, numpy_tracked = out.stderr.split()
-        assert int(frozen) > 1000 and module_tracked == numpy_tracked == "False"
+        lines = out.stdout.splitlines()
+        assert lines[:2] == ["freeze False False False False", "freeze True True True True"]
+        assert json.loads(lines[2])["count"] == 3
+        assert lines[3:] == ["tracked False False False False"]
 
     def test_console_script_runs_the_entry(self):
         with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
@@ -591,3 +621,78 @@ class TestProcessEntry:
         assert sorted(p.name for p in inside.iterdir()) == sorted(p.name for p in outside.iterdir())
         for path in inside.iterdir():
             assert path.read_bytes() == (outside / path.name).read_bytes()
+
+
+# Commands rejected before any numeric work: (argv, exit code, start of stderr); the
+# list of choices is left out, as its format is argparse's and varies by Python version.
+EARLY_EXITS = [
+    (["sample", "--dims", "2x3", "--count", "-5", "--seed", "1"], 1,
+     "error: count must be non-negative, got -5\n"),
+    (["sample", "--dims", "2x3", "--count", "10", "--seed", "-1"], 1,
+     "error: seed must be non-negative, got -1\n"),
+    (["sample", "--dims", "5x2", "--count", "10", "--seed", "1"], 1,
+     "error: sampling requires 2 <= m <= n, got 5x2\n"),
+    (["sweep", "--family", "nope", "--from", "0", "--to", "1", "--steps", "3", "--out", "x.csv"], 1,
+     "error: gdneg sweep: argument --family: invalid choice: 'nope' (choose from "),
+    (["--help"], 0, ""),
+]
+
+
+class TestColdImport:
+    """The package and the CLI load numpy and the numeric layers on first use; each
+    test runs in a fresh process."""
+
+    def test_import_loads_no_numpy(self, tmp_path):
+        code = ("import sys\n"
+                "from gdneg import io_cli\n"
+                "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('gdneg')))\n"
+                "names = ['run_sample', 'run_verify', 'sweep_rows', 'render_sweep_csv', 'read_state',\n"
+                "         'main']\n"
+                "print(*{getattr(io_cli, name).__module__ for name in names})\n")
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "False ['gdneg', 'gdneg.errors', 'gdneg.io_cli', 'gdneg.tolerances']", "gdneg.io_cli"]
+
+    def test_exported_names_resolve_to_their_module_objects(self, tmp_path):
+        code = (
+            "import importlib, json, gdneg\n"
+            "same = [name for module, names in gdneg._EXPORTS.items() for name in names\n"
+            "        if getattr(gdneg, name) is getattr(importlib.import_module(f'gdneg.{module}'),\n"
+            "                                           name)]\n"
+            "try:\n"
+            "    gdneg.not_a_name\n"
+            "    unknown = 'resolved'\n"
+            "except AttributeError as exc:\n"
+            "    unknown = str(exc)\n"
+            "print(json.dumps([same, gdneg.__all__, dir(gdneg), unknown]))\n"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        same, exported, listed, unknown = json.loads(out.stdout)
+        assert len(exported) == 46 and same == exported
+        assert set(exported) <= set(listed) and "__version__" in listed
+        assert unknown == "module 'gdneg' has no attribute 'not_a_name'"
+        # The names the package exported when it imported every layer eagerly.
+        assert set(exported) == {
+            "BlochForm", "decompose", "g_matrix", "reconstruct", "BoundViolation", "CapViolation",
+            "DimensionMismatch", "InvalidDimension", "InvalidRange", "InvalidState", "NotAState",
+            "NotHermitian", "NotSquare", "ParseError", "UnknownFamily", "WrongDimension",
+            "FAMILY_NAMES", "FamilySpec", "build", "in_range", "rho1_closed_forms", "violates",
+            "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "kron", "partial_trace_b",
+            "partial_transpose", "trace_norm", "DensityMatrix", "MeasureReport", "PureState",
+            "bounds_check", "gd_bruteforce_2xn", "gd_bruteforce_stack", "gd_lower_bound",
+            "geometric_discord", "maximal_state", "measurement_identity_check", "negativity",
+            "project_a", "pt_negative_count", "pure_gd", "pure_negativity", "schmidt", "basis_for",
+        }
+
+    @pytest.mark.parametrize("argv, code, err", EARLY_EXITS, ids=[" ".join(e[0]) for e in EARLY_EXITS])
+    def test_early_exit_imports_no_numpy(self, argv, code, err, tmp_path):
+        out = run_python(["-X", "importtime", "-m", "gdneg.io_cli", *argv], tmp_path)
+        lines = out.stderr.splitlines(keepends=True)
+        imports = [line for line in lines if line.startswith("import time:")]
+        rest = "".join(line for line in lines if line not in imports)
+        assert out.returncode == code and rest.startswith(err) and rest.count("\n") == (code == 1)
+        assert len(imports) > 10 and not [line for line in imports if "numpy" in line]
+        assert out.stdout.startswith("usage: gdneg") if argv == ["--help"] else out.stdout == ""
+        assert list(tmp_path.iterdir()) == []
