@@ -3,13 +3,17 @@
 A set of checks is walked once: `failed_states` joins their masks with one `|`
 per check, and `first_fault` reads that union with ndarray methods, building
 only the error it returns. The module imports no numpy, so the CLI can check
-its arguments, family names included, before numpy loads.
+its arguments, family names included, and a state file's entries before
+numpy loads.
 """
 
 from typing import Callable, NamedTuple
 
 # The built-in families, in order; `families` defines each one under its name.
 FAMILY_NAMES = ("rho1", "rho2", "rho3", "rho4")
+
+# The finiteness failure of a state, from the gate or from a state file.
+NON_FINITE_ENTRIES = "finiteness invariant violated: non-finite entries"
 
 
 class NotSquare(ValueError):

@@ -22,14 +22,17 @@ as a cross-check. Random states are drawn in the order of one at a time, so a
 seed's state stream, counts and verdicts are as with per-state drawing; the
 members of a sweep chunk are built and gated by one `families` call. Negative
 counts and seeds, and sweep ranges with a non-finite bound or width or whose
-steps overflow, are rejected as InvalidRange.
+steps overflow, a `--steps` beyond float range included, are rejected as
+InvalidRange.
 
 Nothing numeric loads at import: this module and the package `__init__`
 import no numpy and no layer, and each command imports numpy and the layers
 it computes with only once its numpy-free checks have passed (argparse's, the
-state file's structure, a sweep's range, a sample's or a verify's dimensions,
-ensemble, count and seed). So `--help`, a usage error and a rejected argument
-exit before numpy loads; `analyze` loads numpy, `states` and `measures`,
+state file's structure and the range and finiteness of its entries, which
+`float()` converts in one pass, a sweep's range, a sample's or a verify's
+dimensions, ensemble, count and seed). So `--help`, a usage error, a rejected
+argument and a state file with a NaN, infinite or out-of-range entry exit
+before numpy loads; `analyze` loads numpy, `states` and `measures`,
 `sweep` those and `families`, which no other command loads, and `sample` and
 `verify` load `measures` and, when their stream of states starts,
 `numpy.random`, which `analyze` and `sweep` never load.
@@ -58,6 +61,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import (
     FAMILY_NAMES,
+    NON_FINITE_ENTRIES,
     BoundViolation,
     CapViolation,
     Check,
@@ -108,9 +112,11 @@ def write_state(path, rho: "DensityMatrix") -> None:
 def read_state(path) -> "DensityMatrix":
     """Parse and validate a state file.
 
-    Structural problems raise ParseError; a well-formed matrix that fails a
-    density-matrix invariant raises InvalidState naming the invariant and its
-    measured residual.
+    Structural problems, an integer entry beyond float range included, raise
+    ParseError and a non-finite entry (NaN, Infinity, or a number such as
+    1e999 that json reads as infinite) raises InvalidState, both before numpy
+    loads; a well-formed, finite matrix that fails a density-matrix invariant
+    raises InvalidState naming the invariant and its measured residual.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -136,15 +142,17 @@ def read_state(path) -> "DensityMatrix":
     if not all(type(e) is list and len(e) == 2 and {type(x) for x in e} <= {int, float}
                for e in entries):  # json gives bool for true/false, str for "6"
         raise ParseError(f"{path}: entries must be [re, im] pairs of JSON numbers")
+    try:  # an integer beyond float range; json reads NaN, Infinity and 1e999 as floats
+        values = [float(x) for e in entries for x in e]
+    except OverflowError as exc:
+        raise ParseError(f"{path}: entry out of float range ({exc})") from exc
+    if not all(map(math.isfinite, values)):
+        raise InvalidState(NON_FINITE_ENTRIES)
     import numpy as np
 
     from .states import DensityMatrix
 
-    try:
-        mat = np.array(entries, dtype=float).view(complex).reshape(d, d)
-    except OverflowError as exc:
-        raise ParseError(f"{path}: entry out of float range ({exc})") from exc
-    return DensityMatrix(m, n, mat)
+    return DensityMatrix(m, n, np.array(values).view(complex).reshape(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +188,11 @@ def sweep_rows(
         raise InvalidRange(f"steps must be at least 1, got {steps}")
     if not math.isfinite(hi - lo):  # else the step lo + 0 * (hi - lo) is NaN
         raise InvalidRange(f"sweep range [{lo}, {hi}] has a non-finite bound or width")
-    if not math.isfinite((steps - 1) * (hi - lo)):  # the largest product the steps form
+    try:
+        last = (steps - 1) * (hi - lo)  # the largest product the steps form
+    except OverflowError:  # steps - 1 is beyond float range
+        last = math.inf
+    if not math.isfinite(last):
         raise InvalidRange(f"sweep range [{lo}, {hi}] overflows in {steps} steps")
     if hi < lo:
         raise InvalidRange(f"empty sweep range [{lo}, {hi}]")

@@ -11,9 +11,13 @@ Hermitian parts of the states before the first cheap failure (finiteness,
 hermiticity, trace) once, and `_gate` hands them on to the measures kernel.
 Their positivity is decided first by a screen: one batched Cholesky
 factorisation of those Hermitian parts less a cached, read-only
-PSD_MIN_EIGENVALUE * I, which succeeds only when every smallest eigenvalue
-is above PSD_MIN_EIGENVALUE. When it fails, their spectrum is taken, and it
-alone decides the verdict, the index and the message.
+PSD_MIN_EIGENVALUE * I, which passes only when it succeeds with a finite
+factor, so when every smallest eigenvalue is above PSD_MIN_EIGENVALUE. When
+it fails, their spectrum is taken, and it alone decides the verdict, the
+index and the message; a state whose Hermitian part overflowed (finite
+entries near the float limit, so eigenvalues beyond float range) fails
+positivity by name and is not passed to eigvalsh. Overflow and the NaN it
+leaves raise no numpy warning.
 
 Each set of checks is built once and walked once: the gate walks the cheap
 checks once per chunk, and builds and walks the positivity check only when
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Check, InvalidState, first_fault
+from .errors import NON_FINITE_ENTRIES, Check, InvalidState, first_fault
 from .matrixcore import _spectrum, hermitian_part, hermiticity_defect
 from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
@@ -49,16 +53,19 @@ def _psd_shift(d: int) -> np.ndarray:
 
 def _all_positive(h: np.ndarray) -> bool:
     """True when the Hermitian parts h plus -PSD_MIN_EIGENVALUE * I all have a
-    Cholesky factor, so every smallest eigenvalue is above PSD_MIN_EIGENVALUE.
+    finite Cholesky factor, so every smallest eigenvalue is above PSD_MIN_EIGENVALUE.
 
     False when any state fails, or sits within rounding of the bound. Off the
     diagonal the shift subtracts 0.0, which leaves those entries as they are.
+    On a Hermitian part that overflowed, LAPACK may return a factor with NaN
+    in it instead of raising; a NaN reaches the last diagonal entry of the
+    factor, which is read for each state.
     """
     try:
-        np.linalg.cholesky(h - _psd_shift(h.shape[-1]))
+        factor = np.linalg.cholesky(h - _psd_shift(h.shape[-1]))
     except np.linalg.LinAlgError:  # raised for the whole stack when any state fails
         return False
-    return True
+    return bool(np.isfinite(factor[:, -1, -1]).all())
 
 
 def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray]:
@@ -68,32 +75,37 @@ def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray
     at least as long as the valid one, computed once: the positivity screen
     reads a shifted copy of them, and the measures kernel reads them as they are.
     The cheap checks are walked once; positivity is checked only when the screen
-    fails, and only on that prefix, so a positivity failure comes first.
+    fails, and only on that prefix, so a positivity failure comes first. There a
+    state whose Hermitian part overflowed fails positivity by name, without its
+    spectrum.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite state
+    # inf - inf in a non-finite state; overflow, and the NaN it leaves in a
+    # Hermitian part and its factor, in finite entries near the float limit.
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = hermiticity_defect(mats)
         trace_residual = np.abs(mats.trace(axis1=1, axis2=2) - 1.0)
-    invalid = first_fault((
-        Check(
-            ~np.isfinite(mats).all(axis=(1, 2)),
-            lambda i: InvalidState("finiteness invariant violated: non-finite entries"),
-        ),
-        _invariant("hermiticity", defect, HERMITIAN_ATOL),
-        _invariant("trace", trace_residual, TRACE_ATOL),
-    ))
-    end = len(mats) if invalid is None else invalid[0]
-    # Positivity only before the first cheap failure, which may be NaN.
-    # Those states passed hermiticity, so their defect is not computed again.
-    h = hermitian_part(mats[:end])
-    if not _all_positive(h):
-        min_eig = _spectrum(h)[:, -1]
-        positivity = Check(
-            ~(min_eig >= PSD_MIN_EIGENVALUE),
-            lambda i: InvalidState(
-                f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"
-            ),
-        )
-        invalid = first_fault((positivity,)) or invalid
+        invalid = first_fault((
+            Check(~np.isfinite(mats).all(axis=(1, 2)), lambda i: InvalidState(NON_FINITE_ENTRIES)),
+            _invariant("hermiticity", defect, HERMITIAN_ATOL),
+            _invariant("trace", trace_residual, TRACE_ATOL),
+        ))
+        end = len(mats) if invalid is None else invalid[0]
+        # Positivity only before the first cheap failure, which may be NaN.
+        # Those states passed hermiticity, so their defect is not computed again.
+        h = hermitian_part(mats[:end])
+        if not _all_positive(h):
+            # A Hermitian part that overflowed has eigenvalues beyond float range:
+            # it fails positivity by name, and a zero matrix stands in for it in eigvalsh.
+            finite = np.isfinite(h).all(axis=(1, 2))
+            min_eig = _spectrum(np.where(finite[:, None, None], h, 0.0))[:, -1]
+            positivity = Check(
+                ~(finite & (min_eig >= PSD_MIN_EIGENVALUE)),
+                lambda i: InvalidState(
+                    f"positivity invariant violated: min eigenvalue {min_eig[i]:.6g}"
+                    if finite[i] else "positivity invariant violated: Hermitian part overflows"
+                ),
+            )
+            invalid = first_fault((positivity,)) or invalid
     return invalid, h
 
 
@@ -104,7 +116,9 @@ def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
     residual, checked in the order finiteness, hermiticity, trace, positivity.
     Positivity is screened by one Cholesky factorisation of the states before
     the first cheap failure; only when the screen fails is their spectrum taken,
-    and the smallest eigenvalue then decides and is reported.
+    and the smallest eigenvalue then decides and is reported. A state whose
+    Hermitian part overflows float range (finite entries near the float limit)
+    fails positivity as "Hermitian part overflows".
     """
     return _gate(mats)[0]
 

@@ -202,6 +202,19 @@ class TestSweep:
         assert [row.param for row in sweep_rows("rho1", 0.0, 1e308, 1)] == [0.0]
         assert [row.param for row in sweep_rows("rho1", 0.0, 1e308, 2)] == [0.0, 1e308]
 
+    @pytest.mark.parametrize("lo, hi", [("0", "1"), ("0", "0")])
+    def test_steps_beyond_float_range_are_rejected_by_name(self, lo, hi, tmp_path, capsys):
+        # (steps - 1) * (hi - lo) converts steps - 1 to float, which overflows even at hi == lo.
+        steps = "1" + "0" * 400
+        with pytest.raises(InvalidRange, match=r"overflows in 10{400} steps$"):
+            sweep_rows("rho1", float(lo), float(hi), int(steps))
+        out = tmp_path / "rows.csv"
+        args = ["sweep", "--family", "rho1", "--from", lo, "--to", hi, "--steps", steps]
+        assert main(args + ["--out", str(out)]) == 1
+        expected = f"error: sweep range [{float(lo)}, {float(hi)}] overflows in {steps} steps\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     @pytest.mark.parametrize("lo, hi", [("-1e-3", "1e-3"), ("-1E3", "-5."), ("-.5", "-0.25")])
     def test_negative_bounds_in_any_spelling_are_values(self, lo, hi, tmp_path, capsys):
         # argparse before 3.13 reads -1e-3, -1E3 and -5. as option flags after a space.
@@ -458,6 +471,24 @@ class TestBadInput:
         assert main(["analyze", str(path)]) == 1
         self._one_error_line(capsys)
 
+    def test_overflow_is_reported_before_a_non_finite_entry(self, tmp_path):
+        path = tmp_path / "nan-then-huge.json"
+        path.write_text('{"format": "gdneg-state/1", "m": 2, "n": 2, "entries": [[NaN, 0]'
+                        + ", [0, 0]" * 14 + ", [1%s, 0]]}" % ("0" * 400))
+        with pytest.raises(ParseError, match=r"entry out of float range \(int too large"):
+            read_state(path)
+
+    def test_hermitian_part_beyond_float_range(self, tmp_path, capsys):
+        # Hermitian, unit trace and finite, but A + A^dag overflows: its
+        # eigenvalues are about +-1e308.
+        path = tmp_path / "near-limit.json"
+        entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+        entries[1][0] = entries[4][0] = 1e308
+        path.write_text(json.dumps({"format": "gdneg-state/1", "m": 2, "n": 2, "entries": entries}))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: positivity invariant violated: Hermitian part overflows\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -534,6 +565,14 @@ class TestGoldenJson:
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gdneg.__file__)))
+
+
+def state_file_text(entry):
+    """A 2x3 state file whose entry (0, 1) has the JSON text `entry` as real part."""
+    entries = [["0.5" if i in (0, 35) else "0.0", "0.0"] for i in range(36)]
+    entries[1][0] = entry
+    pairs = ", ".join(f"[{re}, {im}]" for re, im in entries)
+    return f'{{"format": "gdneg-state/1", "m": 2, "n": 3, "entries": [{pairs}]}}'
 
 
 def write_nan_file(directory):
@@ -638,6 +677,28 @@ EARLY_EXITS = [
 ]
 
 
+# State files rejected before numpy loads: (entry (0, 1) as JSON text, stderr),
+# the stderr of the build that converted the entries with numpy.
+EARLY_FILE_EXITS = [
+    ("NaN", "error: finiteness invariant violated: non-finite entries\n"),
+    ("Infinity", "error: finiteness invariant violated: non-finite entries\n"),
+    ("-Infinity", "error: finiteness invariant violated: non-finite entries\n"),
+    ("1e999", "error: finiteness invariant violated: non-finite entries\n"),
+    ("1" + "0" * 400,
+     "error: state.json: entry out of float range (int too large to convert to float)\n"),
+]
+
+
+def import_log(argv, cwd):
+    """Exit code, stdout, the stderr lines that are not the import log, and the
+    modules that log names, of one `-X importtime` run of the CLI."""
+    out = run_python(["-X", "importtime", "-m", "gdneg.io_cli", *argv], cwd)
+    lines = out.stderr.splitlines(keepends=True)
+    imports = [line for line in lines if line.startswith("import time:")]
+    rest = "".join(line for line in lines if line not in imports)
+    return out.returncode, out.stdout, rest, imports
+
+
 class TestColdImport:
     """The package and the CLI load numpy and the numeric layers on first use; each
     test runs in a fresh process."""
@@ -688,11 +749,23 @@ class TestColdImport:
 
     @pytest.mark.parametrize("argv, code, err", EARLY_EXITS, ids=[" ".join(e[0]) for e in EARLY_EXITS])
     def test_early_exit_imports_no_numpy(self, argv, code, err, tmp_path):
-        out = run_python(["-X", "importtime", "-m", "gdneg.io_cli", *argv], tmp_path)
-        lines = out.stderr.splitlines(keepends=True)
-        imports = [line for line in lines if line.startswith("import time:")]
-        rest = "".join(line for line in lines if line not in imports)
-        assert out.returncode == code and rest.startswith(err) and rest.count("\n") == (code == 1)
+        returncode, stdout, rest, imports = import_log(argv, tmp_path)
+        assert returncode == code and rest.startswith(err) and rest.count("\n") == (code == 1)
         assert len(imports) > 10 and not [line for line in imports if "numpy" in line]
-        assert out.stdout.startswith("usage: gdneg") if argv == ["--help"] else out.stdout == ""
+        assert stdout.startswith("usage: gdneg") if argv == ["--help"] else stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("entry, err", EARLY_FILE_EXITS, ids=["NaN", "Infinity", "-Infinity",
+                                                                  "1e999", "400-digit-integer"])
+    def test_bad_state_file_exits_before_numpy(self, entry, err, tmp_path):
+        (tmp_path / "state.json").write_text(state_file_text(entry))
+        returncode, stdout, rest, imports = import_log(["analyze", "state.json"], tmp_path)
+        assert (returncode, stdout, rest) == (1, "", err)
+        assert len(imports) > 10 and not [line for line in imports if "numpy" in line]
+
+    def test_finite_non_hermitian_file_reaches_the_gate(self, tmp_path):
+        (tmp_path / "state.json").write_text(state_file_text("0.3"))
+        returncode, stdout, rest, imports = import_log(["analyze", "state.json"], tmp_path)
+        assert (returncode, stdout, rest) == (
+            1, "", "error: hermiticity invariant violated: residual 0.3\n")
+        assert [line for line in imports if "gdneg.states" in line]

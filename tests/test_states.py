@@ -6,8 +6,11 @@ These tests hold it to the `eigvalsh` reference: the same verdict, index and
 message near the -1e-9 bound, wherever the failing state sits in a chunk, and
 behind a cheap failure the screen never sees. Near both tolerances at once,
 the gate and the measures kernel must read the Hermitian part that a
-per-state reference forms explicitly.
+per-state reference forms explicitly. Finite entries near the float limit,
+whose Hermitian part or trace overflows, fail by name with no numpy warning.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from hypothesis import strategies as st
 from gdneg import matrixcore, measures, states
 from gdneg.io_cli import _chunk_size, _hs_stack, run_sample, run_verify
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
-from gdneg.states import first_invalid_state
+from gdneg.errors import InvalidState
+from gdneg.states import DensityMatrix, first_invalid_state
 from gdneg.su_generators import basis_stack
 from gdneg.tolerances import HERMITIAN_ATOL, NEGATIVE_EIGENVALUE_CUTOFF, PSD_MIN_EIGENVALUE
 
@@ -126,6 +130,80 @@ def test_non_finite_first_state_leaves_the_screen_an_empty_head(monkeypatch):
     monkeypatch.setattr(states, "hermitian_part", recording)
     assert verdict(mats) == (0, "finiteness invariant violated: non-finite entries")
     assert screened == [(0, 4, 4)]
+
+
+def near_float_limit(*entries):
+    """0.25 I_4 with the given (row, column, value) entries set."""
+    mat = np.eye(4, dtype=complex) / 4
+    for i, j, value in entries:
+        mat[i, j] = value
+    return mat
+
+
+OVERFLOWS = "positivity invariant violated: Hermitian part overflows"
+
+# Finite entries near the float limit, and the verdict on each.
+NEAR_FLOAT_LIMIT = {
+    # Hermitian with trace 1, but A + A^dag overflows to inf + nan j off the
+    # diagonal; its eigenvalues are about +-1e308.
+    "hermitian-off-diagonal": (near_float_limit((0, 1, 1e308), (1, 0, 1e308)), OVERFLOWS),
+    # The same on the diagonal, which a -1e308 entry balances to trace 1.
+    "balanced-diagonal": (
+        near_float_limit((0, 0, 1e308), (1, 1, -1e308), (2, 2, 0.5), (3, 3, 0.5)), OVERFLOWS,
+    ),
+    # A - A^dag overflows.
+    "anti-hermitian": (
+        near_float_limit((0, 1, 1e308), (1, 0, -1e308)),
+        "hermiticity invariant violated: residual inf",
+    ),
+    # The trace overflows.
+    "diagonal": (
+        near_float_limit((0, 0, 1e308), (1, 1, 1e308)), "trace invariant violated: residual inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NEAR_FLOAT_LIMIT)
+def test_entries_near_the_float_limit_fail_by_name_without_a_warning(case, monkeypatch):
+    mat, message = NEAR_FLOAT_LIMIT[case]
+    spectra = []
+
+    def finite_only(h):
+        assert np.isfinite(h).all(), "a non-finite Hermitian part reached eigvalsh"
+        spectra.append(len(h))
+        return matrixcore._spectrum(h)
+
+    monkeypatch.setattr(states, "_spectrum", finite_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verdict(mat[None]) == (0, message)
+        with pytest.raises(InvalidState, match=f"^{message}$"):
+            DensityMatrix(2, 2, mat)
+        # In a chunk of valid states, at the index it sits at.
+        mats = _hs_stack(4, 8, np.random.default_rng(6))
+        mats[5] = mat
+        assert verdict(mats) == (5, message)
+    # Only a failed screen takes a spectrum: of the stacks of one and of eight states.
+    assert spectra == ([1, 1, 8] if message == OVERFLOWS else [])
+
+
+def test_screen_fails_on_a_nan_factor():
+    # LAPACK may factor a Hermitian part with NaN in it without raising.
+    with np.errstate(all="ignore"):
+        h = matrixcore.hermitian_part(NEAR_FLOAT_LIMIT["hermitian-off-diagonal"][0][None])
+        assert not np.isfinite(h).all()
+        assert not states._all_positive(h)
+    assert states._all_positive(matrixcore.hermitian_part(np.eye(4)[None] / 4))
+
+
+@pytest.mark.parametrize("order", ["overflow-first", "non-positive-first"])
+def test_overflow_and_positivity_failures_are_reported_in_state_order(order):
+    mats = _hs_stack(4, 8, np.random.default_rng(7))
+    first, second = (2, 4) if order == "overflow-first" else (4, 2)
+    mats[first] = NEAR_FLOAT_LIMIT["hermitian-off-diagonal"][0]
+    mats[second] = NOT_POSITIVE
+    message = OVERFLOWS if order == "overflow-first" else NOT_POSITIVE_MESSAGE
+    assert verdict(mats) == (2, message)
 
 
 # Each passing path, and the number of states it validates and measures.
