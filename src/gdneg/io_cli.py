@@ -38,14 +38,15 @@ before numpy loads; `analyze` loads numpy, `states` and `measures`,
 `numpy.random`, which `analyze` and `sweep` never load.
 
 A process enters through `entry`: the `gdneg` script and `python -m
-gdneg.io_cli` both call it. It freezes the heap as it runs `main`: once
-before `main`, and again in each command path once its layers have loaded,
-before it computes (`_layers_loaded`). So the full collections CPython makes
-at exit no longer walk the objects that importing numpy and gdneg left (about
-22,000 the garbage collector tracks); that walk was about a tenth of a cold
-command's wall time. Freezing changes no output, exit code, written file or
-atexit handler. `main` itself leaves the collector alone, so calling it in a
-process (tests, a benchmark harness) changes nothing process-wide.
+gdneg.io_cli` both call it. Once `main` returns, it freezes the heap, so the
+full collections CPython makes at exit no longer walk the objects that the
+command's imports left (about 22,000 the garbage collector tracks once numpy
+and gdneg have loaded); that walk was about a tenth of a cold command's wall
+time. No command makes a full collection before it returns, so one freeze
+after `main` covers whatever the command imported. Freezing changes no
+output, exit code, written file or atexit handler. `main` itself leaves the
+collector alone, so calling it in a process (tests, a benchmark harness)
+changes nothing process-wide.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
 violation (numerical fault).
@@ -94,6 +95,46 @@ def _chunk_size(d: int) -> int:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+# ---------------------------------------------------------------------------
+# The chunk loop of sample, verify and sweep
+
+
+def _measured(chunks, m: int, n: int, pure: bool):
+    """For each validated (stack, h) chunk: the index of its first state, the
+    stack, and its measures, by `_measure_pure_stack` for a `pure` stack of unit
+    vectors and by `_measure_parts` otherwise. Each caller walks the checks with
+    its own fault policy.
+
+    The measures layer is imported before the first chunk is drawn or built, so
+    a cold `sample` or `verify` loads it before `numpy.random` (see `_draw_stacks`).
+    """
+    from .measures import _measure_parts, _measure_pure_stack
+
+    start = 0
+    for stack, h in chunks:
+        yield start, stack, (_measure_pure_stack(stack, m, n) if pure
+                             else _measure_parts(stack, h, m, n))
+        start += len(stack)
+
+
+class _GapTally:
+    """The gaps N^2 - D of passed states: how many exceed VIOLATION_EPS and,
+    with `extremes`, the largest and the smallest (None before any)."""
+
+    violations = 0
+    max_gap = min_gap = None
+
+    def __init__(self, extremes: bool):
+        self.extremes = extremes
+
+    def add(self, gaps) -> None:
+        self.violations += int((gaps > VIOLATION_EPS).sum())
+        if self.extremes and gaps.size:
+            hi, lo = float(gaps.max()), float(gaps.min())
+            self.max_gap = hi if self.max_gap is None else max(self.max_gap, hi)
+            self.min_gap = lo if self.min_gap is None else min(self.min_gap, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +240,24 @@ def sweep_rows(
     import numpy as np
 
     from .families import _member_parts, _rho1_entries, template_closed_forms
-    from .measures import _measure_parts
 
-    _layers_loaded()
     params = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
     members = np.array([(p, 1.0) if family == "rho1" else (p,) for p in params])
-    rows = []
     size = _chunk_size(6)
-    for start in range(0, len(params), size):
-        chunk = params[start : start + size]
-        block = members[start : start + size]
-        measured = _measure_parts(*_member_parts(family, block, allow_out_of_range), 2, 3)
+    chunks = (_member_parts(family, members[i : i + size], allow_out_of_range)
+              for i in range(0, steps, size))
+    rows = []
+    for start, mats, measured in _measured(chunks, 2, 3, pure=False):
         fault = first_fault(measured.checks)
         if fault is not None:
             raise fault[1]
-        closed = [[None] * len(chunk)] * 2
+        stop = start + len(mats)
+        closed = [[None] * len(mats)] * 2
         if family == "rho1":  # one array call per chunk, as Python floats
+            block = members[start:stop]
             closed = [col.tolist() for col in template_closed_forms(*_rho1_entries(*block.T))]
-        columns = zip(chunk, measured.negativity, measured.discord, measured.gap, *closed)
+        columns = zip(params[start:stop], measured.negativity, measured.discord, measured.gap,
+                      *closed)
         for param, neg, disc, gap, cf_neg_sq, cf_disc in columns:
             rows.append(SweepRow(
                 param=param, discord=float(disc), negativity_sq=float(neg) * float(neg),
@@ -269,15 +310,6 @@ def _unit_vectors(d: int, k: int, rng: "np.random.Generator") -> "np.ndarray":
     return v / np.sqrt((v.conj() * v).real.sum(axis=1))[:, None]  # np.linalg.norm's recipe
 
 
-def _state_stacks(m: int, n: int, count: int, seed: int, ensemble: str):
-    """The state stream of a seed as validated stacks: (k, mn, mn) density
-    matrices, or (k, mn) unit vectors for the pure ensemble.
-
-    As `_state_chunks`, without the Hermitian parts.
-    """
-    return (stack for stack, _ in _state_chunks(m, n, count, seed, ensemble))
-
-
 def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
     """The state stream of a seed as validated (stack, h) pairs: (k, mn, mn) density
     matrices and their Hermitian parts, or, for the pure ensemble, (k, mn) unit
@@ -310,14 +342,13 @@ def _draw_stacks(d: int, count: int, seed, ensemble: str):
     The random generator is made, so `numpy.random` loaded, when the stream
     starts, after the caller has imported the layers it measures with: compiling
     them on top of the heap `numpy.random` leaves raised the peak RSS of a cold
-    `sample` or `verify` by about 0.7 MB. The heap is then frozen for `entry`.
+    `sample` or `verify` by about 0.7 MB.
     """
     import numpy as np
 
     from .states import _gate, first_invalid_vector
 
     rng = np.random.default_rng(seed)
-    _layers_loaded()
     size = _chunk_size(d)
     for start in range(0, count, size):
         k = min(size, count - start)
@@ -342,7 +373,7 @@ def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
     from .measures import _projectors
     from .states import DensityMatrix
 
-    for stack in _state_stacks(m, n, count, seed, ensemble):
+    for stack, _ in _state_chunks(m, n, count, seed, ensemble):
         for mat in _projectors(stack) if ensemble == "pure" else stack:
             yield DensityMatrix(m, n, mat)
 
@@ -368,42 +399,21 @@ def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSu
 def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
     """`run_sample`'s summary, and the first failing state's index and error, or None."""
     chunks = _state_chunks(m, n, count, seed, ensemble)
-    from .measures import _measure_parts, _measure_pure_stack
-
-    violations = 0
+    tally = _GapTally(extremes=True)
     bound_failures = 0
     fault = None
-    seen = 0
-    max_gap = min_gap = None
-    for stack, h in chunks:
-        if ensemble == "pure":
-            measured = _measure_pure_stack(stack, m, n)
-        else:
-            measured = _measure_parts(stack, h, m, n)
+    for start, _, measured in _measured(chunks, m, n, pure=ensemble == "pure"):
         ok = measured.ok
         failures = len(ok) - int(ok.sum())
         if failures and fault is None:
             i, error = first_fault(measured.checks)
-            fault = seen + i, error
+            fault = start + i, error
         bound_failures += failures
-        seen += len(stack)
-        gaps = measured.gap[ok] if failures else measured.gap
-        if gaps.size == 0:
-            continue
-        violations += int((gaps > VIOLATION_EPS).sum())
-        hi, lo = float(gaps.max()), float(gaps.min())
-        max_gap = hi if max_gap is None else max(max_gap, hi)
-        min_gap = lo if min_gap is None else min(min_gap, lo)
-    return SampleSummary(
-        dims=(m, n),
-        count=count,
-        seed=seed,
-        ensemble=ensemble,
-        violations=violations,
-        max_gap=max_gap,
-        min_gap=min_gap,
-        bound_failures=bound_failures,
-    ), fault
+        tally.add(measured.gap[ok] if failures else measured.gap)
+    summary = SampleSummary(dims=(m, n), count=count, seed=seed, ensemble=ensemble,
+                            violations=tally.violations, max_gap=tally.max_gap,
+                            min_gap=tally.min_gap, bound_failures=bound_failures)
+    return summary, fault
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +449,19 @@ def run_verify(
     chunks = _state_chunks(m, n, count, seed, "hilbert-schmidt")
     import numpy as np
 
-    from .measures import _identity_checks, _measure_parts, gd_bruteforce_stack
+    from .measures import _identity_checks, gd_bruteforce_stack
 
     rng = np.random.default_rng(seed)
     run = {"dims": [m, n], "count": count, "seed": seed}
-    checked = 0
-    violations = 0
+    tally = _GapTally(extremes=False)
     oracle_checked = 0
     max_oracle_dev = 0.0
-    for mats, h in chunks:
-        measured = _measure_parts(mats, h, m, n)
+    for start, mats, measured in _measured(chunks, m, n, pure=False):
         checks = measured.checks
         if m == 2:
             # One direction per state, drawn as a state-by-state loop would draw them.
             identity, _, _ = _identity_checks(mats, n, rng.standard_normal((len(mats), 3)))
-            todo = min(len(mats), max(0, oracle_subsample - oracle_checked))
+            todo = min(len(mats), max(0, oracle_subsample - start))
             brute = gd_bruteforce_stack(mats[:todo], n) if todo else np.zeros(0)
             dev = np.abs(brute - measured.discord[:todo])
             failed = np.zeros(len(mats), dtype=bool)
@@ -468,28 +476,16 @@ def run_verify(
             oracle_checked += todo  # both reported on a pass only, when every dev <= atol
             max_oracle_dev = float(dev.max(initial=max_oracle_dev))
         fault = first_fault(checks)
-        passed = len(mats) if fault is None else fault[0]
-        checked += passed
-        violations += int((measured.gap[:passed] > VIOLATION_EPS).sum())
         if fault is not None:
             from .states import DensityMatrix
 
-            write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[passed]))
-            return {
-                **run,
-                "checked": checked,
-                "passed": False,
-                "failure": str(fault[1]),
-                "failure_state_file": VERIFY_FAILURE_FILE,
-            }
-    return {
-        **run,
-        "checked": checked,
-        "passed": True,
-        "violations": violations,
-        "oracle_states_checked": oracle_checked,
-        "max_oracle_deviation": max_oracle_dev,
-    }
+            i, error = fault
+            write_state(VERIFY_FAILURE_FILE, DensityMatrix(m, n, mats[i]))
+            return {**run, "checked": start + i, "passed": False, "failure": str(error),
+                    "failure_state_file": VERIFY_FAILURE_FILE}
+        tally.add(measured.gap)
+    return {**run, "checked": count, "passed": True, "violations": tally.violations,
+            "oracle_states_checked": oracle_checked, "max_oracle_deviation": max_oracle_dev}
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +500,6 @@ def cmd_analyze(args) -> int:
     rho = read_state(args.file)
     from .measures import bounds_check
 
-    _layers_loaded()
     report = bounds_check(rho)
     if args.json:
         _print_json({**asdict(report), "m": rho.m, "n": rho.n})
@@ -657,24 +652,12 @@ def main(argv=None) -> int:
         return 2
 
 
-# Set by `entry` alone: the process freezes the heap each command's layers leave.
-_freeze_loaded_layers = False
-
-
-def _layers_loaded() -> None:
-    """Called by each command path once its numeric layers are imported, before it
-    computes: in a process entered through `entry`, freeze the heap they left."""
-    if _freeze_loaded_layers:
-        gc.freeze()
-
-
 def entry() -> int:
-    """`main`'s exit code, with the import-time heap frozen (see the module
+    """`main`'s exit code, with the heap frozen once it returns (see the module
     docstring); the process entry of the `gdneg` script and of `-m`."""
-    global _freeze_loaded_layers
-    _freeze_loaded_layers = True
+    code = main()
     gc.freeze()
-    return main()
+    return code
 
 
 if __name__ == "__main__":

@@ -125,7 +125,9 @@ def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
 
 def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:
     """The first vector of a (k, d) stack that is not a finite unit vector, as for states."""
-    norms = np.sqrt((vs.conj() * vs).real.sum(axis=1))  # np.linalg.norm's own recipe
+    # As in the gate: an overflowing or infinite entry gives a residual of inf, no warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = np.sqrt((vs.conj() * vs).real.sum(axis=1))  # np.linalg.norm's own recipe
     return first_fault((_invariant("norm", np.abs(norms - 1.0), NORM_ATOL),))
 
 

@@ -612,9 +612,9 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("how", ["module", "script"])
     def test_entry_freezes_the_heap_once_the_layers_load(self, how, tmp_path):
-        # Spy on gc.freeze: entry freezes before main, and the sample path again once
-        # numpy, numpy.random and the layers have loaded, before it prints anything.
-        # After the run none of those modules is among the objects the collector tracks.
+        # Spy on gc.freeze: entry freezes once, after the command has printed its
+        # report, when numpy, numpy.random and the layers have loaded. After the run
+        # none of those modules is among the objects the collector tracks.
         run = {
             "module": "runpy.run_module('gdneg.io_cli', run_name='__main__', alter_sys=True)",
             "script": "from gdneg.io_cli import entry; sys.exit(entry())",  # the script's wrapper
@@ -638,9 +638,8 @@ class TestProcessEntry:
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
         lines = out.stdout.splitlines()
-        assert lines[:2] == ["freeze False False False False", "freeze True True True True"]
-        assert json.loads(lines[2])["count"] == 3
-        assert lines[3:] == ["tracked False False False False"]
+        assert json.loads(lines[0])["count"] == 3
+        assert lines[1:] == ["freeze True True True True", "tracked False False False False"]
 
     def test_console_script_runs_the_entry(self):
         with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:

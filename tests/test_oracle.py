@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from gdneg import bloch, measures
 from gdneg.errors import DimensionMismatch, InvalidDimension
-from gdneg.io_cli import _state_stacks
+from gdneg.io_cli import _state_chunks
 from gdneg.matrixcore import hs_norm_sq
 from gdneg.measures import (
     DensityMatrix,
@@ -55,7 +55,7 @@ PAULI = (
 
 
 def states(n, count, seed, ensemble="hilbert-schmidt"):
-    stack = np.concatenate(list(_state_stacks(2, n, count, seed, ensemble)))
+    stack = np.concatenate([s for s, _ in _state_chunks(2, n, count, seed, ensemble)])
     return _projectors(stack) if ensemble == "pure" else stack
 
 

@@ -7,7 +7,8 @@ message near the -1e-9 bound, wherever the failing state sits in a chunk, and
 behind a cheap failure the screen never sees. Near both tolerances at once,
 the gate and the measures kernel must read the Hermitian part that a
 per-state reference forms explicitly. Finite entries near the float limit,
-whose Hermitian part or trace overflows, fail by name with no numpy warning.
+whose Hermitian part or trace overflows, fail by name with no numpy warning,
+and so does a pure state whose norm overflows.
 """
 
 import warnings
@@ -21,7 +22,7 @@ from gdneg import matrixcore, measures, states
 from gdneg.io_cli import _chunk_size, _hs_stack, run_sample, run_verify
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.errors import InvalidState
-from gdneg.states import DensityMatrix, first_invalid_state
+from gdneg.states import DensityMatrix, PureState, first_invalid_state
 from gdneg.su_generators import basis_stack
 from gdneg.tolerances import HERMITIAN_ATOL, NEGATIVE_EIGENVALUE_CUTOFF, PSD_MIN_EIGENVALUE
 
@@ -185,6 +186,14 @@ def test_entries_near_the_float_limit_fail_by_name_without_a_warning(case, monke
         assert verdict(mats) == (5, message)
     # Only a failed screen takes a spectrum: of the stacks of one and of eight states.
     assert spectra == ([1, 1, 8] if message == OVERFLOWS else [])
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 1e200j, np.inf])
+def test_pure_state_whose_norm_overflows_fails_by_name_without_a_warning(amplitude):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match=r"^norm invariant violated: residual inf$"):
+            PureState(2, 2, np.array([amplitude, 0, 0, 0]))
 
 
 def test_screen_fails_on_a_nan_factor():
