@@ -30,18 +30,18 @@ the real parts of the traces, and Re Tr(rho X) = Tr(H X) for Hermitian X, so
 they are exactly the Bloch data of the Hermitian part H = (rho + rho^dag)/2.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, Record
 from .states import DensityMatrix
 from .su_generators import basis_stack
 
 
-@dataclass(frozen=True)
-class BlochForm:
+class BlochForm(Record):
+    """Local Bloch vectors x, y and correlation matrix T of an m (x) n state."""
+
     m: int
     n: int
     x: np.ndarray  # length m^2 - 1
@@ -85,7 +85,7 @@ def coefficient_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
 def decompose(rho: DensityMatrix) -> BlochForm:
     """Local Bloch vectors and correlation matrix of a validated state."""
     c = coefficient_stack(rho.mat[None], rho.m, rho.n)[0]
-    return BlochForm(m=rho.m, n=rho.n, x=c[1:, 0].copy(), y=c[0, 1:].copy(), T=c[1:, 1:].copy())
+    return BlochForm(rho.m, rho.n, c[1:, 0].copy(), c[0, 1:].copy(), c[1:, 1:].copy())
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:

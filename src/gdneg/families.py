@@ -17,12 +17,10 @@ documented parameter windows is permitted behind an explicit flag; positivity
 is always enforced after construction, by one gate per stack of members.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import measures
-from .errors import FAMILY_NAMES, BoundViolation, InvalidRange, NotAState, UnknownFamily
+from .errors import FAMILY_NAMES, BoundViolation, InvalidRange, NotAState, Record, UnknownFamily
 from .states import DensityMatrix, _gate
 from .tolerances import CLOSED_FORM_ATOL, VIOLATION_EPS
 
@@ -48,8 +46,7 @@ _FAMILIES = dict(zip(FAMILY_NAMES, (
 ), strict=True))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A named family member: rho1 takes (a, b), the others take (a,)."""
 
     name: str

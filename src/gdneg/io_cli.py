@@ -11,6 +11,8 @@ and the row-major matrix entries as [re, im] pairs. CSV and report numbers
 are printed with shortest round-trip formatting, so identical inputs and
 seeds give byte-identical output. Randomness comes from numpy's seedable
 PCG64 generator; counts are reproducible only under the same generator.
+`analyze --json` and `sample --json` print the field dict, `vars`, of their
+report record, with sorted keys.
 
 `sample`, `verify` and `sweep` draw or build, validate and measure states in
 chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
@@ -23,19 +25,23 @@ seed's state stream, counts and verdicts are as with per-state drawing; the
 members of a sweep chunk are built and gated by one `families` call. Negative
 counts and seeds, and sweep ranges with a non-finite bound or width or whose
 steps overflow, a `--steps` beyond float range included, are rejected as
-InvalidRange.
+InvalidRange. A state with m * n > MAX_STATE_DIM (90), which does not fit in
+one chunk, is rejected as InvalidDimension by `sample`, `verify` and
+`read_state` before numpy loads.
 
 Nothing numeric loads at import: this module and the package `__init__`
-import no numpy and no layer, and each command imports numpy and the layers
-it computes with only once its numpy-free checks have passed (argparse's, the
-state file's structure and the range and finiteness of its entries, which
+import no numpy and no layer, and its records are `errors.Record`s, which
+import nothing more. Each command imports numpy and the layers it computes
+with only once its numpy-free checks have passed (argparse's, the state
+file's structure and size and the range and finiteness of its entries, which
 `float()` converts in one pass, a sweep's range, a sample's or a verify's
 dimensions, ensemble, count and seed). So `--help`, a usage error, a rejected
-argument and a state file with a NaN, infinite or out-of-range entry exit
-before numpy loads; `analyze` loads numpy, `states` and `measures`,
-`sweep` those and `families`, which no other command loads, and `sample` and
-`verify` load `measures` and, when their stream of states starts,
-`numpy.random`, which `analyze` and `sweep` never load.
+argument and a state file nested too deeply, too large or with a NaN,
+infinite or out-of-range entry exit before numpy loads; `analyze` loads
+numpy, `states` and `measures`, `sweep` those and `families`, which no other
+command loads, and `sample` and `verify` load `measures` and, when their
+stream of states starts, `numpy.random`, which `analyze` and `sweep` never
+load.
 
 A process enters through `entry`: the `gdneg` script and `python -m
 gdneg.io_cli` both call it. Once `main` returns, it freezes the heap, so the
@@ -58,7 +64,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
 
 from .errors import (
     FAMILY_NAMES,
@@ -70,6 +75,7 @@ from .errors import (
     InvalidRange,
     InvalidState,
     ParseError,
+    Record,
     UnknownFamily,
     first_fault,
 )
@@ -85,12 +91,21 @@ VERIFY_ORACLE_RESOLUTION = 24  # ignored by the oracle; see `run_verify`
 
 # States are measured in stacks of at most this many matrix entries: enough
 # states to spread the per-call cost of the kernel, few enough to keep the
-# working set, and peak memory, flat at every dimension.
+# working set, and peak memory, flat at every dimension. A state that does not
+# fit in one chunk, m * n > MAX_STATE_DIM, is rejected before numpy loads.
 CHUNK_ENTRIES = 8192
+MAX_STATE_DIM = math.isqrt(CHUNK_ENTRIES)  # 90
 
 
 def _chunk_size(d: int) -> int:
-    return max(1, CHUNK_ENTRIES // (d * d))
+    return CHUNK_ENTRIES // (d * d)
+
+
+def _check_fits(m: int, n: int) -> None:
+    """InvalidDimension unless one m x n state fits in a chunk of CHUNK_ENTRIES entries."""
+    if m * n > MAX_STATE_DIM:
+        raise InvalidDimension(f"{m}x{n} states do not fit in one chunk of {CHUNK_ENTRIES} "
+                               f"entries: m*n must be at most {MAX_STATE_DIM}")
 
 
 def _fmt(x: float) -> str:
@@ -153,11 +168,13 @@ def write_state(path, rho: "DensityMatrix") -> None:
 def read_state(path) -> "DensityMatrix":
     """Parse and validate a state file.
 
-    Structural problems, an integer entry beyond float range included, raise
-    ParseError and a non-finite entry (NaN, Infinity, or a number such as
-    1e999 that json reads as infinite) raises InvalidState, both before numpy
-    loads; a well-formed, finite matrix that fails a density-matrix invariant
-    raises InvalidState naming the invariant and its measured residual.
+    Structural problems, nesting too deep for the json parser and an integer
+    entry beyond float range included, raise ParseError, dimensions with
+    m * n > MAX_STATE_DIM raise InvalidDimension and a non-finite entry (NaN,
+    Infinity, or a number such as 1e999 that json reads as infinite) raises
+    InvalidState, all before numpy loads; a well-formed, finite matrix that
+    fails a density-matrix invariant raises InvalidState naming the invariant
+    and its measured residual.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -166,6 +183,8 @@ def read_state(path) -> "DensityMatrix":
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: not valid JSON (nested too deeply)") from exc
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise ParseError(f"{path}: missing or unrecognized format tag "
                          f"(expected {STATE_FORMAT!r})")
@@ -174,6 +193,7 @@ def read_state(path) -> "DensityMatrix":
         raise ParseError(f"{path}: m and n must be JSON integers, got {m!r} and {n!r}")
     if m < 1 or n < 1:
         raise ParseError(f"{path}: dimensions must be positive, got {m}x{n}")
+    _check_fits(m, n)
     d = m * n
     if not isinstance(entries, list) or len(entries) != d * d:
         raise ParseError(
@@ -200,8 +220,7 @@ def read_state(path) -> "DensityMatrix":
 # Sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One parameter point of a family sweep."""
 
     param: float
@@ -259,10 +278,8 @@ def sweep_rows(
         columns = zip(params[start:stop], measured.negativity, measured.discord, measured.gap,
                       *closed)
         for param, neg, disc, gap, cf_neg_sq, cf_disc in columns:
-            rows.append(SweepRow(
-                param=param, discord=float(disc), negativity_sq=float(neg) * float(neg),
-                gap=float(gap), closed_form_discord=cf_disc, closed_form_negativity_sq=cf_neg_sq,
-            ))
+            rows.append(SweepRow(param, float(disc), float(neg) * float(neg), float(gap), cf_disc,
+                                 cf_neg_sq))
     return rows
 
 
@@ -321,6 +338,7 @@ def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
     """
     if not 2 <= m <= n:
         raise InvalidDimension(f"sampling requires 2 <= m <= n, got {m}x{n}")
+    _check_fits(m, n)
     if ensemble not in ENSEMBLES:
         raise InvalidRange(f"unknown ensemble {ensemble!r}; expected one of {ENSEMBLES}")
     if count < 0:
@@ -378,8 +396,7 @@ def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
             yield DensityMatrix(m, n, mat)
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(Record):
     """Aggregates of one sampling run; bound_failures must be 0."""
 
     dims: tuple
@@ -502,7 +519,7 @@ def cmd_analyze(args) -> int:
 
     report = bounds_check(rho)
     if args.json:
-        _print_json({**asdict(report), "m": rho.m, "n": rho.n})
+        _print_json({**vars(report), "m": rho.m, "n": rho.n})
         return 0
     exactness = "exact" if report.discord_exact else "lower bound"
     print(f"state:             {rho.m}x{rho.n} ({args.file})")
@@ -533,7 +550,7 @@ def cmd_sample(args) -> int:
     m, n = args.dims
     summary, fault = _sample(m, n, args.count, args.seed, args.ensemble)
     if args.json:
-        _print_json(asdict(summary))
+        _print_json(vars(summary))
     else:
         print(f"dims:           {summary.dims[0]}x{summary.dims[1]}")
         print(f"count:          {summary.count}")

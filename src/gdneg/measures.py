@@ -61,7 +61,6 @@ once: `errors.first_fault` joins the failure masks with one `|` per check.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -75,6 +74,7 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     InvalidRange,
+    Record,
     WrongDimension,
     failed_states,
     first_fault,
@@ -113,8 +113,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(Record):
     """Aggregated measures and bound verdicts for one state."""
 
     negativity: float
@@ -636,13 +635,7 @@ def bounds_check(rho: DensityMatrix) -> MeasureReport:
     if fault is not None:
         raise fault[1]
     neg = float(measured.negativity[0])
-    return MeasureReport(
-        negativity=neg,
-        negativity_sq=neg * neg,
-        discord=float(measured.discord[0]),
-        discord_exact=rho.m == 2,
-        gap=float(measured.gap[0]),
-        pt_negative_count=int(measured.pt_negative_count[0]),
-        pt_negative_cap=(rho.m - 1) * (rho.n - 1),
-        bounds_ok=True,
-    )
+    # By position, in field order: a keyword construction binds its arguments in Python.
+    return MeasureReport(neg, neg * neg, float(measured.discord[0]), rho.m == 2,
+                         float(measured.gap[0]), int(measured.pt_negative_count[0]),
+                         (rho.m - 1) * (rho.n - 1), True)

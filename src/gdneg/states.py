@@ -1,5 +1,9 @@
 """Validated containers for bipartite quantum states.
 
+`DensityMatrix` and `PureState` are frozen records (`errors.Record`) whose
+`__post_init__` runs the invariants below and stores a read-only copy of the
+matrix or the amplitudes.
+
 The density-matrix and unit-norm invariants are written once, for stacks of
 states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
 `errors.first_fault`; the containers run them on a stack of one. Every
@@ -26,12 +30,11 @@ calls ufuncs, ndarray methods and `np.linalg.cholesky`, and takes a spectrum
 with `eigvalsh` only behind a failed screen.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NON_FINITE_ENTRIES, Check, InvalidState, first_fault
+from .errors import NON_FINITE_ENTRIES, Check, InvalidState, Record, first_fault
 from .matrixcore import _spectrum, hermitian_part, hermiticity_defect
 from .tolerances import HERMITIAN_ATOL, NORM_ATOL, PSD_MIN_EIGENVALUE, TRACE_ATOL
 
@@ -131,8 +134,7 @@ def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:
     return first_fault((_invariant("norm", np.abs(norms - 1.0), NORM_ATOL),))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian, positive semidefinite, unit-trace operator on an m (x) n space.
 
     Invariants are enforced at construction; the stored matrix is read-only,
@@ -159,8 +161,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """Unit vector on an m (x) n space, stored row-major over the B index."""
 
     m: int

@@ -673,19 +673,44 @@ EARLY_EXITS = [
     (["sweep", "--family", "nope", "--from", "0", "--to", "1", "--steps", "3", "--out", "x.csv"], 1,
      "error: gdneg sweep: argument --family: invalid choice: 'nope' (choose from "),
     (["--help"], 0, ""),
+    # States too large for one chunk; numpy would try to allocate hundreds of GiB.
+    (["sample", "--dims", "2x100000", "--count", "1", "--seed", "1"], 1,
+     "error: 2x100000 states do not fit in one chunk of 8192 entries: m*n must be at most 90\n"),
+    (["verify", "--dims", "2x100000", "--count", "1", "--seed", "1"], 1,
+     "error: 2x100000 states do not fit in one chunk of 8192 entries: m*n must be at most 90\n"),
 ]
 
 
-# State files rejected before numpy loads: (entry (0, 1) as JSON text, stderr),
-# the stderr of the build that converted the entries with numpy.
+# State files rejected before numpy loads: (file text, stderr). The first five
+# differ from a valid state in entry (0, 1) and give the stderr of the build
+# that converted the entries with numpy. Before the last two were rejected,
+# json ended in a RecursionError traceback and the 2x46 state was measured.
 EARLY_FILE_EXITS = [
-    ("NaN", "error: finiteness invariant violated: non-finite entries\n"),
-    ("Infinity", "error: finiteness invariant violated: non-finite entries\n"),
-    ("-Infinity", "error: finiteness invariant violated: non-finite entries\n"),
-    ("1e999", "error: finiteness invariant violated: non-finite entries\n"),
-    ("1" + "0" * 400,
+    (state_file_text("NaN"), "error: finiteness invariant violated: non-finite entries\n"),
+    (state_file_text("Infinity"), "error: finiteness invariant violated: non-finite entries\n"),
+    (state_file_text("-Infinity"), "error: finiteness invariant violated: non-finite entries\n"),
+    (state_file_text("1e999"), "error: finiteness invariant violated: non-finite entries\n"),
+    (state_file_text("1" + "0" * 400),
      "error: state.json: entry out of float range (int too large to convert to float)\n"),
+    ("[" * 100_000 + "]" * 100_000, "error: state.json: not valid JSON (nested too deeply)\n"),
+    (json.dumps({"format": "gdneg-state/1", "m": 2, "n": 46,
+                 "entries": [[1 / 92 if i % 93 == 0 else 0.0, 0.0] for i in range(92 * 92)]}),
+     "error: 2x46 states do not fit in one chunk of 8192 entries: m*n must be at most 90\n"),
 ]
+
+
+# Modules no early exit imports once gdneg starts loading: `dataclasses` loads
+# `inspect`, about 8 ms of a rejected command.
+NOT_LOADED = ("dataclasses", "inspect")
+
+
+def loaded_after_gdneg(imports):
+    """The modules an import log names after gdneg's package, which loads first, or
+    None when `site` imported a NOT_LOADED module before it, which the log then
+    cannot show again."""
+    names = [line.rsplit("|", 1)[1].strip() for line in imports]
+    start = names.index("gdneg")
+    return None if set(names[:start]) & set(NOT_LOADED) else names[start + 1:]
 
 
 def import_log(argv, cwd):
@@ -703,16 +728,23 @@ class TestColdImport:
     test runs in a fresh process."""
 
     def test_import_loads_no_numpy(self, tmp_path):
-        code = ("import sys\n"
+        code = ("import json, sys\n"
+                f"preloaded = [m for m in {NOT_LOADED} if m in sys.modules]\n"
                 "from gdneg import io_cli\n"
                 "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('gdneg')))\n"
                 "names = ['run_sample', 'run_verify', 'sweep_rows', 'render_sweep_csv', 'read_state',\n"
                 "         'main']\n"
-                "print(*{getattr(io_cli, name).__module__ for name in names})\n")
+                "print(*{getattr(io_cli, name).__module__ for name in names})\n"
+                f"print(json.dumps([preloaded, [m for m in {NOT_LOADED} if m in sys.modules]]))\n")
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [
+        *lines, modules = out.stdout.splitlines()
+        assert lines == [
             "False ['gdneg', 'gdneg.errors', 'gdneg.io_cli', 'gdneg.tolerances']", "gdneg.io_cli"]
+        preloaded, loaded = json.loads(modules)
+        if preloaded:
+            pytest.skip("site imported dataclasses or inspect before gdneg")
+        assert loaded == []
 
     def test_exported_names_resolve_to_their_module_objects(self, tmp_path):
         code = (
@@ -753,11 +785,15 @@ class TestColdImport:
         assert len(imports) > 10 and not [line for line in imports if "numpy" in line]
         assert stdout.startswith("usage: gdneg") if argv == ["--help"] else stdout == ""
         assert list(tmp_path.iterdir()) == []
+        loaded = loaded_after_gdneg(imports)
+        if loaded is None:
+            pytest.skip("site imported dataclasses or inspect before gdneg")
+        assert not set(loaded) & set(NOT_LOADED), loaded
 
-    @pytest.mark.parametrize("entry, err", EARLY_FILE_EXITS, ids=["NaN", "Infinity", "-Infinity",
-                                                                  "1e999", "400-digit-integer"])
-    def test_bad_state_file_exits_before_numpy(self, entry, err, tmp_path):
-        (tmp_path / "state.json").write_text(state_file_text(entry))
+    @pytest.mark.parametrize("text, err", EARLY_FILE_EXITS, ids=[
+        "NaN", "Infinity", "-Infinity", "1e999", "400-digit-integer", "deep-nesting", "2x46"])
+    def test_bad_state_file_exits_before_numpy(self, text, err, tmp_path):
+        (tmp_path / "state.json").write_text(text)
         returncode, stdout, rest, imports = import_log(["analyze", "state.json"], tmp_path)
         assert (returncode, stdout, rest) == (1, "", err)
         assert len(imports) > 10 and not [line for line in imports if "numpy" in line]
