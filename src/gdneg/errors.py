@@ -7,10 +7,10 @@ only the error it returns. The module imports no numpy, so the CLI can check
 its arguments, family names included, and a state file's entries before
 numpy loads.
 
-The seven records (`DensityMatrix`, `PureState`, `MeasureReport`, `BlochForm`,
-`FamilySpec`, `SweepRow`, `SampleSummary`) subclass `Record`. Their methods
-are defined once, here: defining a record builds no function and imports no
-further module.
+The six records (`DensityMatrix`, `PureState`, `MeasureReport`, `BlochForm`,
+`FamilySpec`, `SampleSummary`) subclass `Record`. Their methods are defined
+once, here: defining a record builds no function and imports no further
+module.
 """
 
 from typing import Callable, NamedTuple
@@ -100,8 +100,8 @@ def first_fault(checks) -> tuple[int, Exception] | None:
 class Record:
     """A frozen record whose fields are the annotations of its class body, in order.
 
-    A subclass is built by position or keyword in field order; a field given a
-    value in the class body defaults to it. Once the fields are set, the
+    A subclass is built by position or keyword in field order, every field
+    given. Once the fields are set, the
     subclass's `__post_init__` runs, and it may replace a field's value with
     `object.__setattr__`. Assigning or deleting an attribute raises
     AttributeError. Two records are equal when they are of the same class and
@@ -112,11 +112,9 @@ class Record:
     """
 
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
-        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -129,11 +127,10 @@ class Record:
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
         """The values of all fields, in order, from arguments that are not all positional."""
         rest = cls._fields[len(args):]
-        values = {**cls._defaults, **kwargs}
-        if len(args) > len(cls._fields) or not kwargs.keys() <= set(rest) <= values.keys():
+        if len(args) > len(cls._fields) or kwargs.keys() != set(rest):
             raise TypeError(f"{cls.__qualname__}({', '.join(cls._fields)}) cannot take "
                             f"{len(args)} positional arguments and the keywords {sorted(kwargs)}")
-        return args + tuple(map(values.__getitem__, rest))
+        return args + tuple(map(kwargs.__getitem__, rest))
 
     def __post_init__(self):
         """Validate or normalise the fields; a record without checks has none."""

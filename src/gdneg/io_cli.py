@@ -21,8 +21,10 @@ Hilbert-Schmidt or sweep chunk is taken from the Hermitian parts its gate
 formed. Pure draws stay unit vectors: a pure chunk is measured from its
 Schmidt coefficients, with the kernel run on the projector of its first state
 as a cross-check. Random states are drawn in the order of one at a time, so a
-seed's state stream, counts and verdicts are as with per-state drawing; the
-members of a sweep chunk are built and gated by one `families` call. Negative
+seed's state stream, counts and verdicts are as with per-state drawing. A
+sweep chunk's members are built from the index of its first row and gated by
+one `families` call, and its CSV lines are written once it is measured, so a
+sweep's memory does not grow with `--steps` (see `_write_whole`). Negative
 counts and seeds, and sweep ranges with a non-finite bound or width or whose
 steps overflow, a `--steps` beyond float range included, are rejected as
 InvalidRange. A state with m * n > MAX_STATE_DIM (90), which does not fit in
@@ -46,22 +48,20 @@ load.
 A process enters through `entry`: the `gdneg` script and `python -m
 gdneg.io_cli` both call it. Once `main` returns, it freezes the heap, so the
 full collections CPython makes at exit no longer walk the objects that the
-command's imports left (about 22,000 the garbage collector tracks once numpy
-and gdneg have loaded); that walk was about a tenth of a cold command's wall
-time. No command makes a full collection before it returns, so one freeze
-after `main` covers whatever the command imported. Freezing changes no
-output, exit code, written file or atexit handler. `main` itself leaves the
-collector alone, so calling it in a process (tests, a benchmark harness)
-changes nothing process-wide.
+command's imports left (about 22,000 once numpy and gdneg have loaded). No
+command makes a full collection before it returns, so one freeze after `main`
+covers whatever the command imported, and changes no output, exit code or
+file. `main` itself leaves the collector alone.
 
 Exit codes: 0 success, 1 validation failure or usage error, 2 bound/theorem
-violation (numerical fault).
+violation (numerical fault), 130 interrupted (Ctrl-C).
 """
 
 import argparse
 import gc
 import json
 import math
+import os
 import re
 import sys
 
@@ -168,9 +168,10 @@ def write_state(path, rho: "DensityMatrix") -> None:
 def read_state(path) -> "DensityMatrix":
     """Parse and validate a state file.
 
-    Structural problems, nesting too deep for the json parser and an integer
-    entry beyond float range included, raise ParseError, dimensions with
-    m * n > MAX_STATE_DIM raise InvalidDimension and a non-finite entry (NaN,
+    Structural problems, nesting too deep for the json parser, an integer of
+    more digits than it converts (sys.get_int_max_str_digits()) and an integer
+    entry beyond float range included, raise ParseError, dimensions with m * n
+    > MAX_STATE_DIM raise InvalidDimension and a non-finite entry (NaN,
     Infinity, or a number such as 1e999 that json reads as infinite) raises
     InvalidState, all before numpy loads; a well-formed, finite matrix that
     fails a density-matrix invariant raises InvalidState naming the invariant
@@ -185,6 +186,8 @@ def read_state(path) -> "DensityMatrix":
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: not valid JSON (nested too deeply)") from exc
+    except ValueError as exc:  # after its subclasses: a too long integer
+        raise ParseError(f"{path}: integer too long to parse ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise ParseError(f"{path}: missing or unrecognized format tag "
                          f"(expected {STATE_FORMAT!r})")
@@ -220,27 +223,12 @@ def read_state(path) -> "DensityMatrix":
 # Sweeps
 
 
-class SweepRow(Record):
-    """One parameter point of a family sweep."""
-
-    param: float
-    discord: float
-    negativity_sq: float
-    gap: float
-    closed_form_discord: float | None = None
-    closed_form_negativity_sq: float | None = None
-
-
-def sweep_rows(
-    family: str,
-    lo: float,
-    hi: float,
-    steps: int,
-    allow_out_of_range: bool = False,
-) -> list[SweepRow]:
-    """Measures at uniform parameter steps; closed-form columns for rho1.
-
-    For rho1 the parameter is c = a/b at b = 1.
+def sweep_rows(family: str, lo: float, hi: float, steps: int, allow_out_of_range: bool = False):
+    """The CSV lines of a sweep, header first: the measures at `steps` uniform
+    parameter steps from `lo` to `hi`, with closed-form columns for rho1, whose
+    parameter is c = a/b at b = 1. The arguments are checked on the call, before
+    numpy loads; the lines are then built and measured a chunk at a time as they
+    are read, and a failing member ends them with its error.
     """
     if family not in FAMILY_NAMES:
         raise UnknownFamily(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
@@ -256,45 +244,34 @@ def sweep_rows(
         raise InvalidRange(f"sweep range [{lo}, {hi}] overflows in {steps} steps")
     if hi < lo:
         raise InvalidRange(f"empty sweep range [{lo}, {hi}]")
+    return _sweep_lines(family, lo, hi, steps, allow_out_of_range)
+
+
+def _sweep_lines(family: str, lo: float, hi: float, steps: int, allow_out_of_range: bool):
     import numpy as np
 
     from .families import _member_parts, _rho1_entries, template_closed_forms
 
-    params = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
-    members = np.array([(p, 1.0) if family == "rho1" else (p,) for p in params])
     size = _chunk_size(6)
-    chunks = (_member_parts(family, members[i : i + size], allow_out_of_range)
-              for i in range(0, steps, size))
-    rows = []
-    for start, mats, measured in _measured(chunks, 2, 3, pure=False):
+
+    def params(start):  # the same IEEE operations, in the same order, as on Python floats
+        i = np.arange(start, min(start + size, steps))
+        return lo + i * (hi - lo) / (steps - 1) if steps > 1 else np.array([lo])
+
+    closed = ",closed_form_discord,closed_form_negativity_sq" if family == "rho1" else ""
+    yield f"param,discord,negativity_sq,gap{closed}\n"
+    chunks = (_member_parts(family, np.stack([c, np.ones_like(c)] if closed else [c], axis=1),
+                            allow_out_of_range) for c in map(params, range(0, steps, size)))
+    for start, _, measured in _measured(chunks, 2, 3, pure=False):
         fault = first_fault(measured.checks)
         if fault is not None:
             raise fault[1]
-        stop = start + len(mats)
-        closed = [[None] * len(mats)] * 2
-        if family == "rho1":  # one array call per chunk, as Python floats
-            block = members[start:stop]
-            closed = [col.tolist() for col in template_closed_forms(*_rho1_entries(*block.T))]
-        columns = zip(params[start:stop], measured.negativity, measured.discord, measured.gap,
-                      *closed)
-        for param, neg, disc, gap, cf_neg_sq, cf_disc in columns:
-            rows.append(SweepRow(param, float(disc), float(neg) * float(neg), float(gap), cf_disc,
-                                 cf_neg_sq))
-    return rows
-
-
-def render_sweep_csv(rows: list[SweepRow]) -> str:
-    with_closed = rows and rows[0].closed_form_discord is not None
-    header = "param,discord,negativity_sq,gap"
-    if with_closed:
-        header += ",closed_form_discord,closed_form_negativity_sq"
-    lines = [header]
-    for row in rows:
-        cells = [_fmt(row.param), _fmt(row.discord), _fmt(row.negativity_sq), _fmt(row.gap)]
-        if with_closed:
-            cells += [_fmt(row.closed_form_discord), _fmt(row.closed_form_negativity_sq)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        c, neg = params(start), measured.negativity
+        columns = [c, measured.discord, neg * neg, measured.gap]
+        if closed:  # one array call per chunk; (N^2, D) printed as D, N^2
+            columns += template_closed_forms(*_rho1_entries(c, np.ones_like(c)))[::-1]
+        for row in zip(*(column.tolist() for column in columns)):
+            yield ",".join(map(repr, row)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +509,36 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _write_whole(path: str, lines) -> None:
+    """Write `lines` to `path`, leaving no file there unless all were written: they
+    go to `<file>.<pid>.partial` beside the file `path` names (through a symlink),
+    renamed onto it once complete and removed on any exception, Ctrl-C included.
+    A device, pipe or directory at `path` is opened as it is. An OSError names
+    `path`, as when the CSV was written in place.
+    """
+    target = os.path.realpath(path)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    partial = path if in_place else f"{target}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        if not in_place:
+            os.replace(partial, target)
+    except BaseException as exc:
+        if not in_place and os.path.lexists(partial):
+            os.remove(partial)
+        if isinstance(exc, OSError) and exc.filename == partial:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
+
+
 def cmd_sweep(args) -> int:
-    rows = sweep_rows(
-        args.family, args.lo, args.hi, args.steps, allow_out_of_range=args.allow_out_of_range
-    )
-    csv_text = render_sweep_csv(rows)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text)
+    _write_whole(args.out, sweep_rows(args.family, args.lo, args.hi, args.steps,
+                                      args.allow_out_of_range))
     if args.json:
-        _print_json({"family": args.family, "rows": len(rows), "out": args.out})
+        _print_json({"family": args.family, "rows": args.steps, "out": args.out})
     else:
-        print(f"wrote {len(rows)} rows for {args.family} to {args.out}")
+        print(f"wrote {args.steps} rows for {args.family} to {args.out}")
     return 0
 
 
@@ -671,8 +667,14 @@ def main(argv=None) -> int:
 
 def entry() -> int:
     """`main`'s exit code, with the heap frozen once it returns (see the module
-    docstring); the process entry of the `gdneg` script and of `-m`."""
-    code = main()
+    docstring); the process entry of the `gdneg` script and of `-m`. A Ctrl-C
+    (KeyboardInterrupt, which `main` lets through) prints one `interrupted` line
+    and exits 130."""
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     gc.freeze()
     return code
 

@@ -481,7 +481,7 @@ def test_sweep_builds_no_density_matrix_and_gates_each_chunk_once(monkeypatch):
     for module in (states, families):
         monkeypatch.setattr(module, "DensityMatrix", forbidden)
     monkeypatch.setattr(families, "_gate", counting)
-    assert len(sweep_rows("rho1", 0, 6, 500)) == 500
+    assert len(list(sweep_rows("rho1", 0, 6, 500))) == 501  # the header and 500 rows
     assert gated == [227, 227, 46]
     # Both patches are the DensityMatrix the CLI and the families build.
     with pytest.raises(AssertionError, match="built as a DensityMatrix"):
@@ -520,7 +520,7 @@ def test_sweep_forms_one_hermitian_part_per_chunk(monkeypatch):
 
     for module in (states, measures):
         monkeypatch.setattr(module, "hermitian_part", counting)
-    sweep_rows("rho1", 0, 6, 500)
+    list(sweep_rows("rho1", 0, 6, 500))
     assert formed == [227, 227, 46]
 
 
@@ -531,7 +531,7 @@ DEFECT_PATHS = {
     "sample-hs-2x3": (lambda: run_sample(2, 3, 300, 1, "hilbert-schmidt"), 300, 1),
     "sample-hs-4x4": (lambda: run_sample(4, 4, 40, 1, "hilbert-schmidt"), 40, 1),
     "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2), 30, 1),
-    "sweep-rho1": (lambda: sweep_rows("rho1", 0, 6, 121), 121, 1),
+    "sweep-rho1": (lambda: list(sweep_rows("rho1", 0, 6, 121)), 121, 1),
     "analyze": (lambda: main(["analyze", "rho1.json"]), 1, 1),
     "sample-pure-3x3": (lambda: run_sample(3, 3, 100, 1, "pure"), 100, 0),
 }

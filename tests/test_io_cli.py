@@ -1,20 +1,24 @@
 import gc
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gdneg
-from gdneg import io_cli, measures
+from gdneg import errors, io_cli, measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import (
     main,
     read_state,
-    render_sweep_csv,
     run_sample,
     run_verify,
     sample_states,
@@ -33,6 +37,15 @@ def write_rho1_file(tmp_path, name="rho1_52.json"):
     path = tmp_path / name
     write_state(path, rho1_52())
     return path
+
+
+def sweep_table(*args, **kwargs):
+    """The rows of `sweep_rows(*args, **kwargs)` as dicts of floats, keyed by its CSV header;
+    a CSV number is the shortest text that reads back as the float that was measured."""
+    header, *lines = sweep_rows(*args, **kwargs)
+    assert header.endswith("\n") and all(line.endswith("\n") for line in lines)
+    names = header.rstrip("\n").split(",")
+    return [dict(zip(names, map(float, line.split(",")), strict=True)) for line in lines]
 
 
 class TestStateFiles:
@@ -153,22 +166,24 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_rho2_gaps_positive(self, tmp_path):
-        rows = sweep_rows("rho2", 0.01, 1.0, 50)
-        assert all(row.gap > 0 for row in rows)
-        assert all(row.closed_form_discord is None for row in rows)
+        rows = sweep_table("rho2", 0.01, 1.0, 50)
+        assert len(rows) == 50
+        assert all(row["gap"] > 0 for row in rows)
+        assert all("closed_form_discord" not in row for row in rows)
 
     def test_single_step_at_zero(self):
-        rows = sweep_rows("rho1", 0.0, 0.0, 1)
+        rows = sweep_table("rho1", 0.0, 0.0, 1)
         assert len(rows) == 1
-        assert rows[0].discord == 0.0
-        assert rows[0].negativity_sq == 0.0
+        assert rows[0]["discord"] == 0.0
+        assert rows[0]["negativity_sq"] == 0.0
 
     def test_csv_render_handles_plain_families(self):
-        rows = sweep_rows("rho3", 2.0, 3.0, 3)
-        text = render_sweep_csv(rows)
+        text = "".join(sweep_rows("rho3", 2.0, 3.0, 3))
         assert text.startswith("param,discord,negativity_sq,gap\n")
+        assert len(text.splitlines()) == 4
 
     def test_invalid_ranges(self):
+        # Raised by the call itself, before any line is read.
         with pytest.raises(InvalidRange):
             sweep_rows("rho1", 0.0, 1.0, 0)
         with pytest.raises(InvalidRange):
@@ -187,7 +202,7 @@ class TestSweep:
         assert main(args + ["--out", str(out)]) == 1
         expected = f"error: sweep range [{float(lo)}, {float(hi)}] has a non-finite bound or width\n"
         assert capsys.readouterr().err == expected
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # no CSV, no partial file
 
     def test_last_step_overflow_is_rejected_by_name(self, tmp_path, capsys):
         # Every bound and the width are finite, but 2 * (hi - lo) is not.
@@ -197,10 +212,10 @@ class TestSweep:
         args = ["sweep", "--family", "rho1", "--from", "0", "--to", "1e308", "--steps", "3"]
         assert main(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: sweep range [0.0, 1e+308] overflows in 3 steps\n"
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # no CSV, no partial file
         # One step forms no product, and the widest finite two-step range keeps its bytes.
-        assert [row.param for row in sweep_rows("rho1", 0.0, 1e308, 1)] == [0.0]
-        assert [row.param for row in sweep_rows("rho1", 0.0, 1e308, 2)] == [0.0, 1e308]
+        assert [row["param"] for row in sweep_table("rho1", 0.0, 1e308, 1)] == [0.0]
+        assert [row["param"] for row in sweep_table("rho1", 0.0, 1e308, 2)] == [0.0, 1e308]
 
     @pytest.mark.parametrize("lo, hi", [("0", "1"), ("0", "0")])
     def test_steps_beyond_float_range_are_rejected_by_name(self, lo, hi, tmp_path, capsys):
@@ -213,7 +228,7 @@ class TestSweep:
         assert main(args + ["--out", str(out)]) == 1
         expected = f"error: sweep range [{float(lo)}, {float(hi)}] overflows in {steps} steps\n"
         assert capsys.readouterr().err == expected
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # no CSV, no partial file
 
     @pytest.mark.parametrize("lo, hi", [("-1e-3", "1e-3"), ("-1E3", "-5."), ("-.5", "-0.25")])
     def test_negative_bounds_in_any_spelling_are_values(self, lo, hi, tmp_path, capsys):
@@ -249,17 +264,19 @@ class TestSweep:
                            ("rho4", 3.5, 8.5)]
     )
     def test_rows_are_the_members_measured_alone(self, family, lo, hi):
-        rows = sweep_rows(family, lo, hi, 500)
+        rows = sweep_table(family, lo, hi, 500)
         assert len(rows) == 500
         for row in rows:
-            params = (row.param, 1.0) if family == "rho1" else (row.param,)
+            params = (row["param"], 1.0) if family == "rho1" else (row["param"],)
             report = bounds_check(build(FamilySpec(family, params)))
-            assert row.discord == report.discord
-            assert row.negativity_sq == report.negativity * report.negativity
-            assert row.gap == report.gap
+            assert row["discord"] == report.discord
+            assert row["negativity_sq"] == report.negativity * report.negativity
+            assert row["gap"] == report.gap
             if family == "rho1":
-                closed = (row.closed_form_negativity_sq, row.closed_form_discord)
-                assert closed == rho1_closed_forms(row.param, 1.0)
+                closed = (row["closed_form_negativity_sq"], row["closed_form_discord"])
+                assert closed == rho1_closed_forms(row["param"], 1.0)
+            else:
+                assert len(row) == 4
 
     # The first failing member of a chunk ends the sweep, named as when members
     # were built one at a time; the rho3 failures sit in the fifth chunk.
@@ -286,7 +303,150 @@ class TestSweep:
         argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", steps, *flag]
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # no CSV, no partial file
+
+
+# Sweep grids (family, from, to, steps): acceptance criterion 8's, the benchmark's
+# cli-cold sweeps, CI's (its 200,000 steps in the memory test), a range far out, and
+# one and two steps.
+SWEEP_GRIDS = [
+    ("rho1", 0.0, 6.0, 600), ("rho2", 0.01, 1.0, 100), ("rho3", 1.75, 4.75, 100),
+    ("rho4", 3.5, 8.5, 100),
+    ("rho1", 0.0, 6.0, 121), ("rho3", 1.75, 4.75, 121), ("rho4", 3.5, 8.5, 121),
+    ("rho3", 1.75, 4.75, 31), ("rho2", 0.01, 1.0, 40),
+    ("rho1", 1e200, 1e201, 3), ("rho1", 0.0, 1e308, 2), ("rho1", -0.0, 1.0, 2),
+    ("rho1", -0.0, -0.0, 1), ("rho2", 0.5, 0.5, 1),
+]
+
+
+def run_sweep(out, steps, family="rho1", lo="0", hi="6"):
+    return main(["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", str(steps),
+                 "--out", str(out)])
+
+
+def fail_in_call(monkeypatch, k, error=None):
+    """Make the `k`-th call of the measures kernel in this test fail: raise `error`,
+    or, when it is None, add a check that the chunk's last state fails."""
+    real, calls = measures._measure_parts, []
+
+    def failing(stack, *args):
+        calls.append(len(stack))
+        measured = real(stack, *args)
+        if len(calls) == k:
+            if error is not None:
+                raise error
+            failed = np.zeros(len(stack), dtype=bool)
+            failed[-1] = True
+            injected = errors.Check(failed, lambda i: errors.BoundViolation(f"injected at {i}"))
+            measured = measured._replace(checks=measured.checks + (injected,))
+        return measured
+
+    monkeypatch.setattr(measures, "_measure_parts", failing)
+    return calls
+
+
+class TestStreamedSweep:
+    """A sweep builds, measures and writes one chunk at a time, through a partial file
+    that replaces --out when complete."""
+
+    @staticmethod
+    def assert_params_are_the_python_expression(lines, lo, hi, steps):
+        """The param column, read back from its shortest repr, is `lo + i * (hi - lo) /
+        (steps - 1)` on Python floats, bit for bit (-0.0 and 0.0 apart)."""
+        want = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
+        got = [float(line.split(",", 1)[0]) for line in lines[1:]]
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("family, lo, hi, steps", SWEEP_GRIDS)
+    def test_params_are_the_python_expression_bit_for_bit(self, family, lo, hi, steps):
+        lines = list(sweep_rows(family, lo, hi, steps))
+        self.assert_params_are_the_python_expression(lines, lo, hi, steps)
+
+    def test_peak_memory_does_not_grow_with_steps(self, tmp_path):
+        run_sweep(tmp_path / "warm.csv", 300)  # imports and first-call caches
+        peaks = {}
+        for steps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert run_sweep(tmp_path / f"{steps}.csv", steps) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        lines = (tmp_path / "200000.csv").read_text().splitlines()
+        self.assert_params_are_the_python_expression(lines, 0.0, 6.0, 200_000)
+        # The build that held every row and the whole CSV text differed by about 140 MB.
+        assert abs(peaks[200_000] - peaks[20_000]) <= 2_000_000, peaks
+
+    def test_fault_in_the_second_chunk_exits_2_and_leaves_no_file(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        calls = fail_in_call(monkeypatch, 2)
+        assert run_sweep(tmp_path / "rows.csv", 500) == 2
+        assert calls == [227, 227]  # 500 steps are chunks of 227, 227 and 46
+        assert capsys.readouterr().err == "numerical fault: injected at 226\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_main_lets_ctrl_c_through_and_leaves_no_file(self, tmp_path, monkeypatch):
+        fail_in_call(monkeypatch, 2, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(tmp_path / "rows.csv", 500)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_entry_turns_ctrl_c_into_exit_130(self, tmp_path, capsys, monkeypatch):
+        fail_in_call(monkeypatch, 1, KeyboardInterrupt())
+        monkeypatch.setattr(sys, "argv", ["gdneg", "sweep", "--family", "rho1", "--from", "0",
+                                          "--to", "6", "--steps", "30", "--out",
+                                          str(tmp_path / "rows.csv")])
+        assert io_cli.entry() == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigint_during_a_long_sweep(self, tmp_path):
+        # Seconds of work, interrupted once its first rows are on disk.
+        argv = ["sweep", "--family", "rho1", "--from", "0", "--to", "6", "--steps", "500000",
+                "--out", "long.csv"]
+        proc = subprocess.Popen([sys.executable, "-m", "gdneg.io_cli", *argv], cwd=tmp_path,
+                                env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            # Rows on disk: numpy has loaded and chunks are being measured.
+            while not any(p.stat().st_size for p in tmp_path.glob("long.csv.*.partial")):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.poll()
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_errors_name_out_and_no_partial_file_stays(self, tmp_path, capsys):
+        (tmp_path / "work").mkdir()
+        for out in (tmp_path / "work", tmp_path / "missing" / "rows.csv"):
+            assert run_sweep(out, 3) == 1
+            message = "Is a directory" if out.name == "work" else "No such file or directory"
+            assert capsys.readouterr().err.endswith(f"] {message}: {str(out)!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list((tmp_path / "work").iterdir()) == []
+
+    def test_out_through_a_symlink_and_into_a_pipe(self, tmp_path, capsys):
+        assert run_sweep(tmp_path / "direct.csv", 30) == 0
+        expected = (tmp_path / "direct.csv").read_bytes()
+        (tmp_path / "link.csv").symlink_to("target.csv")
+        assert run_sweep(tmp_path / "link.csv", 30) == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "target.csv").read_bytes() == expected
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        assert run_sweep(fifo, 30) == 0
+        reader.join(timeout=60)
+        assert received == [expected] and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "direct.csv", "fifo", "link.csv", "target.csv"]
 
 
 class TestSample:
@@ -411,7 +571,7 @@ class TestNumericalFault:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("numerical fault: ")
-        assert not out.exists()
+        assert not list(tmp_path.glob("rho1.csv*"))  # no CSV, no partial file
 
 
 class TestBadInput:
@@ -470,6 +630,20 @@ class TestBadInput:
                         % ("0" * 400) + ", [0, 0]" * 15 + "]}")
         assert main(["analyze", str(path)]) == 1
         self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("where", ["m", "entry"])
+    def test_integer_too_long_to_parse(self, where, tmp_path, capsys):
+        # json's int() refuses an integer of more digits than sys.get_int_max_str_digits().
+        if LONG_INT_ERROR is None:
+            pytest.skip("this Python converts integers of any length")
+        path = tmp_path / "long.json"
+        path.write_text(state_file_text(LONG_INT) if where == "entry" else
+                        f'{{"format": "gdneg-state/1", "m": {LONG_INT}, "n": 2, "entries": []}}')
+        with pytest.raises(ParseError, match="integer too long to parse"):
+            read_state(path)
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: integer too long to parse ({LONG_INT_ERROR})\n")
 
     def test_overflow_is_reported_before_a_non_finite_entry(self, tmp_path):
         path = tmp_path / "nan-then-huge.json"
@@ -573,6 +747,16 @@ def state_file_text(entry):
     entries[1][0] = entry
     pairs = ", ".join(f"[{re}, {im}]" for re, im in entries)
     return f'{{"format": "gdneg-state/1", "m": 2, "n": 3, "entries": [{pairs}]}}'
+
+
+# An integer of 5,000 digits, and the error of int() on it, None where it converts:
+# past CPython's default limit of 4,300 digits, unless the limit is lifted.
+LONG_INT = "1" + "0" * 4999
+try:
+    int(LONG_INT)
+    LONG_INT_ERROR = None
+except ValueError as exc:
+    LONG_INT_ERROR = str(exc)
 
 
 def write_nan_file(directory):
@@ -683,8 +867,9 @@ EARLY_EXITS = [
 
 # State files rejected before numpy loads: (file text, stderr). The first five
 # differ from a valid state in entry (0, 1) and give the stderr of the build
-# that converted the entries with numpy. Before the last two were rejected,
-# json ended in a RecursionError traceback and the 2x46 state was measured.
+# that converted the entries with numpy. Before the last three were rejected,
+# json ended in a RecursionError or a ValueError traceback and the 2x46 state
+# was measured.
 EARLY_FILE_EXITS = [
     (state_file_text("NaN"), "error: finiteness invariant violated: non-finite entries\n"),
     (state_file_text("Infinity"), "error: finiteness invariant violated: non-finite entries\n"),
@@ -693,6 +878,10 @@ EARLY_FILE_EXITS = [
     (state_file_text("1" + "0" * 400),
      "error: state.json: entry out of float range (int too large to convert to float)\n"),
     ("[" * 100_000 + "]" * 100_000, "error: state.json: not valid JSON (nested too deeply)\n"),
+    pytest.param(state_file_text(LONG_INT),
+                 f"error: state.json: integer too long to parse ({LONG_INT_ERROR})\n",
+                 marks=pytest.mark.skipif(LONG_INT_ERROR is None,
+                                          reason="this Python converts integers of any length")),
     (json.dumps({"format": "gdneg-state/1", "m": 2, "n": 46,
                  "entries": [[1 / 92 if i % 93 == 0 else 0.0, 0.0] for i in range(92 * 92)]}),
      "error: 2x46 states do not fit in one chunk of 8192 entries: m*n must be at most 90\n"),
@@ -732,8 +921,7 @@ class TestColdImport:
                 f"preloaded = [m for m in {NOT_LOADED} if m in sys.modules]\n"
                 "from gdneg import io_cli\n"
                 "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('gdneg')))\n"
-                "names = ['run_sample', 'run_verify', 'sweep_rows', 'render_sweep_csv', 'read_state',\n"
-                "         'main']\n"
+                "names = ['run_sample', 'run_verify', 'sweep_rows', 'read_state', 'main']\n"
                 "print(*{getattr(io_cli, name).__module__ for name in names})\n"
                 f"print(json.dumps([preloaded, [m for m in {NOT_LOADED} if m in sys.modules]]))\n")
         out = run_python(["-c", code], tmp_path)
@@ -791,7 +979,8 @@ class TestColdImport:
         assert not set(loaded) & set(NOT_LOADED), loaded
 
     @pytest.mark.parametrize("text, err", EARLY_FILE_EXITS, ids=[
-        "NaN", "Infinity", "-Infinity", "1e999", "400-digit-integer", "deep-nesting", "2x46"])
+        "NaN", "Infinity", "-Infinity", "1e999", "400-digit-integer", "deep-nesting",
+        "5000-digit-integer", "2x46"])
     def test_bad_state_file_exits_before_numpy(self, text, err, tmp_path):
         (tmp_path / "state.json").write_text(text)
         returncode, stdout, rest, imports = import_log(["analyze", "state.json"], tmp_path)

@@ -1,4 +1,4 @@
-"""The seven public records, built on `errors.Record`, behave as frozen records.
+"""The six public records, built on `errors.Record`, behave as frozen records.
 
 Each is built by position and by keyword in field order, validates in
 `__post_init__` with its named errors, refuses assignment, and prints,
@@ -16,7 +16,7 @@ import pytest
 from gdneg.bloch import BlochForm, decompose
 from gdneg.errors import InvalidRange, InvalidState, Record, UnknownFamily
 from gdneg.families import FamilySpec, build
-from gdneg.io_cli import SampleSummary, SweepRow, run_sample
+from gdneg.io_cli import SampleSummary, run_sample
 from gdneg.measures import MeasureReport, bounds_check
 from gdneg.states import DensityMatrix, PureState
 
@@ -26,8 +26,6 @@ REPORT = dict(negativity=0.5, negativity_sq=0.25, discord=0.125, discord_exact=T
               pt_negative_count=1, pt_negative_cap=1, bounds_ok=True)
 SUMMARY = dict(dims=(2, 3), count=10, seed=1, ensemble="pure", violations=0, max_gap=0.5,
                min_gap=-0.5, bound_failures=0)
-ROW = dict(param=0.5, discord=0.25, negativity_sq=0.375, gap=0.125, closed_form_discord=0.25,
-           closed_form_negativity_sq=0.375)
 
 # class: its fields, in order, and their values for one record
 RECORDS = {
@@ -36,10 +34,9 @@ RECORDS = {
     MeasureReport: REPORT,
     BlochForm: dict(m=2, n=2, x=np.zeros(3), y=np.zeros(3), T=np.eye(3)),
     FamilySpec: dict(name="rho1", params=(5.0, 2.0)),
-    SweepRow: ROW,
     SampleSummary: SUMMARY,
 }
-HASHABLE = (MeasureReport, FamilySpec, SweepRow, SampleSummary)
+HASHABLE = (MeasureReport, FamilySpec, SampleSummary)
 IDS = [cls.__name__ for cls in RECORDS]
 
 
@@ -124,16 +121,6 @@ class TestEveryRecord:
             cls.__init__ = original
         same_fields(cls(*values.values()), wrapped)
         assert len(calls) == 2
-
-
-def test_sweep_row_defaults_closed_forms_to_none():
-    row = SweepRow(0.5, 0.25, 0.375, 0.125)
-    assert (row.closed_form_discord, row.closed_form_negativity_sq) == (None, None)
-    assert SweepRow(0.5, 0.25, 0.375, 0.125, 0.25) == SweepRow(
-        param=0.5, discord=0.25, negativity_sq=0.375, gap=0.125, closed_form_discord=0.25)
-    assert hash(row) == hash((0.5, 0.25, 0.375, 0.125, None, None))
-    assert SweepRow.closed_form_discord is None and SweepRow._defaults == {
-        "closed_form_discord": None, "closed_form_negativity_sq": None}
 
 
 @pytest.mark.parametrize("build_record, error, message", [
