@@ -15,7 +15,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module: the names the package exports from it
+# defining module: the names the package exports from it
 _EXPORTS = {
     "bloch": ("BlochForm", "decompose", "g_matrix", "reconstruct"),
     "errors": (
@@ -38,29 +38,23 @@ _EXPORTS = {
         "hermitian_eigenvalues",
         "hermiticity_defect",
         "hs_norm_sq",
-        "kron",
         "partial_trace_b",
         "partial_transpose",
         "trace_norm",
     ),
     "measures": (
-        "DensityMatrix",
         "MeasureReport",
-        "PureState",
         "bounds_check",
         "gd_bruteforce_2xn",
         "gd_bruteforce_stack",
-        "gd_lower_bound",
-        "geometric_discord",
         "maximal_state",
         "measurement_identity_check",
-        "negativity",
         "project_a",
-        "pt_negative_count",
         "pure_gd",
         "pure_negativity",
         "schmidt",
     ),
+    "states": ("DensityMatrix", "PureState"),
     "su_generators": ("basis_for",),
 }
 

@@ -513,9 +513,18 @@ def _write_whole(path: str, lines) -> None:
     """Write `lines` to `path`, leaving no file there unless all were written: they
     go to `<file>.<pid>.partial` beside the file `path` names (through a symlink),
     renamed onto it once complete and removed on any exception, Ctrl-C included.
-    A device, pipe or directory at `path` is opened as it is. An OSError names
-    `path`, as when the CSV was written in place.
+    A device, pipe or directory at `path` is opened as it is, and the file stdout
+    writes to (`/dev/stdout` redirected to a file, say) is written through
+    `sys.stdout`, so that what the command prints next follows the lines. An
+    OSError names `path`, as when the CSV was written in place.
     """
+    try:  # a stdout with no descriptor is in memory, or None once descriptor 1 is closed
+        to_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError, AttributeError):  # or there is no file at `path`
+        to_stdout = False
+    if to_stdout:
+        sys.stdout.writelines(lines)
+        return
     target = os.path.realpath(path)
     in_place = os.path.exists(path) and not os.path.isfile(path)
     partial = path if in_place else f"{target}.{os.getpid()}.partial"
@@ -595,6 +604,12 @@ def _dims(text: str) -> tuple:
     return (m, n)
 
 
+def _out_path(text: str) -> str:
+    if not text:  # realpath('') is the working directory
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -623,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="lo", type=float, required=True)
     p_sweep.add_argument("--to", dest="hi", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--out", required=True)
+    p_sweep.add_argument("--out", type=_out_path, required=True)
     p_sweep.add_argument("--allow-out-of-range", action="store_true")
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)

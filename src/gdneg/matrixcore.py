@@ -33,11 +33,6 @@ def hermiticity_defect(a: np.ndarray):
     return float(defect) if a.ndim == 2 else defect
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """The Hermitian part (A + A^dag)/2, as a new complex array.
 

@@ -6,7 +6,7 @@ state. Some references scale it by (m-1)/m relative to this convention; only
 the m/(m-1)-normalized value is exposed.
 
 For m = 2 the correlation-tensor formula is exact; for m >= 3 it is a lower
-bound and `geometric_discord` says so via its exactness flag. An independent
+bound, flagged by `MeasureReport.discord_exact`. An independent
 brute-force minimization over qubit von Neumann measurements cross-checks the
 formula. `gd_bruteforce_stack` writes 2 ||rho - Pi_u(rho)||^2 as
 Tr rho^2 - u^T M u, with M a 3 x 3 form built once per state from explicit
@@ -23,9 +23,9 @@ Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
 expressions and the negative-eigenvalue count, and one spectrum of G per
 state gives the discord; each check is one `errors.Check` over the
-stack. The CLI runs it on chunks of states; `bounds_check` runs it on a stack
-of one and the single-state measures return its fields, so each formula and
-check exists once and each measure raises its state's first fault. The
+stack. The CLI runs it on chunks of states and `bounds_check`, the one
+single-state entry, on a stack of one, so each formula and check exists once
+and a single state's measures come with its first fault raised. The
 measurement identities run on stacks the same way. The package needs numpy
 alone.
 
@@ -93,28 +93,18 @@ from .tolerances import (
     SCHMIDT_CUTOFF,
 )
 
-__all__ = [
-    "DensityMatrix",
-    "PureState",
-    "MeasureReport",
-    "negativity",
-    "pt_negative_count",
-    "gd_lower_bound",
-    "geometric_discord",
-    "gd_bruteforce_2xn",
-    "gd_bruteforce_stack",
-    "project_a",
-    "schmidt",
-    "pure_negativity",
-    "pure_gd",
-    "maximal_state",
-    "bounds_check",
-    "measurement_identity_check",
-]
-
-
 class MeasureReport(Record):
-    """Aggregated measures and bound verdicts for one state."""
+    """The measures and bound verdicts of one m (x) n state, from `bounds_check`.
+
+    N = 2/(m-1) times the absolute sum of the negative partial-transpose
+    eigenvalues, so its maximum is 1, agreeing with (trace norm - 1)/(m-1)
+    within 1e-9. D_lb = 2/(m(m-1)n) times the sum of all but the top m - 1
+    eigenvalues of G = B B^T, B = [x, sqrt(2/n) T], clamped at zero within
+    -1e-12 of solver noise: the geometric discord of every 2 (x) n state and,
+    with no closed formula for m >= 3, a lower bound there (`discord_exact`).
+    `pt_negative_count` counts PT eigenvalues below the noise cutoff, provably
+    at most `pt_negative_cap` = (m-1)(n-1).
+    """
 
     negativity: float
     negativity_sq: float
@@ -330,48 +320,7 @@ def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
 
 
 # ---------------------------------------------------------------------------
-# Single-state measures: `bounds_check`, the kernel on a stack of one
-
-
-def negativity(rho: DensityMatrix) -> float:
-    """Negativity of a state, normalized so the maximum value is 1.
-
-    2/(m-1) times the absolute sum of negative partial-transpose eigenvalues,
-    required to agree with (trace norm - 1)/(m-1) within 1e-9. The field of
-    `bounds_check`: it raises the state's first fault among all the checks.
-    """
-    return bounds_check(rho).negativity
-
-
-def pt_negative_count(rho: DensityMatrix) -> int:
-    """Number of partial-transpose eigenvalues below the noise cutoff.
-
-    Provably at most (m-1)(n-1), and a fault, not clamped, above it. The field
-    of `bounds_check`: it raises the state's first fault among all the checks.
-    """
-    return bounds_check(rho).pt_negative_count
-
-
-def gd_lower_bound(rho: DensityMatrix) -> float:
-    """Correlation-tensor lower bound on geometric discord.
-
-    (2/(m(m-1)n)) times the sum of all but the top m - 1 eigenvalues of
-    G = B B^T, B = [x, sqrt(2/n) T], that is Tr G = ||x||^2 + (2/n)||T||^2 less
-    them, clamped at zero within -1e-12 of solver noise.
-    The field of `bounds_check`: it raises the state's first fault among all
-    the checks.
-    """
-    return bounds_check(rho).discord
-
-
-def geometric_discord(rho: DensityMatrix) -> tuple[float, bool]:
-    """Geometric discord with an exactness flag.
-
-    The value is the correlation-tensor expression, which equals the discord
-    for every 2 (x) n state; for m >= 3 no closed formula is available and
-    the value is a lower bound, flagged exact=False.
-    """
-    return gd_lower_bound(rho), rho.m == 2
+# Measurements, the oracle and the single-state entries
 
 
 def project_a(mat: np.ndarray, n: int, u) -> np.ndarray:
@@ -507,7 +456,7 @@ def gd_bruteforce_2xn(rho: DensityMatrix) -> float:
 
     `gd_bruteforce_stack` on a stack of one: the climb u <- M u / ||M u|| on
     the sphere from the three axes. Serves as the independent oracle for
-    `geometric_discord`.
+    `bounds_check`'s discord.
     """
     if rho.m != 2:
         raise WrongDimension(f"brute-force discord requires m = 2, got m={rho.m}")
@@ -624,11 +573,13 @@ def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
 
 
 def bounds_check(rho: DensityMatrix) -> MeasureReport:
-    """Compute all measures and verify the proven bounds.
+    """Compute all measures of one state, as `MeasureReport` defines them, and
+    verify the proven bounds: the kernel on a stack of one.
 
     0 <= N <= 1, 0 <= D <= m/(m-1) and -m/(m-1) <= N^2 - D <= 1, each with
-    1e-9 slack. A violation raises BoundViolation: these are theorems, so a
-    failure signals a numerical fault.
+    1e-9 slack. The state's first fault among all the checks is raised, a
+    BoundViolation or a CapViolation: these are theorems, so a failure signals
+    a numerical fault.
     """
     measured = _measure_stack(rho.mat[None], rho.m, rho.n)
     fault = first_fault(measured.checks)

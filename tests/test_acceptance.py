@@ -14,10 +14,9 @@ from gdneg.families import FamilySpec, build, rho1_closed_forms, template_closed
 from gdneg.io_cli import main, sample_states, write_state
 from gdneg.matrixcore import hermitian_eigenvalues, partial_transpose
 from gdneg.measures import (
+    bounds_check,
     gd_bruteforce_2xn,
-    geometric_discord,
     maximal_state,
-    negativity,
     pure_gd,
     pure_negativity,
     schmidt,
@@ -161,8 +160,8 @@ def test_criterion_4_closed_form_vs_numeric():
         s = a * a + b * b
         neg_closed = (b * np.sqrt(b * b + 4 * a * a) - b * b) / s
         neg_sq_closed, disc_closed = rho1_closed_forms(a, b)
-        neg = negativity(rho)
-        disc, _ = geometric_discord(rho)
+        report = bounds_check(rho)
+        neg, disc = report.negativity, report.discord
         worst_neg = max(worst_neg, abs(neg - neg_closed), abs(neg * neg - neg_sq_closed))
         worst_disc = max(worst_disc, abs(disc - disc_closed))
 
@@ -196,7 +195,7 @@ def test_criterion_5_oracle_equivalence():
     worst = 0.0
     for m, n, count, seed in [(2, 3, 200, 505), (2, 4, 100, 506)]:
         for rho in sample_states(m, n, count, seed, "hilbert-schmidt"):
-            disc, _ = geometric_discord(rho)
+            disc = bounds_check(rho).discord
             brute = gd_bruteforce_2xn(rho)
             worst = max(worst, abs(brute - disc))
     elapsed = time.perf_counter() - start
@@ -216,16 +215,15 @@ def test_criterion_6_pure_state_formulas():
             phi = random_pure_state(m, n, rng)
             c = schmidt(phi)
             rho = phi.projector()
-            worst_neg = max(worst_neg, abs(pure_negativity(c, m) - negativity(rho)))
+            report = bounds_check(rho)
+            worst_neg = max(worst_neg, abs(pure_negativity(c, m) - report.negativity))
             if m == 2:
-                disc, _ = geometric_discord(rho)
-                worst_disc = max(worst_disc, abs(pure_gd(c, m) - disc))
+                worst_disc = max(worst_disc, abs(pure_gd(c, m) - report.discord))
 
     worst_max = 0.0
     for m, n in [(2, 2), (2, 3), (3, 3), (3, 4)]:
-        rho = maximal_state(m, n)
-        disc, _ = geometric_discord(rho)
-        worst_max = max(worst_max, abs(negativity(rho) - 1.0), abs(disc - 1.0))
+        report = bounds_check(maximal_state(m, n))
+        worst_max = max(worst_max, abs(report.negativity - 1.0), abs(report.discord - 1.0))
 
     ok = worst_neg <= 1e-8 and worst_disc <= 1e-8 and worst_max <= 1e-12
     _report(6, "pure-state formulas and maximal states", ok,

@@ -84,9 +84,10 @@ def test_kernel_matches_single_state_functions(m, n):
     measured = _measure_stack(rhos, m, n)
     for k, mat in enumerate(rhos):
         rho = DensityMatrix(m, n, mat)
-        assert measures.negativity(rho) == measured.negativity[k]
-        assert measures.gd_lower_bound(rho) == measured.discord[k]
-        assert measures.pt_negative_count(rho) == measured.pt_negative_count[k]
+        report = measures.bounds_check(rho)
+        assert report.negativity == measured.negativity[k]
+        assert report.discord == measured.discord[k]
+        assert report.pt_negative_count == measured.pt_negative_count[k]
 
 
 PURE_DIMS = [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4)]
@@ -345,14 +346,7 @@ def test_each_kernel_check_fires_on_every_path(check, tmp_path, monkeypatch):
             failures.append((index, rho, exc))
     assert failures
     assert all(type(exc) is error and re.fullmatch(message, str(exc)) for _, _, exc in failures)
-    index, rho, first = failures[0]
-    single = (measures.negativity, measures.pt_negative_count, measures.gd_lower_bound,
-              measures.geometric_discord)
-    for measure in single:
-        with pytest.raises(error) as raised:
-            measure(rho)
-        assert str(raised.value) == str(first)
-
+    index, _, first = failures[0]
     assert run_sample(2, 3, count, seed, "hilbert-schmidt").bound_failures == len(failures)
     assert main(["sample", "--dims", "2x3", "--count", str(count), "--seed", str(seed)]) == 2
     report = run_verify(2, 3, count, seed, oracle_subsample=2)
@@ -441,11 +435,9 @@ def test_pure_chunk_rows_equal_lone_draws(m, n):
 def test_measures_reject_a_one_dimensional_side(m, n, tmp_path, capsys):
     rho = DensityMatrix(m, n, np.eye(3) / 3)
     expected = f"measures require m >= 2 and n >= 2, got a {m}x{n} state"
-    for measure in (bounds_check, measures.negativity, measures.pt_negative_count,
-                    measures.gd_lower_bound, measures.geometric_discord):
-        with pytest.raises(InvalidDimension) as raised:
-            measure(rho)
-        assert str(raised.value) == expected
+    with pytest.raises(InvalidDimension) as raised:
+        bounds_check(rho)
+    assert str(raised.value) == expected
     path = tmp_path / "thin.json"
     write_matrix(path, rho.mat, m, n)
     assert main(["analyze", str(path)]) == 1

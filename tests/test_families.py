@@ -17,7 +17,7 @@ from gdneg.families import (
     violates,
 )
 from gdneg.matrixcore import hermitian_eigenvalues
-from gdneg.measures import bounds_check, negativity, pt_negative_count
+from gdneg.measures import bounds_check
 
 # The squared-negativity/discord gap of rho1(c, 1) vanishes exactly at
 # c^2 = 5 - sqrt(17) and at c^2 = 2, and is positive between and beyond:
@@ -203,7 +203,7 @@ def test_rho1_numeric_matches_closed_forms_on_grid():
             assert abs(report.negativity_sq - neg_sq) <= 1e-10
             assert abs(report.discord - disc) <= 1e-10
             if a != 0:
-                assert pt_negative_count(rho) == 2
+                assert bounds_check(rho).pt_negative_count == 2
 
 
 class TestViolationRegion:
@@ -293,7 +293,7 @@ def test_all_family_members_pass_bounds_check():
     for spec in specs:
         report = bounds_check(build(spec))
         assert report.bounds_ok
-        assert abs(report.negativity - negativity(build(spec))) <= 1e-15
+        assert abs(report.negativity - bounds_check(build(spec)).negativity) <= 1e-15
 
 
 # Parameter ranges inside each documented window, where every member is a state.

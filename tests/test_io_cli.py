@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import signal
@@ -11,9 +12,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gdneg
-from gdneg import errors, io_cli, measures
+from gdneg import errors, io_cli, matrixcore, measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import (
@@ -448,6 +451,32 @@ class TestStreamedSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "direct.csv", "fifo", "link.csv", "target.csv"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_to_dev_stdout_redirected_to_a_file_keeps_the_report(self, tmp_path, capsys):
+        # /dev/stdout is then the file itself: the rows are written through stdout,
+        # so the report follows them, as it does through a pipe.
+        assert run_sweep(tmp_path / "rows.csv", 3, hi="1") == 0
+        expected = (tmp_path / "rows.csv").read_text() + "wrote 3 rows for rho1 to /dev/stdout\n"
+        argv = ["sweep", "--family", "rho1", "--from", "0", "--to", "1", "--steps", "3",
+                "--out", "/dev/stdout"]
+        with open(tmp_path / "so.txt", "w") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "gdneg.io_cli", *argv], cwd=tmp_path,
+                                  env=dict(os.environ, PYTHONPATH=SRC), stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "so.txt").read_text() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "so.txt"]
+
+    @pytest.mark.parametrize("stdout", [None, "in memory"])
+    def test_a_stdout_with_no_descriptor_leaves_out_to_the_file(self, stdout, tmp_path,
+                                                                monkeypatch):
+        # sys.stdout is None once descriptor 1 is closed; an in-memory stream has no fileno.
+        out = tmp_path / "rows.csv"
+        out.write_text("old\n")
+        monkeypatch.setattr(sys, "stdout", None if stdout is None else io.StringIO())
+        assert run_sweep(out, 3, hi="1") == 0
+        assert out.read_text().startswith("param,") and len(out.read_text().splitlines()) == 4
+
 
 class TestSample:
     def test_2x2_has_no_violations(self, capsys):
@@ -698,6 +727,69 @@ class TestBadInput:
         assert len(err) == 1 and err[0].startswith("error: "), out.stderr
 
 
+# A valid 2x2 state file (the maximally mixed state) and the ways a file can go
+# wrong: a value of another type, a missing key, a wrong shape or nesting, huge or
+# negative dimensions, non-finite, huge or long number literals, truncated text and
+# bytes that are not UTF-8.
+VALID_STATE = {"format": "gdneg-state/1", "m": 2, "n": 2,
+               "entries": [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]}
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(),
+                 st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+LITERALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400,
+                            "0." + "3" * 1000])
+
+
+@st.composite
+def mutated_state_file(draw):
+    doc = json.loads(json.dumps(VALID_STATE))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["type", "drop", "dims", "shape", "entry"]))
+        entries = doc.get("entries")
+        if kind == "type":
+            doc[draw(st.sampled_from(["format", "m", "n", "entries"]))] = draw(JUNK)
+        elif kind == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif kind == "dims":
+            doc[draw(st.sampled_from(["m", "n"]))] = draw(
+                st.integers(-(10**30), 10**30) | st.integers(-2, 100))
+        elif kind == "shape" and isinstance(entries, list):
+            k = draw(st.integers(0, 20))
+            doc["entries"] = draw(st.sampled_from([entries[:k], entries + [[0.0, 0.0]] * k,
+                                                   [[0.0] * (k % 4)] + entries[1:], [entries]]))
+        elif kind == "entry" and isinstance(entries, list) and entries:
+            pair = entries[draw(st.integers(0, len(entries) - 1))]
+            if isinstance(pair, list) and pair:
+                pair[draw(st.integers(0, len(pair) - 1))] = draw(JUNK)
+    text = json.dumps(doc)
+    if draw(st.booleans()):  # json.dumps writes no 1e999, so literals go in as text
+        text = text.replace("0.0", draw(LITERALS), 1)
+    data = text.encode()
+    cut = draw(st.integers(0, len(data)))
+    damage = draw(st.sampled_from(["none", "truncate", "not UTF-8"]))
+    if damage == "truncate":
+        data = data[:cut]
+    elif damage == "not UTF-8":
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestMutatedStateFiles:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_state_file())
+    def test_analyze_exits_0_or_1_with_one_error_line(self, data, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        code = main(["analyze", str(path), "--json"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and json.loads(out)["bounds_ok"] is True
+        else:
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
 class TestGoldenJson:
     # Byte-exact output of the build before the JSON was derived from the
     # report dataclasses; keys are sorted, tuples print as lists.
@@ -856,6 +948,9 @@ EARLY_EXITS = [
      "error: sampling requires 2 <= m <= n, got 5x2\n"),
     (["sweep", "--family", "nope", "--from", "0", "--to", "1", "--steps", "3", "--out", "x.csv"], 1,
      "error: gdneg sweep: argument --family: invalid choice: 'nope' (choose from "),
+    # realpath('') is the working directory: the partial file went beside it.
+    (["sweep", "--family", "rho1", "--from", "0", "--to", "1", "--steps", "3", "--out", ""], 1,
+     "error: gdneg sweep: argument --out: expected a file path, got ''\n"),
     (["--help"], 0, ""),
     # States too large for one chunk; numpy would try to allocate hundreds of GiB.
     (["sample", "--dims", "2x100000", "--count", "1", "--seed", "1"], 1,
@@ -950,21 +1045,37 @@ class TestColdImport:
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
         same, exported, listed, unknown = json.loads(out.stdout)
-        assert len(exported) == 46 and same == exported
+        assert len(exported) == 41 and same == exported
         assert set(exported) <= set(listed) and "__version__" in listed
         assert unknown == "module 'gdneg' has no attribute 'not_a_name'"
-        # The names the package exported when it imported every layer eagerly.
+        # The names the package exported when it imported every layer eagerly, less
+        # the one-field measure wrappers and `kron`, which `bounds_check` and `np.kron` replace.
         assert set(exported) == {
             "BlochForm", "decompose", "g_matrix", "reconstruct", "BoundViolation", "CapViolation",
             "DimensionMismatch", "InvalidDimension", "InvalidRange", "InvalidState", "NotAState",
             "NotHermitian", "NotSquare", "ParseError", "UnknownFamily", "WrongDimension",
             "FAMILY_NAMES", "FamilySpec", "build", "in_range", "rho1_closed_forms", "violates",
-            "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "kron", "partial_trace_b",
+            "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "partial_trace_b",
             "partial_transpose", "trace_norm", "DensityMatrix", "MeasureReport", "PureState",
-            "bounds_check", "gd_bruteforce_2xn", "gd_bruteforce_stack", "gd_lower_bound",
-            "geometric_discord", "maximal_state", "measurement_identity_check", "negativity",
-            "project_a", "pt_negative_count", "pure_gd", "pure_negativity", "schmidt", "basis_for",
+            "bounds_check", "gd_bruteforce_2xn", "gd_bruteforce_stack", "maximal_state",
+            "measurement_identity_check", "project_a", "pure_gd", "pure_negativity", "schmidt",
+            "basis_for",
         }
+
+    def test_removed_names_are_gone(self):
+        removed = ("negativity", "pt_negative_count", "gd_lower_bound", "geometric_discord", "kron")
+        for module in (gdneg, measures, matrixcore):
+            assert [name for name in removed if hasattr(module, name)] == [], module
+        assert not hasattr(measures, "__all__")
+
+    def test_a_record_loads_only_its_module(self, tmp_path):
+        code = ("import sys\n"
+                "from gdneg import DensityMatrix\n"
+                "print(DensityMatrix.__module__, sorted(m for m in sys.modules if m.startswith('gdneg')))\n")
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == ("gdneg.states ['gdneg', 'gdneg.errors', 'gdneg.matrixcore', "
+                              "'gdneg.states', 'gdneg.tolerances']\n")
 
     @pytest.mark.parametrize("argv, code, err", EARLY_EXITS, ids=[" ".join(e[0]) for e in EARLY_EXITS])
     def test_early_exit_imports_no_numpy(self, argv, code, err, tmp_path):
@@ -973,6 +1084,7 @@ class TestColdImport:
         assert len(imports) > 10 and not [line for line in imports if "numpy" in line]
         assert stdout.startswith("usage: gdneg") if argv == ["--help"] else stdout == ""
         assert list(tmp_path.iterdir()) == []
+        assert not list(tmp_path.parent.glob(f"{tmp_path.name}.*"))
         loaded = loaded_after_gdneg(imports)
         if loaded is None:
             pytest.skip("site imported dataclasses or inspect before gdneg")

@@ -8,7 +8,6 @@ from gdneg.matrixcore import (
     hermitian_eigenvalues,
     hermiticity_defect,
     hs_norm_sq,
-    kron,
     partial_trace_b,
     partial_transpose,
     trace_norm,
@@ -30,15 +29,17 @@ def random_hermitian(rng, d):
 
 
 class TestKron:
+    """The Kronecker index layout every layer assumes: A's index is the outer one."""
+
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_diagonal(self):
-        out = kron(SIGMA[2], np.eye(3))
+        out = np.kron(SIGMA[2], np.eye(3))
         assert np.array_equal(out, np.diag([1, 1, 1, -1, -1, -1]).astype(complex))
 
     def test_sigma1_mu1_positions(self):
-        out = kron(SIGMA[0], MU[0])
+        out = np.kron(SIGMA[0], MU[0])
         expected = np.zeros((6, 6), dtype=complex)
         for i, j in [(0, 4), (1, 3), (3, 1), (4, 0)]:
             expected[i, j] = 1

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +21,9 @@ from gdneg.measures import (
     PureState,
     bounds_check,
     gd_bruteforce_2xn,
-    gd_lower_bound,
-    geometric_discord,
     maximal_state,
     measurement_identity_check,
-    negativity,
     project_a,
-    pt_negative_count,
     pure_gd,
     pure_negativity,
     schmidt,
@@ -54,17 +51,17 @@ def single_system_state(d, rng):
 class TestNegativity:
     @pytest.mark.parametrize("a,b", [(5.0, 2.0), (1.0, 1.0), (0.0, 1.0), (3.0, 0.4)])
     def test_rho1_closed_form(self, a, b):
-        assert abs(negativity(rho1(a, b)) - rho1_negativity_closed(a, b)) <= 1e-12
+        assert abs(bounds_check(rho1(a, b)).negativity - rho1_negativity_closed(a, b)) <= 1e-12
 
     def test_product_state_is_ppt(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
             mat = np.kron(single_system_state(2, rng), single_system_state(3, rng))
-            assert negativity(DensityMatrix(2, 3, mat)) <= 1e-12
+            assert bounds_check(DensityMatrix(2, 3, mat)).negativity <= 1e-12
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_maximal_state(self, m, n):
-        assert abs(negativity(maximal_state(m, n)) - 1.0) <= 1e-12
+        assert abs(bounds_check(maximal_state(m, n)).negativity - 1.0) <= 1e-12
 
     def test_agrees_with_trace_norm_expression(self):
         rng = np.random.default_rng(31)
@@ -72,7 +69,7 @@ class TestNegativity:
             for _ in range(20):
                 rho = random_density_matrix(m, n, rng)
                 via_tn = (trace_norm(partial_transpose(rho.mat, m, n)) - 1) / (m - 1)
-                assert abs(negativity(rho) - via_tn) <= 1e-9
+                assert abs(bounds_check(rho).negativity - via_tn) <= 1e-9
 
     def test_convexity(self):
         rng = np.random.default_rng(32)
@@ -81,39 +78,42 @@ class TestNegativity:
             r2 = random_density_matrix(2, 3, rng)
             t = rng.uniform()
             mix = DensityMatrix(2, 3, t * r1.mat + (1 - t) * r2.mat)
-            assert negativity(mix) <= t * negativity(r1) + (1 - t) * negativity(r2) + 1e-9
+            n_mix, n1, n2 = (bounds_check(rho).negativity for rho in (mix, r1, r2))
+            assert n_mix <= t * n1 + (1 - t) * n2 + 1e-9
 
 
 class TestPtNegativeCount:
     @pytest.mark.parametrize("a,b", [(5.0, 2.0), (1.0, 1.0), (0.1, 3.0)])
     def test_rho1_has_two(self, a, b):
-        assert pt_negative_count(rho1(a, b)) == 2
+        assert bounds_check(rho1(a, b)).pt_negative_count == 2
 
     def test_diagonal_state_has_none(self):
-        assert pt_negative_count(DensityMatrix(2, 3, np.diag([0.3, 0.2, 0.1, 0.1, 0.1, 0.2]).astype(complex))) == 0
+        diagonal = DensityMatrix(2, 3, np.diag([0.3, 0.2, 0.1, 0.1, 0.1, 0.2]).astype(complex))
+        assert bounds_check(diagonal).pt_negative_count == 0
 
     def test_maximal_state_counts(self):
         # cap (m-1)(n-1) is attained at 2x2; in 2x3 the maximal state has a
         # single negative PT eigenvalue (spectrum 1/2 x3, 0 x2, -1/2) and the
         # cap of 2 is attained by the rho1 family instead
-        assert pt_negative_count(maximal_state(2, 2)) == 1
-        assert pt_negative_count(maximal_state(2, 3)) == 1
+        assert bounds_check(maximal_state(2, 2)).pt_negative_count == 1
+        assert bounds_check(maximal_state(2, 3)).pt_negative_count == 1
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
     def test_cap_respected_on_random_states(self, m, n):
         rng = np.random.default_rng(33)
         for _ in range(100):
-            assert pt_negative_count(random_density_matrix(m, n, rng)) <= (m - 1) * (n - 1)
+            count = bounds_check(random_density_matrix(m, n, rng)).pt_negative_count
+            assert count <= (m - 1) * (n - 1)
 
 
 class TestGeometricDiscord:
     def test_maximally_mixed_is_zero(self):
-        assert gd_lower_bound(DensityMatrix(2, 3, np.eye(6) / 6)) == 0.0
+        assert bounds_check(DensityMatrix(2, 3, np.eye(6) / 6)).discord == 0.0
 
     def test_rho1_52(self):
-        value, exact = geometric_discord(rho1(5, 2))
-        assert abs(value - 200 / 841) <= 1e-12
-        assert exact
+        report = bounds_check(rho1(5, 2))
+        assert abs(report.discord - 200 / 841) <= 1e-12
+        assert report.discord_exact
 
     @pytest.mark.parametrize(
         "a,b",
@@ -121,7 +121,7 @@ class TestGeometricDiscord:
     )
     def test_rho1_piecewise_closed_form(self, a, b):
         _, expected = rho1_closed_forms(a, b)
-        value, _ = geometric_discord(rho1(a, b))
+        value = bounds_check(rho1(a, b)).discord
         assert abs(value - expected) <= 1e-12
 
     @pytest.mark.parametrize("c", [1e2, 1e4, 1e6, 1e8])
@@ -129,7 +129,7 @@ class TestGeometricDiscord:
         # D = 2c^2/(c^2+1)^2 is about 2/c^2 here. Summing G's small eigenvalues
         # keeps it to rounding; Tr G less the top one would cancel its digits away.
         _, expected = rho1_closed_forms(c, 1.0)
-        value, _ = geometric_discord(rho1(c, 1.0))
+        value = bounds_check(rho1(c, 1.0)).discord
         assert abs(value / expected - 1) <= 1e-14
 
     def test_branch_boundary_value(self):
@@ -139,7 +139,7 @@ class TestGeometricDiscord:
 
     def test_lower_bound_flag_for_qutrit_side(self):
         rng = np.random.default_rng(34)
-        _, exact = geometric_discord(random_density_matrix(3, 3, rng))
+        exact = bounds_check(random_density_matrix(3, 3, rng)).discord_exact
         assert not exact
 
     def test_classical_quantum_states_have_zero_discord(self):
@@ -155,7 +155,19 @@ class TestGeometricDiscord:
                 for k in range(m):
                     psi = basis[:, k]
                     mat += probs[k] * np.kron(np.outer(psi, psi.conj()), single_system_state(n, rng))
-                assert gd_lower_bound(DensityMatrix(m, n, mat)) <= 1e-10
+                assert bounds_check(DensityMatrix(m, n, mat)).discord <= 1e-10
+
+
+def test_readme_library_block_prints_the_rho1_gap(capsys):
+    # README's `## Library` block, run as it stands, so that the documented API cannot go stale.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    gap, neg, disc, brute = map(float, capsys.readouterr().out.split())
+    closed_neg = (4 * np.sqrt(26) - 4) / 29
+    assert abs(gap - (closed_neg**2 - 200 / 841)) <= 1e-12
+    assert abs(neg - closed_neg) <= 1e-12 and abs(disc - 200 / 841) <= 1e-12
+    assert abs(brute - disc) <= 1e-12
 
 
 class TestBruteForceOracle:
@@ -170,7 +182,7 @@ class TestBruteForceOracle:
         for n in (3, 4):
             for _ in range(15):
                 rho = random_density_matrix(2, n, rng)
-                value, _ = geometric_discord(rho)
+                value = bounds_check(rho).discord
                 assert abs(gd_bruteforce_2xn(rho) - value) <= 1e-6
 
     def test_rejects_qutrit_side(self):
@@ -222,7 +234,7 @@ class TestPureStateFormulas:
             for _ in range(25):
                 phi = random_pure_state(m, n, rng)
                 via_schmidt = pure_negativity(schmidt(phi), m)
-                via_pt = negativity(phi.projector())
+                via_pt = bounds_check(phi.projector()).negativity
                 assert abs(via_schmidt - via_pt) <= 1e-8
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
@@ -251,7 +263,7 @@ class TestPureStateFormulas:
             for _ in range(25):
                 phi = random_pure_state(2, n, rng)
                 via_schmidt = pure_gd(schmidt(phi), 2)
-                via_formula, _ = geometric_discord(phi.projector())
+                via_formula = bounds_check(phi.projector()).discord
                 assert abs(via_schmidt - via_formula) <= 1e-8
 
 
@@ -276,10 +288,9 @@ class TestMaximalState:
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_measures_attain_one(self, m, n):
-        rho = maximal_state(m, n)
-        assert abs(negativity(rho) - 1.0) <= 1e-12
-        value, _ = geometric_discord(rho)
-        assert abs(value - 1.0) <= 1e-12
+        report = bounds_check(maximal_state(m, n))
+        assert abs(report.negativity - 1.0) <= 1e-12
+        assert abs(report.discord - 1.0) <= 1e-12
 
     def test_invalid_dimensions(self):
         with pytest.raises(InvalidDimension):

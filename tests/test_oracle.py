@@ -40,9 +40,9 @@ from gdneg.measures import (
     DensityMatrix,
     _measure_stack,
     _projectors,
+    bounds_check,
     gd_bruteforce_2xn,
     gd_bruteforce_stack,
-    geometric_discord,
     maximal_state,
     project_a,
 )
@@ -110,7 +110,7 @@ def test_minimiser_at_the_pole(c):
     # normalisation. M is diagonal, so the x and y axes never leave their axis.
     mat = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULI))) / 4
     rho = DensityMatrix(2, 2, mat)
-    value, _ = geometric_discord(rho)
+    value = bounds_check(rho).discord
     assert abs(value - (c[0] ** 2 + c[1] ** 2) / 2) <= 1e-12
     assert abs(gd_bruteforce_2xn(rho) - value) <= 1e-12
 
@@ -133,8 +133,8 @@ def test_oracle_does_not_touch_the_formula(monkeypatch):
 
     for name in ("coefficient_stack", "decompose", "g_stack", "g_matrix"):
         monkeypatch.setattr(bloch, name, forbidden)
-    monkeypatch.setattr(measures, "_measure_stack", forbidden)
-    monkeypatch.setattr(measures, "geometric_discord", forbidden)
+    for name in ("_measure_stack", "_measure_parts", "bounds_check"):
+        monkeypatch.setattr(measures, name, forbidden)
     brute = gd_bruteforce_stack(mats, 3)
     assert np.max(np.abs(brute - formula)) <= 1e-12
     assert abs(gd_bruteforce_2xn(DensityMatrix(2, 3, mats[0])) - formula[0]) <= 1e-12
