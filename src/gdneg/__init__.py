@@ -33,14 +33,12 @@ _EXPORTS = {
         "WrongDimension",
         "FAMILY_NAMES",
     ),
-    "families": ("FamilySpec", "build", "in_range", "rho1_closed_forms", "violates"),
+    "families": ("FamilySpec", "build", "rho1_closed_forms", "violates"),
     "matrixcore": (
         "hermitian_eigenvalues",
         "hermiticity_defect",
         "hs_norm_sq",
-        "partial_trace_b",
         "partial_transpose",
-        "trace_norm",
     ),
     "measures": (
         "MeasureReport",

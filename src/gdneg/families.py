@@ -66,11 +66,6 @@ class FamilySpec(Record):
         object.__setattr__(self, "params", params)
 
 
-def in_range(spec: FamilySpec) -> bool:
-    """Whether the parameters lie in the documented validity window."""
-    return _FAMILIES[spec.name][2](*spec.params)
-
-
 def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndarray:
     """The members named by the rows of a (k, arity) array, as a validated (k, 6, 6) stack.
 

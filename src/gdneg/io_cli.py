@@ -116,11 +116,11 @@ def _fmt(x: float) -> str:
 # The chunk loop of sample, verify and sweep
 
 
-def _measured(chunks, m: int, n: int, pure: bool):
+def _measured(chunks, m: int, n: int):
     """For each validated (stack, h) chunk: the index of its first state, the
-    stack, and its measures, by `_measure_pure_stack` for a `pure` stack of unit
-    vectors and by `_measure_parts` otherwise. Each caller walks the checks with
-    its own fault policy.
+    stack, and its measures, by `_measure_pure_stack` for a (k, mn) stack of unit
+    vectors and by `_measure_parts` for a (k, mn, mn) stack of states. Each
+    caller walks the checks with its own fault policy.
 
     The measures layer is imported before the first chunk is drawn or built, so
     a cold `sample` or `verify` loads it before `numpy.random` (see `_draw_stacks`).
@@ -129,24 +129,21 @@ def _measured(chunks, m: int, n: int, pure: bool):
 
     start = 0
     for stack, h in chunks:
-        yield start, stack, (_measure_pure_stack(stack, m, n) if pure
+        yield start, stack, (_measure_pure_stack(stack, m, n) if stack.ndim == 2
                              else _measure_parts(stack, h, m, n))
         start += len(stack)
 
 
 class _GapTally:
-    """The gaps N^2 - D of passed states: how many exceed VIOLATION_EPS and,
-    with `extremes`, the largest and the smallest (None before any)."""
+    """The gaps N^2 - D of passed states: how many exceed VIOLATION_EPS, and the
+    largest and the smallest (None before any)."""
 
     violations = 0
     max_gap = min_gap = None
 
-    def __init__(self, extremes: bool):
-        self.extremes = extremes
-
     def add(self, gaps) -> None:
         self.violations += int((gaps > VIOLATION_EPS).sum())
-        if self.extremes and gaps.size:
+        if gaps.size:
             hi, lo = float(gaps.max()), float(gaps.min())
             self.max_gap = hi if self.max_gap is None else max(self.max_gap, hi)
             self.min_gap = lo if self.min_gap is None else min(self.min_gap, lo)
@@ -262,7 +259,7 @@ def _sweep_lines(family: str, lo: float, hi: float, steps: int, allow_out_of_ran
     yield f"param,discord,negativity_sq,gap{closed}\n"
     chunks = (_member_parts(family, np.stack([c, np.ones_like(c)] if closed else [c], axis=1),
                             allow_out_of_range) for c in map(params, range(0, steps, size)))
-    for start, _, measured in _measured(chunks, 2, 3, pure=False):
+    for start, _, measured in _measured(chunks, 2, 3):
         fault = first_fault(measured.checks)
         if fault is not None:
             raise fault[1]
@@ -393,10 +390,10 @@ def run_sample(m: int, n: int, count: int, seed: int, ensemble: str) -> SampleSu
 def _sample(m: int, n: int, count: int, seed: int, ensemble: str):
     """`run_sample`'s summary, and the first failing state's index and error, or None."""
     chunks = _state_chunks(m, n, count, seed, ensemble)
-    tally = _GapTally(extremes=True)
+    tally = _GapTally()
     bound_failures = 0
     fault = None
-    for start, _, measured in _measured(chunks, m, n, pure=ensemble == "pure"):
+    for start, _, measured in _measured(chunks, m, n):
         ok = measured.ok
         failures = len(ok) - int(ok.sum())
         if failures and fault is None:
@@ -447,10 +444,10 @@ def run_verify(
 
     rng = np.random.default_rng(seed)
     run = {"dims": [m, n], "count": count, "seed": seed}
-    tally = _GapTally(extremes=False)
+    tally = _GapTally()
     oracle_checked = 0
     max_oracle_dev = 0.0
-    for start, mats, measured in _measured(chunks, m, n, pure=False):
+    for start, mats, measured in _measured(chunks, m, n):
         checks = measured.checks
         if m == 2:
             # One direction per state, drawn as a state-by-state loop would draw them.

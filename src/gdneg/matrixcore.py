@@ -11,8 +11,8 @@ once per stack and hands it on: the positivity screen factors it, because a
 Cholesky factorisation reads one triangle, and the measures kernel takes its
 spectra from it with `_spectrum`, which neither checks nor symmetrizes again.
 
-`hermitian_eigenvalues` and `trace_norm` check their input against
-HERMITIAN_ATOL. Validated stacks are not re-checked.
+`hermitian_eigenvalues` checks its input against HERMITIAN_ATOL. Validated
+stacks are not re-checked.
 """
 
 import numpy as np
@@ -83,21 +83,6 @@ def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
         )
     r = a.reshape(*lead, m, n, m, n).swapaxes(-4, -2)
     return r.reshape(*lead, m * n, m * n).copy()
-
-
-def partial_trace_b(a: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Trace out the n-dimensional subsystem, leaving an m x m marginal."""
-    a = np.asarray(a)
-    if a.shape != (m * n, m * n):
-        raise DimensionMismatch(
-            f"expected shape ({m * n}, {m * n}) for dimensions {m}x{n}, got {a.shape}"
-        )
-    return np.einsum("ikjk->ij", a.reshape(m, n, m, n))
-
-
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of absolute eigenvalues (Hermitian input)."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(a))))
 
 
 def hs_norm_sq(a: np.ndarray):

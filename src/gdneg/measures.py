@@ -479,8 +479,10 @@ def pure_negativity(c, m: int):
 
     A sum of non-negative products, equal to ((sum c)^2 - 1)/(m-1) for unit
     vectors but without its cancellation near product states. On a (..., r)
-    array of coefficients, one value per row of the last axis.
+    array of coefficients, one value per row of the last axis; m < 2 raises InvalidDimension.
     """
+    if m < 2:
+        raise InvalidDimension(f"pure-state measures require m >= 2, got m={m}")
     return 2.0 * _pair_products(np.asarray(c, dtype=float)).sum(axis=-1) / (m - 1)
 
 
@@ -489,8 +491,11 @@ def pure_gd(c, m: int):
 
     With p = c^2: a sum of non-negative products, equal to m/(m-1) (1 - sum p^2)
     for unit vectors but without its cancellation near product states. On a
-    (..., r) array of coefficients, one value per row of the last axis.
+    (..., r) array of coefficients, one value per row of the last axis; m < 2 raises
+    InvalidDimension.
     """
+    if m < 2:
+        raise InvalidDimension(f"pure-state measures require m >= 2, got m={m}")
     c = np.asarray(c, dtype=float)
     return (2.0 * m / (m - 1)) * _pair_products(c * c).sum(axis=-1)
 

@@ -7,7 +7,7 @@ from gdneg import bloch
 from gdneg.bloch import BlochForm, decompose, g_matrix, reconstruct
 from gdneg.errors import DimensionMismatch
 from gdneg.families import FamilySpec, build
-from gdneg.matrixcore import hermitian_eigenvalues, hs_norm_sq, partial_trace_b
+from gdneg.matrixcore import hermitian_eigenvalues, hs_norm_sq
 from gdneg.states import DensityMatrix
 from gdneg.su_generators import basis_for, basis_stack
 
@@ -144,7 +144,7 @@ def test_marginal_consistency():
         for _ in range(10):
             rho = random_density_matrix(m, n, rng)
             bf = decompose(rho)
-            marginal = partial_trace_b(rho.mat, m, n)
+            marginal = np.einsum("ikjk->ij", rho.mat.reshape(m, n, m, n))
             for i, g in enumerate(basis_for(m)):
                 assert abs(np.trace(marginal @ g).real - 2 * bf.x[i] / m) <= 1e-10
 

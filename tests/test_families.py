@@ -10,7 +10,6 @@ from gdneg.errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from gdneg.families import (
     FamilySpec,
     build,
-    in_range,
     member_stack,
     rho1_closed_forms,
     template_closed_forms,
@@ -114,15 +113,21 @@ def test_unknown_family_and_bad_arity():
         FamilySpec("rho1", (1.0,))
 
 
-def test_in_range_windows():
-    assert in_range(FamilySpec("rho1", (-3.0, 0.5)))
-    assert not in_range(FamilySpec("rho1", (1.0, 0.0)))
-    assert in_range(FamilySpec("rho2", (1.0,)))
-    assert not in_range(FamilySpec("rho2", (0.0,)))
-    assert in_range(FamilySpec("rho3", (1.75,)))
-    assert not in_range(FamilySpec("rho3", (4.76,)))
-    assert in_range(FamilySpec("rho4", (8.5,)))
-    assert not in_range(FamilySpec("rho4", (3.4,)))
+# name: (parameters just inside the documented window, parameters just outside it)
+WINDOW_EDGES = {
+    "rho1": ((-3.0, 0.5), (1.0, 0.0)),
+    "rho2": ((1.0,), (0.0,)),
+    "rho3": ((1.75,), (4.76,)),
+    "rho4": ((8.5,), (3.4,)),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_EDGES)
+def test_documented_window_edges(name):
+    inside, outside = WINDOW_EDGES[name]
+    assert member_stack(name, [inside]).shape == (1, 6, 6)
+    with pytest.raises(InvalidRange, match="outside the documented parameter window"):
+        member_stack(name, [outside])
 
 
 class TestClosedForms:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -6,9 +7,11 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gdneg
-from gdneg import errors, io_cli, matrixcore, measures
+from gdneg import errors, families, io_cli, matrixcore, measures
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import (
+    build_parser,
     main,
     read_state,
     run_sample,
@@ -790,6 +794,69 @@ class TestMutatedStateFiles:
             assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
+# (valid values, bad values) for each option dest of `build_parser()`. Counts and
+# steps stop at 40, so that every command drawn runs in milliseconds.
+BAD_INTS = st.sampled_from(["", "1.5", "1e3", "ten", "0x10", "--"])
+BOUNDS = (st.floats(0.0, 5.0) | st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+ARGV_VALUES = {
+    "dims": (st.builds("{}x{}".format, st.integers(2, 5), st.integers(2, 5)),
+             st.builds("{}x{}".format, st.integers(0, 1), st.integers(0, 5))
+             | st.sampled_from(["", "2", "2x", "x3", "2x3x4", "2*3", "axb", "2.5x3", "-2x3"])),
+    "count": (st.integers(0, 40).map(str), st.integers(-5, -1).map(str) | BAD_INTS),
+    "seed": (st.integers(0, 2**64).map(str), st.integers(-5, -1).map(str) | BAD_INTS),
+    "steps": (st.integers(1, 40).map(str), st.integers(-5, 0).map(str) | BAD_INTS),
+    "lo": (BOUNDS, st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "abc", ""])),
+    "family": (st.sampled_from(errors.FAMILY_NAMES), st.sampled_from(["rho9", ""])),
+    "ensemble": (st.sampled_from(io_cli.ENSEMBLES), st.just("mixed")),
+    "out": (st.just("out.csv"), st.sampled_from(["missing-dir/out.csv", ".", ""])),
+    "file": (st.just("state.json"), st.sampled_from(["bad.json", "missing.json", "."])),
+}
+ARGV_VALUES["hi"] = ARGV_VALUES["lo"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command of `build_parser()` with its actions but --help, options in a drawn
+    order: each required one given a valid value and each optional one left out or
+    given a valid value, except for at most one drawn action, which is left out or
+    given a bad value."""
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    command = draw(st.sampled_from(sorted(commands)))
+    actions = [a for a in commands[command]._actions if not isinstance(a, argparse._HelpAction)]
+    bad = draw(st.sampled_from([None, *actions]))
+    options, positionals = [], []
+    for action in actions:
+        if (not action.required or action is bad) and not draw(st.integers(0, 3)):
+            continue
+        value = [] if action.nargs == 0 else [draw(ARGV_VALUES[action.dest][action is bad])]
+        if action.option_strings:
+            options.append([draw(st.sampled_from(action.option_strings)), *value])
+        else:
+            positionals += value
+    options = draw(st.permutations(options))
+    return [command, *positionals, *(token for option in options for token in option)]
+
+
+class TestDrawnArgv:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_argv())
+    def test_every_command_exits_cleanly(self, argv, tmp_path, capsys, monkeypatch):
+        work = tempfile.mkdtemp(dir=tmp_path)
+        monkeypatch.chdir(work)
+        Path("state.json").write_text(json.dumps(VALID_STATE))
+        Path("bad.json").write_text("{")
+        code = main(argv)
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+        if code == 1:
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+        if code != 0:
+            assert not [name for name in os.listdir() if "partial" in name], argv
+            assert not os.path.exists("out.csv"), argv
+
+
 class TestGoldenJson:
     # Byte-exact output of the build before the JSON was derived from the
     # report dataclasses; keys are sorted, tuples print as lists.
@@ -1045,26 +1112,28 @@ class TestColdImport:
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
         same, exported, listed, unknown = json.loads(out.stdout)
-        assert len(exported) == 41 and same == exported
+        assert len(exported) == 38 and same == exported
         assert set(exported) <= set(listed) and "__version__" in listed
         assert unknown == "module 'gdneg' has no attribute 'not_a_name'"
         # The names the package exported when it imported every layer eagerly, less
-        # the one-field measure wrappers and `kron`, which `bounds_check` and `np.kron` replace.
+        # the one-field measure wrappers and `kron`, which `bounds_check` and `np.kron` replace,
+        # and `trace_norm`, `partial_trace_b` and `in_range`, which nothing called.
         assert set(exported) == {
             "BlochForm", "decompose", "g_matrix", "reconstruct", "BoundViolation", "CapViolation",
             "DimensionMismatch", "InvalidDimension", "InvalidRange", "InvalidState", "NotAState",
             "NotHermitian", "NotSquare", "ParseError", "UnknownFamily", "WrongDimension",
-            "FAMILY_NAMES", "FamilySpec", "build", "in_range", "rho1_closed_forms", "violates",
-            "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "partial_trace_b",
-            "partial_transpose", "trace_norm", "DensityMatrix", "MeasureReport", "PureState",
+            "FAMILY_NAMES", "FamilySpec", "build", "rho1_closed_forms", "violates",
+            "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "partial_transpose",
+            "DensityMatrix", "MeasureReport", "PureState",
             "bounds_check", "gd_bruteforce_2xn", "gd_bruteforce_stack", "maximal_state",
             "measurement_identity_check", "project_a", "pure_gd", "pure_negativity", "schmidt",
             "basis_for",
         }
 
     def test_removed_names_are_gone(self):
-        removed = ("negativity", "pt_negative_count", "gd_lower_bound", "geometric_discord", "kron")
-        for module in (gdneg, measures, matrixcore):
+        removed = ("negativity", "pt_negative_count", "gd_lower_bound", "geometric_discord", "kron",
+                   "trace_norm", "partial_trace_b", "in_range")
+        for module in (gdneg, measures, matrixcore, families):
             assert [name for name in removed if hasattr(module, name)] == [], module
         assert not hasattr(measures, "__all__")
 

@@ -15,7 +15,7 @@ from gdneg.errors import (
     WrongDimension,
 )
 from gdneg.families import FamilySpec, build, rho1_closed_forms
-from gdneg.matrixcore import hs_norm_sq, partial_transpose, trace_norm
+from gdneg.matrixcore import hs_norm_sq, partial_transpose
 from gdneg.measures import (
     DensityMatrix,
     PureState,
@@ -68,7 +68,8 @@ class TestNegativity:
         for m, n in [(2, 3), (3, 3)]:
             for _ in range(20):
                 rho = random_density_matrix(m, n, rng)
-                via_tn = (trace_norm(partial_transpose(rho.mat, m, n)) - 1) / (m - 1)
+                pt = partial_transpose(rho.mat, m, n)
+                via_tn = (np.abs(np.linalg.eigvalsh(pt)).sum() - 1) / (m - 1)
                 assert abs(bounds_check(rho).negativity - via_tn) <= 1e-9
 
     def test_convexity(self):
@@ -221,6 +222,14 @@ class TestPureStateFormulas:
     def test_degenerate_cases(self):
         assert pure_negativity([1.0], 2) == 0.0
         assert pure_gd([1.0], 2) == 0.0
+
+    @pytest.mark.parametrize("formula", [pure_negativity, pure_gd])
+    @pytest.mark.parametrize("m", [1, 0, -1])
+    def test_reject_a_one_dimensional_side(self, formula, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDimension, match=f"require m >= 2, got m={m}"):
+                formula([0.6, 0.8], m)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_uniform_coefficients_give_one(self, m):
