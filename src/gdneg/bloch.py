@@ -1,4 +1,4 @@
-"""Bloch decomposition of bipartite states.
+"""Bloch decomposition of bipartite states, and the G matrix of the discord.
 
 A state rho on an m (x) n space is expanded as
 
@@ -12,22 +12,25 @@ coefficients follow from Tr(z_i z_j) = 2 delta_ij:
     y_j = (n/2)  Tr(rho (I (x) w_j)),
     T_ij = (mn/4) Tr(rho (z_i (x) w_j)),
 
-and the round-trip property decompose -> reconstruct -> identity is what
-pins them down (see tests).
+which `decompose` evaluates as written; the round trip decompose ->
+reconstruct -> identity is what pins them down (see tests).
 
-All of them come from one product: with the realigned matrix
-R[(i j),(k l)] = rho[(i k),(j l)] and vec(z) the row-major flattening,
+The discord reads only G = B B^T, B = [x, sqrt(2/n) T], and G needs no w.
+With the A-side partial traces rho_a = Tr_A((z_a (x) I) rho),
+x_a = (m/2) Tr rho_a and T_ab = (mn/4) Tr(rho_a w_b); the completeness of the
+w, sum_b Tr(X w_b) Tr(Y w_b) = 2 Tr(XY) - (2/n) Tr X Tr Y, cancels the x x^T
+term:
 
-    [vec(I_m), (m/2) vec(z_i^T)]^T  R  [vec(I_n), (n/2) vec(w_j^T)]
-        = [[Tr rho, y^T], [x, T]],
+    G_ab = (m^2 n/4) Re Tr(rho_a rho_b).
 
-which `coefficient_stack` evaluates on a whole stack of states as two
-chunk-wide products, one per factor; `g_stack` weights its rows [x, T] into
-B = [x, sqrt(2/n) T] and returns G = B B^T.
+`g_stack` evaluates that on a whole stack of states: one `np.dot` takes the
+(m/2) rho_a of every state, and G = n P P^T with P their real and imaginary
+parts. `g_matrix` is B B^T written out, the paper's formula.
 
-Hermiticity is checked once, when a state is validated. The data here are
+Hermiticity is checked once, when a state is validated. The Bloch data are
 the real parts of the traces, and Re Tr(rho X) = Tr(H X) for Hermitian X, so
-they are exactly the Bloch data of the Hermitian part H = (rho + rho^dag)/2.
+they are exactly those of the Hermitian part H = (rho + rho^dag)/2; `g_stack`
+reads rho_a of the state itself, and its G is that of H up to rounding.
 """
 
 from functools import lru_cache
@@ -49,43 +52,15 @@ class BlochForm(Record):
     T: np.ndarray  # (m^2 - 1, n^2 - 1)
 
 
-@lru_cache(maxsize=None)
-def _extraction_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The left (m^2, m^2) and right (n^2, n^2) factors of the product above."""
-    left = np.vstack([np.eye(m).reshape(1, m * m), (m / 2) * _vec_transposed(basis_stack(m))])
-    right = np.vstack([np.eye(n).reshape(1, n * n), (n / 2) * _vec_transposed(basis_stack(n))]).T
-    left.setflags(write=False)
-    right.setflags(write=False)
-    return left, right
-
-
-def _vec_transposed(stack: np.ndarray) -> np.ndarray:
-    return stack.transpose(0, 2, 1).reshape(len(stack), -1)
-
-
-def coefficient_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Bloch data of a (k, mn, mn) stack, as a real (k, m^2, n^2) array.
-
-    The real part of the product above: x in column 0 and T in the rest of
-    rows 1.., y in row 0; the Bloch data of each matrix's Hermitian part.
-    `left` is contracted with the (i, j) block indices of every state at once,
-    by one `np.dot`, and `right` with the (k, l) indices by one matmul, in the
-    order (left R) right of the per-state product. The first product is
-    `np.tensordot`'s own recipe, a transpose and reshape then one `np.dot`,
-    without its argument handling.
-    """
-    k = len(mats)
-    left, right = _extraction_maps(m, n)
-    # (m^2, k n n): left contracted over (i, j) of rho[(i k),(j l)].
-    realigned = mats.reshape(k, m, n, m, n).transpose(1, 3, 0, 2, 4).reshape(m * m, k * n * n)
-    full = np.dot(left, realigned).reshape(m * m * k, n * n) @ right
-    return full.reshape(m * m, k, n * n).transpose(1, 0, 2).real
-
-
 def decompose(rho: DensityMatrix) -> BlochForm:
-    """Local Bloch vectors and correlation matrix of a validated state."""
-    c = coefficient_stack(rho.mat[None], rho.m, rho.n)[0]
-    return BlochForm(rho.m, rho.n, c[1:, 0].copy(), c[0, 1:].copy(), c[1:, 1:].copy())
+    """Local Bloch vectors and correlation matrix of a validated state, from their traces."""
+    m, n = rho.m, rho.n
+    r4 = rho.mat.reshape(m, n, m, n)  # r4[i, k, j, l] = rho[(i k), (j l)]
+    z, w = basis_stack(m), basis_stack(n)
+    x = (m / 2) * np.einsum("ikjk,aji->a", r4, z).real
+    y = (n / 2) * np.einsum("ikil,blk->b", r4, w).real
+    t = (m * n / 4) * np.einsum("ikjl,aji,blk->ab", r4, z, w, optimize=True).real
+    return BlochForm(m, n, x, y, t)
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:
@@ -117,18 +92,29 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
 
 def g_matrix(bf: BlochForm) -> np.ndarray:
     """G = B B^T with B = [x, sqrt(2/n) T]; real symmetric and positive semidefinite."""
-    return g_stack(np.column_stack([bf.x, bf.T])[None], bf.n)[0]
+    b = np.column_stack([bf.x, np.sqrt(2.0 / bf.n) * bf.T])
+    return b @ b.T
 
 
 @lru_cache(maxsize=None)
-def _column_weights(columns: int, n: int) -> np.ndarray:
-    """The read-only weights sqrt([1, 2/n, ..., 2/n]) that turn the columns [x, T] into B."""
-    weights = np.sqrt(np.r_[1.0, np.full(columns - 1, 2.0 / n)])
-    weights.setflags(write=False)
-    return weights
+def _partial_trace_rows(m: int) -> np.ndarray:
+    """The read-only rows (m/2) vec(z_a^T), shape (m^2 - 1, m^2), vec the row-major flattening."""
+    z = basis_stack(m)
+    rows = (m / 2) * z.transpose(0, 2, 1).reshape(len(z), m * m)
+    rows.setflags(write=False)
+    return rows
 
 
-def g_stack(xt: np.ndarray, n: int) -> np.ndarray:
-    """`g_matrix` of each state from its (k, m^2-1, n^2) rows [x, T] of `coefficient_stack`."""
-    b = xt * _column_weights(xt.shape[2], n)
-    return b @ b.transpose(0, 2, 1)
+def g_stack(mats: np.ndarray, m: int, n: int) -> np.ndarray:
+    """G of each state of a (k, mn, mn) stack: shape (k, m^2 - 1, m^2 - 1).
+
+    The rows of `_partial_trace_rows` are contracted with the (i, j) block
+    indices of the realigned states R[(i j), (k l)] = rho[(i k), (j l)] of
+    every state at once, by one `np.dot`: row a gives (m/2) rho_a. Read as
+    (re, im) pairs, those are the rows of P, (k, m^2 - 1, 2 n^2), and G = n P P^T.
+    """
+    k = len(mats)
+    realigned = mats.reshape(k, m, n, m, n).transpose(1, 3, 0, 2, 4).reshape(m * m, k * n * n)
+    p = np.dot(_partial_trace_rows(m), realigned).view(float).reshape(m * m - 1, k, 2 * n * n)
+    p = p.transpose(1, 0, 2)
+    return n * (p @ p.transpose(0, 2, 1))

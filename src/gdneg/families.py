@@ -135,11 +135,14 @@ def rho1_closed_forms(a: float, b: float) -> tuple[float, float]:
     c^2 in (5 - sqrt 17, 2) union (2, inf) and zero at c^2 = 0, 5 - sqrt 17, 2.
     They are `template_closed_forms` at rho1's entries, which are scaled
     exactly by a power of two, so they depend on a/b alone and no square
-    overflows; N keeps its relative precision as c goes to 0.
+    overflows; N keeps its relative precision as c goes to 0. A non-finite a
+    or b, or b <= 0, raises InvalidRange.
     """
-    if b <= 0:
-        raise InvalidRange(f"rho1 requires b > 0, got b={b}")
-    neg_sq, disc = template_closed_forms(*_rho1_entries(float(a), float(b)))
+    a, b = float(a), float(b)
+    # Written so that a NaN fails: every comparison with NaN is false.
+    if not (abs(a) < np.inf and 0.0 < b < np.inf):
+        raise InvalidRange(f"rho1 requires a finite and 0 < b < inf, got a={a}, b={b}")
+    neg_sq, disc = template_closed_forms(*_rho1_entries(a, b))
     return float(neg_sq), float(disc)
 
 

@@ -423,12 +423,17 @@ def run_verify(
 
     Per state, in this order: the checks of the measures kernel (the two
     negativity expressions agree, the PT negative count respects its cap,
-    the measure bounds hold); for m = 2 the measurement identities at a
-    random direction, and on the first `oracle_subsample` states the
-    brute-force oracle within VERIFY_ORACLE_ATOL of the formula (a NaN
-    deviation fails). One `errors.first_fault` call per chunk finds the first
+    the measure bounds and the classical-quantum distance bound hold); for
+    m = 2 the measurement identities at a random direction, and on the first
+    `oracle_subsample` states the brute-force oracle within VERIFY_ORACLE_ATOL
+    of the formula (a NaN deviation fails). One `errors.first_fault` call per chunk finds the first
     failing state. A state is built as a DensityMatrix only to write the
     failure file.
+
+    The identity directions are drawn from `default_rng(seed)`, the state
+    stream's own seed, so direction i is the normals 3i..3i+2 of the draws
+    that built the first states. No verdict depends on this: the identities
+    hold for every direction.
 
     Returns a report dict; on failure it carries the failing state serialized
     to a file for reproduction.

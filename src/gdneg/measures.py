@@ -33,10 +33,11 @@ The kernel, `_measure_parts`, takes validated states together with their
 Hermitian parts H, which the CLI's state validation formed, and checks and
 symmetrizes nothing again: a partial transpose only permutes entries, so
 PT(H) is the Hermitian part of PT(rho), bit for bit, and its spectrum is
-taken as it is. The Bloch data are read from the states themselves: they
-are those of H up to rounding, and reading rho keeps the last bits of D that
-fixed-seed outputs pin. `_measure_stack` forms H of a stack once and runs the
-kernel; `bounds_check`, sweeps and the pure cross-check use it.
+taken as it is. G, the Gram of the A-side partial traces (`bloch.g_stack`),
+is read from the states themselves: it is that of H up to rounding, and
+reading rho keeps the last bits of D that fixed-seed outputs pin.
+`_measure_stack` forms H of a stack once and runs the kernel; `bounds_check`,
+sweeps and the pure cross-check use it.
 
 Pure states need only their Schmidt coefficients. `_measure_pure_stack`
 measures a stack of unit vectors from them, with `pure_negativity`, `pure_gd`
@@ -55,7 +56,8 @@ them (`np.sum`, `np.max`, `np.trace`, `np.where`, `np.tensordot`,
 Beside those: `np.asarray` where a public function takes its input,
 `np.empty` and `np.zeros` to allocate, the gate's `np.errstate`, and `einsum`
 only where outputs pin its order of summation, in the oracle's form and
-objective and in the identities. The pure route adds its SVD at m >= 3 and
+objective and in the identities, and in `hs_norm_sq`, which the oracle and
+the kernel's distance bound share. The pure route adds its SVD at m >= 3 and
 the lower bound's `eigvalsh`. Each set of checks is built once and walked
 once: `errors.first_fault` joins the failure masks with one `|` per check.
 """
@@ -171,11 +173,13 @@ def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMea
 
     The checks, in order: the two negativity expressions agree, the discord
     is not negative beyond solver noise, the PT negative count is at most
-    (m-1)(n-1), and N, D and N^2 - D lie in their proven intervals. A failing
-    state raises nothing; `errors.first_fault(checks)` gives its error. The PT
-    spectra are those of `h`; the Bloch data, the real parts of traces, are read
-    from `mats` and are those of `h` up to rounding. No hermiticity check is made
-    again. m < 2 or n < 2 raises InvalidDimension.
+    (m-1)(n-1), N, D and N^2 - D lie in their proven intervals, and D is at
+    most m/(m-1) (Tr rho^2 - Tr rho_B^2/m), the normalized squared distance to
+    the classical-quantum state I/m (x) rho_B. A failing state raises nothing;
+    `errors.first_fault(checks)` gives its error. The PT spectra are those of
+    `h`; G and the purities are read from `mats` and are those of `h` up to
+    rounding. No hermiticity check is made again. m < 2 or n < 2 raises
+    InvalidDimension.
     """
     if m < 2 or n < 2:
         raise InvalidDimension(f"measures require m >= 2 and n >= 2, got a {m}x{n} state")
@@ -186,10 +190,14 @@ def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMea
     neg = 2.0 * (0.0 - np.fmin(w, 0.0).sum(axis=1)) / (m - 1)
     count = (w < NEGATIVE_EIGENVALUE_CUTOFF).sum(axis=1)
     cap = (m - 1) * (n - 1)
-    lam = np.linalg.eigvalsh(bloch.g_stack(bloch.coefficient_stack(mats, m, n)[:, 1:], n))
+    lam = np.linalg.eigvalsh(bloch.g_stack(mats, m, n))
     raw = (2.0 / (m * (m - 1) * n)) * lam[:, : m * m - m].sum(axis=1)
     disc = np.maximum(raw, 0.0)
     gap = neg * neg - disc
+    # I/m (x) rho_B is classical-quantum, so D <= m/(m-1) ||rho - I/m (x) rho_B||^2.
+    blocks = mats.reshape(len(mats), m, n, m, n)
+    rho_b = sum(blocks[:, i, :, i] for i in range(m))  # the block trace Tr_A
+    distance = (m / (m - 1)) * (hs_norm_sq(mats) - hs_norm_sq(rho_b) / m)
     checks = (
         Check(
             ~(np.abs(via_trace_norm - neg) <= DUAL_NEGATIVITY_ATOL),
@@ -209,7 +217,15 @@ def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMea
                 f"for a {m}x{n} state"
             ),
         ),
-    ) + _interval_checks(neg, disc, gap, m, n)
+    ) + _interval_checks(neg, disc, gap, m, n) + (
+        Check(
+            ~(disc <= distance + BOUND_ATOL),
+            lambda i: BoundViolation(
+                f"classical-quantum distance bound failed: D = {float(disc[i])!r} exceeds "
+                f"m/(m-1) (Tr rho^2 - Tr rho_B^2/m) = {float(distance[i])!r}"
+            ),
+        ),
+    )
     return _StackMeasures(neg, disc, gap, count, checks)
 
 

@@ -7,6 +7,7 @@ from gdneg import bloch
 from gdneg.bloch import BlochForm, decompose, g_matrix, reconstruct
 from gdneg.errors import DimensionMismatch
 from gdneg.families import FamilySpec, build
+from gdneg.io_cli import _chunk_size, _hs_stack
 from gdneg.matrixcore import hermitian_eigenvalues, hs_norm_sq
 from gdneg.states import DensityMatrix
 from gdneg.su_generators import basis_for, basis_stack
@@ -127,14 +128,25 @@ def test_g_matrix_is_psd_on_random_states():
             assert np.linalg.eigvalsh(g).min() >= -1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_g_stack_weights_are_cached_read_only_and_exact(n):
-    # B = [x, sqrt(2/n) T]: the cached weights are the ones built inline, bit for bit.
-    weights = bloch._column_weights(n * n, n)
-    assert weights is bloch._column_weights(n * n, n)
-    assert np.array_equal(weights, np.sqrt(np.r_[1.0, np.full(n * n - 1, 2.0 / n)]))
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4)])
+def test_g_stack_is_g_matrix_of_each_state(m, n):
+    # The Gram of the A-side partial traces against the paper's B B^T, state by
+    # state, on a chunk of Hilbert-Schmidt states and on states of rank 1 and 2.
+    d = m * n
+    rng = np.random.default_rng(10 * m + n)
+    stacks = [_hs_stack(d, _chunk_size(d), rng)]
+    stacks += [low_rank_states(d, rank, 20, rng) for rank in (1, 2)]
+    for mats in stacks:
+        got = bloch.g_stack(mats, m, n)
+        assert got.shape == (len(mats), m * m - 1, m * m - 1)
+        for g, mat in zip(got, mats):
+            assert np.max(np.abs(g - g_matrix(decompose(DensityMatrix(m, n, mat))))) <= 1e-14
+        # A stack of one, as `bounds_check` makes it.
+        assert np.max(np.abs(bloch.g_stack(mats[:1], m, n)[0] - got[0])) <= 1e-14
+    rows = bloch._partial_trace_rows(m)
+    assert rows is bloch._partial_trace_rows(m)
     with pytest.raises(ValueError):
-        weights[0] = 0
+        rows[0, 0] = 0
 
 
 def test_marginal_consistency():

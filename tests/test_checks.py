@@ -69,6 +69,9 @@ TABLE = [
     ("D interval",
      wrapped(bloch, "g_stack", lambda g: 100 * g),
      lambda: sample_fault(2, 3), "discord "),
+    ("classical-quantum distance bound",
+     wrapped(bloch, "g_stack", lambda g: 2 * g),
+     lambda: sample_fault(2, 3), "classical-quantum distance bound failed: D = "),
     ("pure cross-check",
      wrapped(measures, "pure_negativity", lambda neg: neg * (1 + 1e-9)),
      lambda: sample_fault(2, 3, "pure"), "the Schmidt and projector routes disagree"),

@@ -163,8 +163,10 @@ class TestClosedForms:
             assert rho1_closed_forms(a * scale, b * scale) == rho1_closed_forms(a, b)
 
     def test_requires_positive_b(self):
-        with pytest.raises(InvalidRange):
-            rho1_closed_forms(1.0, 0.0)
+        # And a and b finite: a NaN fails, as does an infinite b.
+        for a, b in [(1.0, 0.0), (1.0, np.nan), (np.nan, 1.0), (1.0, np.inf)]:
+            with pytest.raises(InvalidRange):
+                rho1_closed_forms(a, b)
 
     @pytest.mark.parametrize("c, expected", [(1e-4, 4e-16 - 16e-24), (1e-8, 4e-32)])
     def test_small_c_keeps_its_relative_precision(self, c, expected):

@@ -558,7 +558,7 @@ class TestVerify:
     # Byte-exact text reports, captured before validated stacks stopped being
     # checked for hermiticity a second time. The oracle deviations' rounding
     # digits were re-captured when its climb began to stop on a rank-one
-    # certificate.
+    # certificate, and again when G came from the A-side partial traces.
     def test_text_report_on_pass(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--dims", "2x3", "--count", "30", "--seed", "7"]) == 0
@@ -567,7 +567,7 @@ class TestVerify:
             "  states checked:        30\n"
             "  gap > 0 states:        0\n"
             "  oracle states checked: 20\n"
-            "  max oracle deviation:  1.249000902703301e-16\n"
+            "  max oracle deviation:  1.1102230246251565e-16\n"
             "PASS\n"
         )
         assert not (tmp_path / "gdneg-verify-failure.json").exists()
@@ -579,7 +579,7 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "verify 2x3: count=30 seed=7\n"
             "  states checked before failure: 0\n"
-            "  failure: oracle deviation 0.0 exceeds -1.0\n"
+            "  failure: oracle deviation 1.3877787807814457e-17 exceeds -1.0\n"
             "  failing state written to gdneg-verify-failure.json\n"
             "FAIL\n"
         )
@@ -859,7 +859,8 @@ class TestDrawnArgv:
 
 class TestGoldenJson:
     # Byte-exact output of the build before the JSON was derived from the
-    # report dataclasses; keys are sorted, tuples print as lists.
+    # report dataclasses; keys are sorted, tuples print as lists. The sample's
+    # gaps moved in their last digit when G came from the A-side partial traces.
     def test_analyze_rho1_52(self, tmp_path, capsys):
         assert main(["analyze", str(write_rho1_file(tmp_path)), "--json"]) == 0
         assert capsys.readouterr().out == (
@@ -874,8 +875,8 @@ class TestGoldenJson:
         assert main(args) == 0
         assert capsys.readouterr().out == (
             '{"bound_failures": 0, "count": 300, "dims": [2, 3], '
-            '"ensemble": "hilbert-schmidt", "max_gap": -0.02435469727442255, '
-            '"min_gap": -0.145556565295833, "seed": 42, "violations": 0}\n'
+            '"ensemble": "hilbert-schmidt", "max_gap": -0.024354697274422542, '
+            '"min_gap": -0.14555656529583297, "seed": 42, "violations": 0}\n'
         )
 
     def test_verify_keys_on_pass(self, capsys):

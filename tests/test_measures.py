@@ -509,6 +509,24 @@ def test_measures_are_invariant_under_local_unitaries(dims_rank, seed):
     assert np.max(np.abs(after.discord - before.discord)) <= 1e-12
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    dims_rank=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]).flatmap(
+        lambda dims: st.tuples(st.just(dims), st.integers(1, dims[0] * dims[1]))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_discord_is_at_most_the_distance_to_i_over_m_times_rho_b(dims_rank, seed):
+    # I/m (x) rho_B is classical-quantum, so D <= m/(m-1) ||rho - I/m (x) rho_B||^2
+    # at every rank: the kernel's check of it passes every state (`measured`), and
+    # the distance, formed here as a matrix, bounds D.
+    (m, n), rank = dims_rank
+    mats = low_rank_states(m * n, rank, 32, np.random.default_rng(seed))
+    rho_b = np.einsum("kiaib->kab", mats.reshape(-1, m, n, m, n))
+    distance = (m / (m - 1)) * hs_norm_sq(mats - np.kron(np.eye(m) / m, rho_b))
+    assert np.max(measured(mats, m, n).discord - distance) <= 1e-12
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_discord_bounds_the_squared_negativity_at_2x2(rank, seed):

@@ -131,7 +131,7 @@ def test_oracle_does_not_touch_the_formula(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called into the discord formula")
 
-    for name in ("coefficient_stack", "decompose", "g_stack", "g_matrix"):
+    for name in ("_partial_trace_rows", "decompose", "g_stack", "g_matrix"):
         monkeypatch.setattr(bloch, name, forbidden)
     for name in ("_measure_stack", "_measure_parts", "bounds_check"):
         monkeypatch.setattr(measures, name, forbidden)

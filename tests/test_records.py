@@ -170,6 +170,6 @@ def test_json_field_dicts():
     }
     assert vars(run_sample(2, 3, 300, 42, "hilbert-schmidt")) == {
         "dims": (2, 3), "count": 300, "seed": 42, "ensemble": "hilbert-schmidt",
-        "violations": 0, "max_gap": -0.02435469727442255, "min_gap": -0.145556565295833,
+        "violations": 0, "max_gap": -0.024354697274422542, "min_gap": -0.14555656529583297,
         "bound_failures": 0,
     }

@@ -1,9 +1,9 @@
 """Each chunk array formed once, and each chunk expression, held to the one it replaced.
 
-`_hs_stack` writes G part by part and divides the trace out in place,
-`hermitian_part` halves its sum in place, and `coefficient_stack` makes two
-chunk-wide products where it made one product per state. The old expressions
-are kept here: the first two must agree bit for bit, the third to 1e-15.
+`_hs_stack` writes G part by part and divides the trace out in place, and
+`hermitian_part` halves its sum in place. The old expressions are kept here
+and must agree bit for bit. (The discord's G, now read from the A-side partial
+traces, is held to the paper's B B^T state by state in `test_bloch.py`.)
 
 The chunk path then dropped numpy's Python-level helpers for the C entry
 points they wrap: `tensordot` for its own transpose, reshape and `np.dot`,
@@ -20,7 +20,7 @@ must keep the bytes of the unscaled ones on the directions `verify` draws.
 import numpy as np
 import pytest
 
-from gdneg import bloch, errors, measures, states
+from gdneg import errors, measures, states
 from gdneg.errors import Check
 from gdneg.io_cli import _chunk_size, _hs_stack, _state_chunks, _unit_vectors
 from gdneg.matrixcore import _spectrum, hermitian_part, hs_norm_sq, partial_transpose
@@ -41,12 +41,6 @@ def old_hs_stack(d, k, rng):
 def old_hermitian_part(a):
     a = np.asarray(a, dtype=complex)
     return (a + a.conj().swapaxes(-1, -2)) / 2
-
-
-def old_coefficients(mat, m, n):
-    left, right = bloch._extraction_maps(m, n)
-    realigned = mat.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    return (left @ realigned @ right).real
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12, 16])
@@ -72,30 +66,10 @@ def test_hermitian_part_is_the_old_expression_bit_for_bit(shape):
     assert bits(hermitian_part(mats)) == bits(old_hermitian_part(mats))
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4)])
-def test_coefficient_stack_is_the_per_state_product(m, n):
-    d = m * n
-    mats = _hs_stack(d, _chunk_size(d), np.random.default_rng(10 * m + n))
-    got = bloch.coefficient_stack(mats, m, n)
-    assert got.shape == (len(mats), m * m, n * n)
-    want = np.array([old_coefficients(mat, m, n) for mat in mats])
-    assert np.max(np.abs(got - want)) <= 1e-15
-    # A stack of one, as `decompose` and `bounds_check` make it.
-    assert np.max(np.abs(bloch.coefficient_stack(mats[:1], m, n)[0] - want[0])) <= 1e-15
-
-
 # ---------------------------------------------------------------------------
 # The chunk path's numpy calls, each against the expression it replaced
 
 DIMS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
-
-
-def old_coefficient_stack(mats, m, n):
-    k = len(mats)
-    left, right = bloch._extraction_maps(m, n)
-    half = np.tensordot(left.reshape(m * m, m, m), mats.reshape(k, m, n, m, n), ([1, 2], [1, 3]))
-    full = half.reshape(m * m * k, n * n) @ right
-    return full.reshape(m * m, k, n * n).transpose(1, 0, 2).real
 
 
 def old_negativity(w, m):
@@ -182,15 +156,6 @@ def stacks(m, n):
     pure = measures._projectors(_unit_vectors(d, _chunk_size(d), rng))
     return [(hs, hermitian_part(hs)), (pure, hermitian_part(pure)), product_states(m, n),
             ppt_states(m, n)]
-
-
-@pytest.mark.parametrize("m,n", DIMS)
-def test_coefficient_stack_is_the_tensordot_map_bit_for_bit(m, n):
-    for mats, _ in stacks(m, n):
-        for k in (len(mats), 1):
-            assert bits(bloch.coefficient_stack(mats[:k], m, n)) == bits(
-                old_coefficient_stack(mats[:k], m, n)
-            )
 
 
 @pytest.mark.parametrize("m,n", DIMS)
