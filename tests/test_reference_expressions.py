@@ -2,8 +2,10 @@
 
 `_hs_stack` writes G part by part and divides the trace out in place, and
 `hermitian_part` halves its sum in place. The old expressions are kept here
-and must agree bit for bit. (The discord's G, now read from the A-side partial
-traces, is held to the paper's B B^T state by state in `test_bloch.py`.)
+and must agree bit for bit. The discord's G, now the Gram of the A-side
+partial traces, is held to 1e-14 to the two chunk-wide products it replaced,
+[vec(I_m), (m/2) vec(z_i^T)]^T R [vec(I_n), (n/2) vec(w_j^T)] weighted into
+B = [x, sqrt(2/n) T]; `test_bloch.py` holds it to the paper's B B^T per state.
 
 The chunk path then dropped numpy's Python-level helpers for the C entry
 points they wrap: `tensordot` for its own transpose, reshape and `np.dot`,
@@ -20,10 +22,11 @@ must keep the bytes of the unscaled ones on the directions `verify` draws.
 import numpy as np
 import pytest
 
-from gdneg import errors, measures, states
+from gdneg import bloch, errors, measures, states
 from gdneg.errors import Check
 from gdneg.io_cli import _chunk_size, _hs_stack, _state_chunks, _unit_vectors
 from gdneg.matrixcore import _spectrum, hermitian_part, hs_norm_sq, partial_transpose
+from gdneg.su_generators import basis_stack
 from gdneg.tolerances import NORM_ATOL, PSD_MIN_EIGENVALUE
 
 
@@ -70,6 +73,24 @@ def test_hermitian_part_is_the_old_expression_bit_for_bit(shape):
 # The chunk path's numpy calls, each against the expression it replaced
 
 DIMS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
+
+
+def old_extraction_map(m):
+    z = basis_stack(m)
+    return np.vstack([np.eye(m).reshape(1, m * m),
+                      (m / 2) * z.transpose(0, 2, 1).reshape(len(z), m * m)])
+
+
+def old_g_stack(mats, m, n):
+    # The left factor over the (i, j) block indices by one np.dot, the right
+    # over (k, l) by one matmul, then the rows [x, T] weighted into B.
+    k = len(mats)
+    left, right = old_extraction_map(m), old_extraction_map(n).T
+    realigned = mats.reshape(k, m, n, m, n).transpose(1, 3, 0, 2, 4).reshape(m * m, k * n * n)
+    full = np.dot(left, realigned).reshape(m * m * k, n * n) @ right
+    xt = full.reshape(m * m, k, n * n).transpose(1, 0, 2).real[:, 1:]
+    b = xt * np.sqrt(np.r_[1.0, np.full(n * n - 1, 2.0 / n)])
+    return b @ b.transpose(0, 2, 1)
 
 
 def old_negativity(w, m):
@@ -156,6 +177,30 @@ def stacks(m, n):
     pure = measures._projectors(_unit_vectors(d, _chunk_size(d), rng))
     return [(hs, hermitian_part(hs)), (pure, hermitian_part(pure)), product_states(m, n),
             ppt_states(m, n)]
+
+
+@pytest.mark.parametrize("m,n", DIMS)
+def test_g_stack_is_the_two_factor_product(m, n):
+    for mats, _ in stacks(m, n):
+        for k in (len(mats), 1):
+            got = bloch.g_stack(mats[:k], m, n)
+            assert got.shape == (k, m * m - 1, m * m - 1)
+            assert np.max(np.abs(got - old_g_stack(mats[:k], m, n))) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_partial_trace_rows_are_cached_read_only_and_exact(m):
+    # Row a against a matrix's row-major flattening is (m/2) Tr(z_a M), and the
+    # rows are the left factor they replaced without its row vec(I_m).
+    rows = bloch._partial_trace_rows(m)
+    assert rows is bloch._partial_trace_rows(m)
+    assert bits(rows) == bits(old_extraction_map(m)[1:])
+    rng = np.random.default_rng(m)
+    mat = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    traces = (m / 2) * np.einsum("aji,ij->a", basis_stack(m), mat)
+    assert np.max(np.abs(rows @ mat.reshape(-1) - traces)) <= 1e-15
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
 
 
 @pytest.mark.parametrize("m,n", DIMS)
