@@ -27,10 +27,7 @@ term:
 (m/2) rho_a of every state, and G = n P P^T with P their real and imaginary
 parts. `g_matrix` is B B^T written out, the paper's formula.
 
-Hermiticity is checked once, when a state is validated. The Bloch data are
-the real parts of the traces, and Re Tr(rho X) = Tr(H X) for Hermitian X, so
-they are exactly those of the Hermitian part H = (rho + rho^dag)/2; `g_stack`
-reads rho_a of the state itself, and its G is that of H up to rounding.
+Both read validated states, which are exactly Hermitian (see `states`).
 """
 
 from functools import lru_cache

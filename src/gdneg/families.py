@@ -67,7 +67,8 @@ class FamilySpec(Record):
 
 
 def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndarray:
-    """The members named by the rows of a (k, arity) array, as a validated (k, 6, 6) stack.
+    """The members named by the rows of a (k, arity) array, as a validated (k, 6, 6) stack:
+    the Hermitian parts its gate formed.
 
     Raises InvalidRange for the first member outside the documented window,
     unless `allow_out_of_range`, then NotAState for the first that is not a
@@ -77,11 +78,6 @@ def member_stack(name: str, params, allow_out_of_range: bool = False) -> np.ndar
     a - a^2 >= 0 for rho2 on (0, 1], -a^2 + 5a - 1 > 0 for rho3 on
     [1.75, 4.75] and -a^2 + 9a - 4 > 0 for rho4 on [3.5, 8.5].
     """
-    return _member_parts(name, params, allow_out_of_range)[0]
-
-
-def _member_parts(name: str, params, allow_out_of_range: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`member_stack`, and the Hermitian parts its gate formed, for the measures kernel."""
     params = np.asarray(params, dtype=float)
     _, entries, window = _FAMILIES[name]
     member = lambda i: f"{name}{tuple(params[i].tolist())}"  # as FamilySpec prints
@@ -100,7 +96,7 @@ def _member_parts(name: str, params, allow_out_of_range: bool) -> tuple[np.ndarr
     invalid, h = _gate(mats)
     if invalid is not None:
         raise NotAState(f"{member(invalid[0])}: {invalid[1]}") from invalid[1]
-    return mats, h
+    return h
 
 
 def build(spec: FamilySpec, allow_out_of_range: bool = False) -> DensityMatrix:

@@ -16,20 +16,18 @@ report record, with sorted keys.
 
 `sample`, `verify` and `sweep` draw or build, validate and measure states in
 chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
-and measured by one kernel call; the partial-transpose spectrum of a
-Hilbert-Schmidt or sweep chunk is taken from the Hermitian parts its gate
-formed. Pure draws stay unit vectors: a pure chunk is measured from its
-Schmidt coefficients, with the kernel run on the projector of its first state
-as a cross-check. Random states are drawn in the order of one at a time, so a
-seed's state stream, counts and verdicts are as with per-state drawing. A
-sweep chunk's members are built from the index of its first row and gated by
-one `families` call, and its CSV lines are written once it is measured, so a
-sweep's memory does not grow with `--steps` (see `_write_whole`). Negative
-counts and seeds, and sweep ranges with a non-finite bound or width or whose
-steps overflow, a `--steps` beyond float range included, are rejected as
-InvalidRange. A state with m * n > MAX_STATE_DIM (90), which does not fit in
-one chunk, is rejected as InvalidDimension by `sample`, `verify` and
-`read_state` before numpy loads.
+and measured by one kernel call. Pure draws stay unit vectors: a pure chunk
+is measured from its Schmidt coefficients, with the kernel run on the
+projector of its first state as a cross-check. Random states are drawn in the
+order of one at a time, so a seed's state stream, counts and verdicts are as
+with per-state drawing. A sweep chunk's members are built from the index of
+its first row and gated by one `families` call, and its CSV lines are written
+once it is measured, so a sweep's memory does not grow with `--steps` (see
+`_write_whole`). Negative counts and seeds, and sweep ranges with a
+non-finite bound or width or whose steps overflow, a `--steps` beyond float
+range included, are rejected as InvalidRange. A state with m * n >
+MAX_STATE_DIM (90), which does not fit in one chunk, is rejected as
+InvalidDimension by `sample`, `verify` and `read_state` before numpy loads.
 
 Nothing numeric loads at import: this module and the package `__init__`
 import no numpy and no layer, and its records are `errors.Record`s, which
@@ -117,20 +115,20 @@ def _fmt(x: float) -> str:
 
 
 def _measured(chunks, m: int, n: int):
-    """For each validated (stack, h) chunk: the index of its first state, the
-    stack, and its measures, by `_measure_pure_stack` for a (k, mn) stack of unit
-    vectors and by `_measure_parts` for a (k, mn, mn) stack of states. Each
-    caller walks the checks with its own fault policy.
+    """For each validated stack: the index of its first state, the stack, and its
+    measures, by `_measure_pure_stack` for a (k, mn) stack of unit vectors and by
+    `_measure_stack` for a (k, mn, mn) stack of states. Each caller walks the
+    checks with its own fault policy.
 
     The measures layer is imported before the first chunk is drawn or built, so
     a cold `sample` or `verify` loads it before `numpy.random` (see `_draw_stacks`).
     """
-    from .measures import _measure_parts, _measure_pure_stack
+    from .measures import _measure_pure_stack, _measure_stack
 
     start = 0
-    for stack, h in chunks:
-        yield start, stack, (_measure_pure_stack(stack, m, n) if stack.ndim == 2
-                             else _measure_parts(stack, h, m, n))
+    for stack in chunks:
+        measure = _measure_pure_stack if stack.ndim == 2 else _measure_stack
+        yield start, stack, measure(stack, m, n)
         start += len(stack)
 
 
@@ -247,7 +245,7 @@ def sweep_rows(family: str, lo: float, hi: float, steps: int, allow_out_of_range
 def _sweep_lines(family: str, lo: float, hi: float, steps: int, allow_out_of_range: bool):
     import numpy as np
 
-    from .families import _member_parts, _rho1_entries, template_closed_forms
+    from .families import _rho1_entries, member_stack, template_closed_forms
 
     size = _chunk_size(6)
 
@@ -257,8 +255,8 @@ def _sweep_lines(family: str, lo: float, hi: float, steps: int, allow_out_of_ran
 
     closed = ",closed_form_discord,closed_form_negativity_sq" if family == "rho1" else ""
     yield f"param,discord,negativity_sq,gap{closed}\n"
-    chunks = (_member_parts(family, np.stack([c, np.ones_like(c)] if closed else [c], axis=1),
-                            allow_out_of_range) for c in map(params, range(0, steps, size)))
+    chunks = (member_stack(family, np.stack([c, np.ones_like(c)] if closed else [c], axis=1),
+                           allow_out_of_range) for c in map(params, range(0, steps, size)))
     for start, _, measured in _measured(chunks, 2, 3):
         fault = first_fault(measured.checks)
         if fault is not None:
@@ -302,9 +300,8 @@ def _unit_vectors(d: int, k: int, rng: "np.random.Generator") -> "np.ndarray":
 
 
 def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
-    """The state stream of a seed as validated (stack, h) pairs: (k, mn, mn) density
-    matrices and their Hermitian parts, or, for the pure ensemble, (k, mn) unit
-    vectors, which stand in for both.
+    """The state stream of a seed as validated stacks: (k, mn, mn) density
+    matrices, or, for the pure ensemble, (k, mn) unit vectors.
 
     Arguments are checked before this returns. A state that fails validation
     ends the stream as it would one drawn and validated alone: the states
@@ -323,9 +320,9 @@ def _state_chunks(m: int, n: int, count: int, seed: int, ensemble: str):
 
 
 def _draw_stacks(d: int, count: int, seed, ensemble: str):
-    """Chunks of the stream as (stack, h) pairs, each checked by its ensemble's
-    one validator; h is the Hermitian parts the gate of a matrix stack formed.
-    `seed` is what `np.random.default_rng` takes, a Generator included.
+    """Chunks of the stream as validated stacks, each checked by its ensemble's one
+    validator: for the Hilbert-Schmidt ensemble, the Hermitian parts its gate
+    formed. `seed` is what `np.random.default_rng` takes, a Generator included.
 
     Pure draws stay vectors, checked as such: a finite unit vector's projector is
     Hermitian to entry rounding, has trace ||v||^2 within TRACE_ATOL of 1 and
@@ -346,15 +343,14 @@ def _draw_stacks(d: int, count: int, seed, ensemble: str):
         k = min(size, count - start)
         if ensemble == "pure":
             stack = _unit_vectors(d, k, rng)
-            invalid, h = first_invalid_vector(stack), stack
+            invalid = first_invalid_vector(stack)
         else:
-            stack = _hs_stack(d, k, rng)
-            invalid, h = _gate(stack)
+            invalid, stack = _gate(_hs_stack(d, k, rng))
         if invalid is not None:
             if invalid[0]:
-                yield stack[: invalid[0]], h[: invalid[0]]
+                yield stack[: invalid[0]]
             raise invalid[1]
-        yield stack, h
+        yield stack
 
 
 def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
@@ -365,7 +361,7 @@ def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
     from .measures import _projectors
     from .states import DensityMatrix
 
-    for stack, _ in _state_chunks(m, n, count, seed, ensemble):
+    for stack in _state_chunks(m, n, count, seed, ensemble):
         for mat in _projectors(stack) if ensemble == "pure" else stack:
             yield DensityMatrix(m, n, mat)
 

@@ -6,13 +6,9 @@ row-major). Spectra are returned as real vectors sorted nonincreasing.
 `partial_transpose` and `hs_norm_sq` also take a stack of matrices, shape
 (..., d, d), and act on each matrix of it.
 
-`hermitian_part` is the one copy of (A + A^dag)/2. State validation forms it
-once per stack and hands it on: the positivity screen factors it, because a
-Cholesky factorisation reads one triangle, and the measures kernel takes its
-spectra from it with `_spectrum`, which neither checks nor symmetrizes again.
-
-`hermitian_eigenvalues` checks its input against HERMITIAN_ATOL. Validated
-stacks are not re-checked.
+`hermitian_part` is the one copy of (A + A^dag)/2, which state validation
+forms (see `states`). `hermitian_eigenvalues` checks its input against
+HERMITIAN_ATOL; `_spectrum`, for validated stacks, checks nothing.
 """
 
 import numpy as np

@@ -29,15 +29,8 @@ and a single state's measures come with its first fault raised. The
 measurement identities run on stacks the same way. The package needs numpy
 alone.
 
-The kernel, `_measure_parts`, takes validated states together with their
-Hermitian parts H, which the CLI's state validation formed, and checks and
-symmetrizes nothing again: a partial transpose only permutes entries, so
-PT(H) is the Hermitian part of PT(rho), bit for bit, and its spectrum is
-taken as it is. G, the Gram of the A-side partial traces (`bloch.g_stack`),
-is read from the states themselves: it is that of H up to rounding, and
-reading rho keeps the last bits of D that fixed-seed outputs pin.
-`_measure_stack` forms H of a stack once and runs the kernel; `bounds_check`,
-sweeps and the pure cross-check use it.
+The kernel, `_measure_stack`, takes validated stacks, which are exactly
+Hermitian (see `states`), and reads every measure from them as they are.
 
 Pure states need only their Schmidt coefficients. `_measure_pure_stack`
 measures a stack of unit vectors from them, with `pure_negativity`, `pure_gd`
@@ -162,24 +155,47 @@ def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
     )
 
 
-def _measure_stack(mats: np.ndarray, m: int, n: int) -> _StackMeasures:
-    """`_measure_parts` of a validated (k, mn, mn) stack and its Hermitian parts."""
-    return _measure_parts(mats, hermitian_part(mats), m, n)
+def _two_party_checks(neg, disc, gap, m: int, n: int) -> tuple:
+    """At m = 2, where D is exact: N^2 - D <= 0 at 2x2 (Girolami & Adesso's
+    theorem), then D >= N^2/n at every 2 (x) n, each with BOUND_ATOL slack.
+    None at m >= 3, where D is a lower bound.
+
+    Both hold because sigma^Gamma >= 0 for a classical-quantum sigma; the
+    proofs are written out in `tests/test_checks.py`.
+    """
+    if m != 2:
+        return ()
+    floor = neg * neg / n
+    theorem = (
+        Check(
+            ~(gap <= BOUND_ATOL),
+            lambda i: BoundViolation(
+                f"D >= N^2 failed for a 2x2 state: N^2 - D = {float(gap[i])!r}"
+            ),
+        ),
+    ) if n == 2 else ()
+    return theorem + (
+        Check(
+            ~(disc >= floor - BOUND_ATOL),
+            lambda i: BoundViolation(
+                f"D >= N^2/n failed: D = {float(disc[i])!r} is below N^2/{n} = {float(floor[i])!r}"
+            ),
+        ),
+    )
 
 
-def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMeasures:
-    """Negativity, discord, gap N^2 - D and PT negative count of a validated
-    (k, mn, mn) stack `mats`, given its Hermitian parts `h`.
+def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
+    """Negativity, discord, gap N^2 - D and PT negative count of a validated,
+    exactly Hermitian (k, mn, mn) stack `h`.
 
     The checks, in order: the two negativity expressions agree, the discord
     is not negative beyond solver noise, the PT negative count is at most
-    (m-1)(n-1), N, D and N^2 - D lie in their proven intervals, and D is at
+    (m-1)(n-1), N, D and N^2 - D lie in their proven intervals, D is at
     most m/(m-1) (Tr rho^2 - Tr rho_B^2/m), the normalized squared distance to
-    the classical-quantum state I/m (x) rho_B. A failing state raises nothing;
-    `errors.first_fault(checks)` gives its error. The PT spectra are those of
-    `h`; G and the purities are read from `mats` and are those of `h` up to
-    rounding. No hermiticity check is made again. m < 2 or n < 2 raises
-    InvalidDimension.
+    the classical-quantum state I/m (x) rho_B, and at m = 2 the lower bounds
+    of `_two_party_checks`. A failing state raises nothing;
+    `errors.first_fault(checks)` gives its error. No hermiticity check is
+    made again. m < 2 or n < 2 raises InvalidDimension.
     """
     if m < 2 or n < 2:
         raise InvalidDimension(f"measures require m >= 2 and n >= 2, got a {m}x{n} state")
@@ -190,14 +206,14 @@ def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMea
     neg = 2.0 * (0.0 - np.fmin(w, 0.0).sum(axis=1)) / (m - 1)
     count = (w < NEGATIVE_EIGENVALUE_CUTOFF).sum(axis=1)
     cap = (m - 1) * (n - 1)
-    lam = np.linalg.eigvalsh(bloch.g_stack(mats, m, n))
+    lam = np.linalg.eigvalsh(bloch.g_stack(h, m, n))
     raw = (2.0 / (m * (m - 1) * n)) * lam[:, : m * m - m].sum(axis=1)
     disc = np.maximum(raw, 0.0)
     gap = neg * neg - disc
     # I/m (x) rho_B is classical-quantum, so D <= m/(m-1) ||rho - I/m (x) rho_B||^2.
-    blocks = mats.reshape(len(mats), m, n, m, n)
+    blocks = h.reshape(len(h), m, n, m, n)
     rho_b = sum(blocks[:, i, :, i] for i in range(m))  # the block trace Tr_A
-    distance = (m / (m - 1)) * (hs_norm_sq(mats) - hs_norm_sq(rho_b) / m)
+    distance = (m / (m - 1)) * (hs_norm_sq(h) - hs_norm_sq(rho_b) / m)
     checks = (
         Check(
             ~(np.abs(via_trace_norm - neg) <= DUAL_NEGATIVITY_ATOL),
@@ -225,7 +241,7 @@ def _measure_parts(mats: np.ndarray, h: np.ndarray, m: int, n: int) -> _StackMea
                 f"m/(m-1) (Tr rho^2 - Tr rho_B^2/m) = {float(distance[i])!r}"
             ),
         ),
-    )
+    ) + _two_party_checks(neg, disc, gap, m, n)
     return _StackMeasures(neg, disc, gap, count, checks)
 
 
@@ -308,13 +324,14 @@ def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
     count is the number of pairs i < j with -c_i c_j below the noise cutoff
     (a pure state's PT spectrum is the p_i, the +-c_i c_j and zeros, so the
     count is at most m(m-1)/2 <= (m-1)(n-1)). As a cross-check, `_measure_stack`
-    runs on the projector of the first state: that state gets the kernel's
-    checks, the cap check among them, then the check that the two routes
-    agree on N and D within PURE_ROUTE_ATOL. The interval checks then apply
-    to every state.
+    runs on the Hermitian part of the projector of the first state: that state
+    gets the kernel's checks, the cap check among them, then the check that
+    the two routes agree on N and D within PURE_ROUTE_ATOL. The interval
+    checks then apply to every state, then the kernel's two-party checks to
+    the first state and the route's own to every state.
     """
     k = len(vs)
-    kernel = _measure_stack(_projectors(vs[:1]), m, n)
+    kernel = _measure_stack(hermitian_part(_projectors(vs[:1])), m, n)
     c = _schmidt_stack(vs.reshape(k, m, n))
     neg = pure_negativity(c, m)
     disc = pure_gd(c, m) if m == 2 else _pure_lower_bound(c * c)
@@ -329,10 +346,13 @@ def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
             f"D {float(disc[0])!r} vs {float(kernel.discord[0])!r}"
         ),
     )
+    two_party = _two_party_checks(neg, disc, gap, m, n)
+    cut = len(kernel.checks) - len(two_party)  # the kernel's two-party checks come last
     at_first = np.arange(k) == 0
-    first = tuple(Check(at_first & check.failed[0], check.fault)
-                  for check in kernel.checks + (cross,))
-    return _StackMeasures(neg, disc, gap, count, first + _interval_checks(neg, disc, gap, m, n))
+    first = lambda checks: tuple(Check(at_first & check.failed[0], check.fault) for check in checks)
+    checks = (first(kernel.checks[:cut] + (cross,)) + _interval_checks(neg, disc, gap, m, n)
+              + first(kernel.checks[cut:]) + two_party)
+    return _StackMeasures(neg, disc, gap, count, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,33 @@
 """Validated containers for bipartite quantum states.
 
 `DensityMatrix` and `PureState` are frozen records (`errors.Record`) whose
-`__post_init__` runs the invariants below and stores a read-only copy of the
-matrix or the amplitudes.
+`__post_init__` runs the invariants below and stores a read-only validated
+matrix or copy of the amplitudes.
 
 The density-matrix and unit-norm invariants are written once, for stacks of
 states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
 `errors.first_fault`; the containers run them on a stack of one. Every
 residual is tested as `not (residual <= tol)`, so a NaN residual fails.
 
-This is the one place a state's hermiticity defect is computed, and code
-that receives validated stacks does not check them again. The gate forms the
-Hermitian parts of the states before the first cheap failure (finiteness,
-hermiticity, trace) once, and `_gate` hands them on to the measures kernel.
-Their positivity is decided first by a screen: one batched Cholesky
-factorisation of those Hermitian parts less a cached, read-only
-PSD_MIN_EIGENVALUE * I, which passes only when it succeeds with a finite
-factor, so when every smallest eigenvalue is above PSD_MIN_EIGENVALUE. When
-it fails, their spectrum is taken, and it alone decides the verdict, the
-index and the message; a state whose Hermitian part overflowed (finite
-entries near the float limit, so eigenvalues beyond float range) fails
-positivity by name and is not passed to eigvalsh. Overflow and the NaN it
-leaves raise no numpy warning.
+The contract of the package: a validated state is its Hermitian part. The
+gate, `_gate`, checks a stack's hermiticity and forms the Hermitian parts
+H = (rho + rho^dag)/2 of the states before the first cheap failure
+(finiteness, hermiticity, trace) once, and those parts are the validated
+stack: a `DensityMatrix` stores its H, `families.member_stack` returns them,
+the CLI's chunks carry them and the measures kernel reads them as they are,
+checking and symmetrizing nothing again. N and D see only H, which is
+exactly Hermitian: a partial transpose permutes entries, and
+Re Tr(rho X) = Tr(H X) for Hermitian X. A pure draw stays a unit vector.
+
+Positivity is decided first by a screen: one batched Cholesky factorisation
+of those Hermitian parts less a cached, read-only PSD_MIN_EIGENVALUE * I,
+which passes only when it succeeds with a finite factor, so when every
+smallest eigenvalue is above PSD_MIN_EIGENVALUE. When it fails, their
+spectrum is taken, and it alone decides the verdict, the index and the
+message; a state whose Hermitian part overflowed (finite entries near the
+float limit, so eigenvalues beyond float range) fails positivity by name and
+is not passed to eigvalsh. Overflow and the NaN it leaves raise no numpy
+warning.
 
 Each set of checks is built once and walked once: the gate walks the cheap
 checks once per chunk, and builds and walks the positivity check only when
@@ -30,6 +36,7 @@ calls ufuncs, ndarray methods and `np.linalg.cholesky`, and takes a spectrum
 with `eigvalsh` only behind a failed screen.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -76,7 +83,7 @@ def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray
 
     Those are the parts of the states before the first cheap failure, a prefix
     at least as long as the valid one, computed once: the positivity screen
-    reads a shifted copy of them, and the measures kernel reads them as they are.
+    reads a shifted copy of them, and the valid ones are the validated stack.
     The cheap checks are walked once; positivity is checked only when the screen
     fails, and only on that prefix, so a positivity failure comes first. There a
     state whose Hermitian part overflowed fails positivity by name, without its
@@ -134,11 +141,23 @@ def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:
     return first_fault((_invariant("norm", np.abs(norms - 1.0), NORM_ATOL),))
 
 
+def _check_dimensions(m, n) -> None:
+    """InvalidState unless m and n are integers of at least 1, before any numpy work:
+    a bool, a float or whatever else `operator.index` rejects is no dimension."""
+    try:
+        valid = all(not isinstance(v, bool) and operator.index(v) >= 1 for v in (m, n))
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidState(f"dimensions must be positive integers, got {m!r}x{n!r}")
+
+
 class DensityMatrix(Record):
     """Hermitian, positive semidefinite, unit-trace operator on an m (x) n space.
 
-    Invariants are enforced at construction; the stored matrix is read-only,
-    so instances are safe to share between workers.
+    Invariants are enforced at construction. The stored matrix is the gate's
+    Hermitian part of the input, read-only, so instances are safe to share
+    between workers.
     """
 
     m: int
@@ -146,19 +165,19 @@ class DensityMatrix(Record):
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        if self.m < 1 or self.n < 1:
-            raise InvalidState(f"dimensions must be positive, got {self.m}x{self.n}")
+        _check_dimensions(self.m, self.n)
+        mat = np.asarray(self.mat, dtype=complex)
         d = self.m * self.n
         if mat.shape != (d, d):
             raise InvalidState(
                 f"shape {mat.shape} does not match dimensions {self.m}x{self.n}"
             )
-        invalid = first_invalid_state(mat[None])
+        invalid, h = _gate(mat[None])
         if invalid is not None:
             raise invalid[1]
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        h = h[0]
+        h.setflags(write=False)
+        object.__setattr__(self, "mat", h)
 
 
 class PureState(Record):
@@ -169,6 +188,7 @@ class PureState(Record):
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_dimensions(self.m, self.n)
         amp = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (self.m * self.n,):
             raise InvalidState(

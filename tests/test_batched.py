@@ -46,6 +46,13 @@ def pure_stack(m, n, k, rng):
     return v[:, :, None] * v.conj()[:, None, :]
 
 
+def gated(mats):
+    """The validated stack of `mats`: its gate's Hermitian parts, which the kernel takes."""
+    invalid, h = states._gate(mats)
+    assert invalid is None
+    return h
+
+
 def realignment_discord(rho, m, n):
     # m/(m-1) (||P R||_F^2 - top m-1 squared singular values of P R), with
     # R[(i j),(k l)] = rho[(i k),(j l)] and P removing the vec(I_m) direction.
@@ -68,7 +75,7 @@ def pt_spectrum(rho, m, n):
 @pytest.mark.parametrize("draw", [hs_stack, pure_stack])
 def test_kernel_matches_independent_formulas(m, n, draw):
     rng = np.random.default_rng(100 * m + n)
-    rhos = draw(m, n, 60, rng)
+    rhos = gated(draw(m, n, 60, rng))
     measured = _measure_stack(rhos, m, n)
     assert measured.ok.all()
     for k, rho in enumerate(rhos):
@@ -80,7 +87,7 @@ def test_kernel_matches_independent_formulas(m, n, draw):
 
 @pytest.mark.parametrize("m,n", DIMS)
 def test_kernel_matches_single_state_functions(m, n):
-    rhos = hs_stack(m, n, 40, np.random.default_rng(7))
+    rhos = gated(hs_stack(m, n, 40, np.random.default_rng(7)))
     measured = _measure_stack(rhos, m, n)
     for k, mat in enumerate(rhos):
         rho = DensityMatrix(m, n, mat)
@@ -121,7 +128,7 @@ def test_pure_route_matches_the_kernel_on_projectors(dims, kind, seed):
     m, n = dims
     vs = schmidt_amplitudes(m, n, kind, 6, np.random.default_rng(seed)).reshape(6, m * n)
     got = measures._measure_pure_stack(vs, m, n)
-    want = _measure_stack(measures._projectors(vs), m, n)
+    want = _measure_stack(gated(measures._projectors(vs)), m, n)
     assert got.ok.all() and want.ok.all()
     for field in ("negativity", "discord", "gap"):
         assert np.max(np.abs(getattr(got, field) - getattr(want, field))) <= 1e-12
@@ -415,9 +422,7 @@ def test_hermiticity_is_reported_before_trace():
 def test_draw_stacks_yields_the_states_before_the_first_invalid_one(monkeypatch):
     monkeypatch.setattr(io_cli, "_hs_stack", lambda d, k, rng: mixed_stack())
     stacks = io_cli._draw_stacks(4, 7, np.random.default_rng(0), "hilbert-schmidt")
-    stack, h = next(stacks)
-    assert np.array_equal(stack, mixed_stack()[:2])
-    assert np.array_equal(h, matrixcore.hermitian_part(mixed_stack()[:2]))
+    assert np.array_equal(next(stacks), matrixcore.hermitian_part(mixed_stack()[:2]))
     with pytest.raises(InvalidState, match="^positivity invariant violated"):
         next(stacks)
 
@@ -503,17 +508,34 @@ def test_gate_walks_its_checks_once_per_chunk(monkeypatch):
     assert len({id(check) for check in walked}) == len(walked)
 
 
-def test_sweep_forms_one_hermitian_part_per_chunk(monkeypatch):
+# Each path and the number of states of each Hermitian part it forms: one per
+# chunk of states, the gate's, and one per pure chunk, the cross-check's
+# projector; `analyze` forms one, in its DensityMatrix.
+HERMITIAN_PART_PATHS = {
+    "sweep-rho1": (lambda: list(sweep_rows("rho1", 0, 6, 500)), [227, 227, 46]),
+    "analyze": (lambda: main(["analyze", "rho1.json", "--json"]), [1]),
+    "sample-hs-2x3": (lambda: run_sample(2, 3, 300, 1, "hilbert-schmidt"), [227, 73]),
+    "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2), [30]),
+    "sample-pure-2x3": (lambda: run_sample(2, 3, 300, 1, "pure"), [1, 1]),
+}
+
+
+@pytest.mark.parametrize("path", HERMITIAN_PART_PATHS)
+def test_each_path_forms_one_hermitian_part_per_chunk(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_state("rho1.json", build(FamilySpec("rho1", (5, 2))))
+    run, sizes = HERMITIAN_PART_PATHS[path]
     formed = []
+    real = matrixcore.hermitian_part
 
     def counting(a):
         formed.append(len(a))
-        return matrixcore.hermitian_part(a)
+        return real(a)
 
-    for module in (states, measures):
+    for module in (matrixcore, states, measures):
         monkeypatch.setattr(module, "hermitian_part", counting)
-    list(sweep_rows("rho1", 0, 6, 500))
-    assert formed == [227, 227, 46]
+    run()
+    assert formed == sizes
 
 
 # Each path, the number of states it validates and measures, and how many
@@ -586,7 +608,7 @@ def test_generated_pure_stacks_are_density_matrices(m, n):
     # the full density-matrix check all the same.
     size = io_cli._chunk_size(m * n)
     for seed in (0, 1, 2):
-        stacks = [vs for vs, _ in io_cli._state_chunks(m, n, 3 * size, seed, "pure")]
+        stacks = list(io_cli._state_chunks(m, n, 3 * size, seed, "pure"))
         assert [len(vs) for vs in stacks] == [size] * 3
         for vs in stacks:
             assert first_invalid_state(measures._projectors(vs)) is None

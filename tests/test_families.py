@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdneg import families, measures
+from gdneg import families, measures, states
 from gdneg.errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from gdneg.families import (
     FamilySpec,
@@ -195,7 +195,9 @@ def test_template_closed_forms_match_the_kernel(entries):
     for (i, j), v in {(0, 0): p, (5, 5): p, (1, 1): q, (4, 4): q,
                       (0, 4): r, (4, 0): r, (1, 5): r, (5, 1): r}.items():
         mats[:, i, j] = v / (2.0 * (p + q))
-    measured = measures._measure_stack(mats, 2, 3)
+    invalid, h = states._gate(mats)
+    assert invalid is None
+    measured = measures._measure_stack(h, 2, 3)
     neg_sq, disc = template_closed_forms(p, q, r)
     assert np.max(np.abs(measured.negativity**2 - neg_sq)) <= 1e-12
     assert np.max(np.abs(measured.discord - disc)) <= 1e-12

@@ -334,7 +334,7 @@ def run_sweep(out, steps, family="rho1", lo="0", hi="6"):
 def fail_in_call(monkeypatch, k, error=None):
     """Make the `k`-th call of the measures kernel in this test fail: raise `error`,
     or, when it is None, add a check that the chunk's last state fails."""
-    real, calls = measures._measure_parts, []
+    real, calls = measures._measure_stack, []
 
     def failing(stack, *args):
         calls.append(len(stack))
@@ -348,7 +348,7 @@ def fail_in_call(monkeypatch, k, error=None):
             measured = measured._replace(checks=measured.checks + (injected,))
         return measured
 
-    monkeypatch.setattr(measures, "_measure_parts", failing)
+    monkeypatch.setattr(measures, "_measure_stack", failing)
     return calls
 
 
@@ -567,7 +567,7 @@ class TestVerify:
             "  states checked:        30\n"
             "  gap > 0 states:        0\n"
             "  oracle states checked: 20\n"
-            "  max oracle deviation:  1.1102230246251565e-16\n"
+            "  max oracle deviation:  1.3877787807814457e-16\n"
             "PASS\n"
         )
         assert not (tmp_path / "gdneg-verify-failure.json").exists()
@@ -579,7 +579,7 @@ class TestVerify:
         assert capsys.readouterr().out == (
             "verify 2x3: count=30 seed=7\n"
             "  states checked before failure: 0\n"
-            "  failure: oracle deviation 1.3877787807814457e-17 exceeds -1.0\n"
+            "  failure: oracle deviation 4.163336342344337e-17 exceeds -1.0\n"
             "  failing state written to gdneg-verify-failure.json\n"
             "FAIL\n"
         )
@@ -875,7 +875,7 @@ class TestGoldenJson:
         assert main(args) == 0
         assert capsys.readouterr().out == (
             '{"bound_failures": 0, "count": 300, "dims": [2, 3], '
-            '"ensemble": "hilbert-schmidt", "max_gap": -0.024354697274422542, '
+            '"ensemble": "hilbert-schmidt", "max_gap": -0.02435469727442256, '
             '"min_gap": -0.14555656529583297, "seed": 42, "violations": 0}\n'
         )
 

@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from gdneg import measures
-from gdneg.states import first_invalid_state
+from gdneg.states import _gate
 
 POINTS = np.linspace(0.0, 1.0, 41)
 
@@ -84,9 +84,9 @@ FAMILIES = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_kernel_matches_the_exact_family_values(family, d):
     states, closed_forms = FAMILIES[family]
-    mats = states(d, POINTS).astype(complex)
-    assert first_invalid_state(mats) is None
-    measured = measures._measure_stack(mats, d, d)
+    invalid, h = _gate(states(d, POINTS).astype(complex))
+    assert invalid is None
+    measured = measures._measure_stack(h, d, d)
     assert measured.ok.all()
     neg, disc = closed_forms(d, POINTS)
     assert np.max(np.abs(measured.negativity - neg)) <= 1e-12

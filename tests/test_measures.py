@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdneg import measures
+from gdneg import measures, states
 from gdneg.errors import (
     BoundViolation,
     InvalidDimension,
@@ -28,7 +28,6 @@ from gdneg.measures import (
     pure_negativity,
     schmidt,
 )
-from gdneg.states import first_invalid_state
 
 from random_states import low_rank_states, random_density_matrix, random_pure_state
 
@@ -463,7 +462,7 @@ class TestStateValidation:
             PureState(2, 3, np.ones(6))
 
     def test_rejects_non_positive_dimension(self):
-        with pytest.raises(InvalidState, match="dimensions must be positive, got 0x3"):
+        with pytest.raises(InvalidState, match="dimensions must be positive integers, got 0x3"):
             DensityMatrix(0, 3, np.zeros((0, 0)))
 
     def test_pure_state_amplitude_count(self):
@@ -483,8 +482,9 @@ def haar_unitary(d, rng):
 
 
 def measured(mats, m, n):
-    assert first_invalid_state(mats) is None
-    result = measures._measure_stack(mats, m, n)
+    invalid, h = states._gate(mats)
+    assert invalid is None
+    result = measures._measure_stack(h, m, n)
     assert result.ok.all()
     return result
 

@@ -36,6 +36,7 @@ from gdneg import bloch, measures
 from gdneg.errors import DimensionMismatch, InvalidDimension
 from gdneg.io_cli import _state_chunks
 from gdneg.matrixcore import hs_norm_sq
+from gdneg.states import _gate
 from gdneg.measures import (
     DensityMatrix,
     _measure_stack,
@@ -55,8 +56,9 @@ PAULI = (
 
 
 def states(n, count, seed, ensemble="hilbert-schmidt"):
-    stack = np.concatenate([s for s, _ in _state_chunks(2, n, count, seed, ensemble)])
-    return _projectors(stack) if ensemble == "pure" else stack
+    # Validated stacks, as the kernel takes them: a pure draw's projectors gated.
+    stack = np.concatenate(list(_state_chunks(2, n, count, seed, ensemble)))
+    return _gate(_projectors(stack))[1] if ensemble == "pure" else stack
 
 
 def oracle_in_chunks(mats, n, size=8):
@@ -133,7 +135,7 @@ def test_oracle_does_not_touch_the_formula(monkeypatch):
 
     for name in ("_partial_trace_rows", "decompose", "g_stack", "g_matrix"):
         monkeypatch.setattr(bloch, name, forbidden)
-    for name in ("_measure_stack", "_measure_parts", "bounds_check"):
+    for name in ("_measure_stack", "bounds_check"):
         monkeypatch.setattr(measures, name, forbidden)
     brute = gd_bruteforce_stack(mats, 3)
     assert np.max(np.abs(brute - formula)) <= 1e-12

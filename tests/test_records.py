@@ -124,7 +124,8 @@ class TestEveryRecord:
 
 
 @pytest.mark.parametrize("build_record, error, message", [
-    (lambda: DensityMatrix(0, 3, RHO.mat), InvalidState, "dimensions must be positive, got 0x3"),
+    (lambda: DensityMatrix(0, 3, RHO.mat), InvalidState,
+     "dimensions must be positive integers, got 0x3"),
     (lambda: DensityMatrix(2, 2, RHO.mat), InvalidState,
      r"shape \(6, 6\) does not match dimensions 2x2"),
     (lambda: DensityMatrix(1, 2, np.diag([np.nan, 1.0])), InvalidState,
@@ -170,6 +171,6 @@ def test_json_field_dicts():
     }
     assert vars(run_sample(2, 3, 300, 42, "hilbert-schmidt")) == {
         "dims": (2, 3), "count": 300, "seed": 42, "ensemble": "hilbert-schmidt",
-        "violations": 0, "max_gap": -0.024354697274422542, "min_gap": -0.14555656529583297,
+        "violations": 0, "max_gap": -0.02435469727442256, "min_gap": -0.14555656529583297,
         "bound_failures": 0,
     }

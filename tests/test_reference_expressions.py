@@ -147,6 +147,13 @@ def unscaled_units(us):
     return np.divide(us, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
 
 
+def gated(mats):
+    """The validated stack of `mats`: its gate's Hermitian parts, which the kernel takes."""
+    invalid, h = states._gate(mats)
+    assert invalid is None
+    return h
+
+
 def ppt_states(m, n):
     """Diagonal product states and the maximally mixed state: a PT spectrum of
     exact non-negative values, so N = +0.0."""
@@ -156,16 +163,14 @@ def ppt_states(m, n):
     q /= q.sum(axis=1, keepdims=True)
     diagonals = np.concatenate([(p[:, :, None] * q[:, None, :]).reshape(6, m * n),
                                 np.full((1, m * n), 1.0 / (m * n))])
-    mats = diagonals[:, :, None] * np.eye(m * n) + 0j
-    return mats, hermitian_part(mats)
+    return gated(diagonals[:, :, None] * np.eye(m * n) + 0j)
 
 
 def product_states(m, n):
     """Projectors of products of random pure factors: PT eigenvalues near 0 of either sign."""
     rng = np.random.default_rng(9 * m + n)
     a, b = _unit_vectors(m, 12, rng), _unit_vectors(n, 12, rng)
-    mats = measures._projectors((a[:, :, None] * b[:, None, :]).reshape(12, m * n))
-    return mats, hermitian_part(mats)
+    return gated(measures._projectors((a[:, :, None] * b[:, None, :]).reshape(12, m * n)))
 
 
 def stacks(m, n):
@@ -175,13 +180,12 @@ def stacks(m, n):
     rng = np.random.default_rng(100 * m + n)
     hs = _hs_stack(d, _chunk_size(d), rng)
     pure = measures._projectors(_unit_vectors(d, _chunk_size(d), rng))
-    return [(hs, hermitian_part(hs)), (pure, hermitian_part(pure)), product_states(m, n),
-            ppt_states(m, n)]
+    return [gated(hs), gated(pure), product_states(m, n), ppt_states(m, n)]
 
 
 @pytest.mark.parametrize("m,n", DIMS)
 def test_g_stack_is_the_two_factor_product(m, n):
-    for mats, _ in stacks(m, n):
+    for mats in stacks(m, n):
         for k in (len(mats), 1):
             got = bloch.g_stack(mats[:k], m, n)
             assert got.shape == (k, m * m - 1, m * m - 1)
@@ -205,17 +209,16 @@ def test_partial_trace_rows_are_cached_read_only_and_exact(m):
 
 @pytest.mark.parametrize("m,n", DIMS)
 def test_negativity_is_the_where_sum_bit_for_bit(m, n, monkeypatch):
-    for mats, h in stacks(m, n):
+    for h in stacks(m, n):
         w = _spectrum(partial_transpose(h, m, n))
-        measured = measures._measure_parts(mats, h, m, n)
+        measured = measures._measure_stack(h, m, n)
         assert bits(measured.negativity) == bits(old_negativity(w, m))
         assert np.array_equal(measured.pt_negative_count, np.sum(w < -1e-10, axis=1))
     # The PPT states read N = +0.0, not -0.0, which -fmin(w, 0).sum() would give.
-    mats, h = ppt_states(m, n)
-    neg = measures._measure_parts(mats, h, m, n).negativity
+    neg = measures._measure_stack(ppt_states(m, n), m, n).negativity
     assert np.all(neg == 0.0) and not np.signbit(neg).any()
     # A NaN eigenvalue drops out of the sum, as w < 0 drops it from the mask.
-    mats, h = stacks(m, n)[0]
+    h = stacks(m, n)[0]
     spectra = []
 
     def with_nan(pt):
@@ -225,14 +228,14 @@ def test_negativity_is_the_where_sum_bit_for_bit(m, n, monkeypatch):
         return w
 
     monkeypatch.setattr(measures, "_spectrum", with_nan)
-    neg = measures._measure_parts(mats, h, m, n).negativity
+    neg = measures._measure_stack(h, m, n).negativity
     assert bits(neg) == bits(old_negativity(spectra[0], m))
 
 
 @pytest.mark.parametrize("m,n", DIMS)
 def test_positivity_screen_shifts_as_the_fancy_index_did(m, n):
     d = m * n
-    for mats, h in stacks(m, n):
+    for h in stacks(m, n):
         assert bits(h - states._psd_shift(d)) == bits(old_shifted(h))
         assert states._all_positive(h) is True
     rng = np.random.default_rng(d)
@@ -274,7 +277,7 @@ def test_norms_are_np_linalg_norm_bit_for_bit(m, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_oracle_and_identity_traces_are_the_old_expressions_bit_for_bit(n):
-    for mats, _ in stacks(2, n):
+    for mats in stacks(2, n):
         assert bits(measures.gd_bruteforce_stack(mats, n)) == bits(old_bruteforce(mats, n))
         us = np.random.default_rng(n).standard_normal((len(mats), 3))
         us[3] = 0.0  # not usable: the check names it, and its traces are of direction 0
@@ -294,7 +297,7 @@ def test_identity_units_are_the_unscaled_ones_on_verify_draws(n, monkeypatch):
                         lambda mats, n, u: units.append(u) or project_a(mats, n, u))
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        for mats, _ in _state_chunks(2, n, 2 * _chunk_size(2 * n), seed, "hilbert-schmidt"):
+        for mats in _state_chunks(2, n, 2 * _chunk_size(2 * n), seed, "hilbert-schmidt"):
             us = rng.standard_normal((len(mats), 3))
             measures._identity_checks(mats, n, us)
             assert bits(units.pop()) == bits(unscaled_units(us))

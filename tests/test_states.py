@@ -8,9 +8,13 @@ behind a cheap failure the screen never sees. Near both tolerances at once,
 the gate and the measures kernel must read the Hermitian part that a
 per-state reference forms explicitly. Finite entries near the float limit,
 whose Hermitian part or trace overflows, fail by name with no numpy warning,
-and so does a pure state whose norm overflows.
+and so does a pure state whose norm overflows. A validated state is its
+Hermitian part, so every stack a chunk source or a record hands the kernel is
+exactly Hermitian. The records reject dimensions that no state can have
+before any numpy work.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdneg import matrixcore, measures, states
+from gdneg import families, io_cli, matrixcore, measures, states
 from gdneg.io_cli import _chunk_size, _hs_stack, run_sample, run_verify
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.errors import InvalidState
@@ -317,7 +321,7 @@ def test_gate_and_kernel_read_the_hermitian_part_near_both_tolerances(m, n, monk
     invalid, h = states._gate(mats)
     assert invalid is None and verdict(mats) is None
     assert np.array_equal(h, (mats + mats.conj().swapaxes(1, 2)) / 2)
-    measured = measures._measure_parts(mats, h, m, n)
+    measured = measures._measure_stack(h, m, n)
     assert measured.ok.all()
     for k, mat in enumerate(mats):
         neg, disc, count = reference_measures(mat, m, n)
@@ -362,9 +366,101 @@ def test_measures_near_the_boundary_are_invariant_under_local_unitaries(dims, se
         invalid, h = states._gate(stack)
         assert invalid is None
         assert np.all(np.abs(np.linalg.eigvalsh(h)[:, 0] + 5e-10) <= 2e-11)
-        results.append(measures._measure_parts(stack, h, m, n))
+        results.append(measures._measure_stack(h, m, n))
     before, after = results
     assert before.ok.all() and after.ok.all()
     assert np.max(np.abs(after.negativity - before.negativity)) <= 1e-12
     assert np.max(np.abs(after.discord - before.discord)) <= 1e-12
     assert np.array_equal(after.pt_negative_count, before.pt_negative_count)
+
+
+# ---------------------------------------------------------------------------
+# The contract: a validated state is its Hermitian part, exactly.
+
+
+def exactly_hermitian(x):
+    return np.array_equal(matrixcore.hermitian_part(x), x)
+
+
+def noisy_state(m, n, seed=5):
+    """A Hilbert-Schmidt draw with anti-Hermitian noise of largest entry 4.5e-11: defect 9e-11."""
+    rng = np.random.default_rng(seed)
+    rho = _hs_stack(m * n, 1, rng)[0]
+    return rho + anti_hermitian_noise(m * n, 1, rng, 0.45 * HERMITIAN_ATOL)[0]
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+def test_hilbert_schmidt_chunks_are_exactly_hermitian(m, n):
+    # The raw draw G G^dag / Tr need not be exactly Hermitian (BLAS rounds the
+    # two triangles apart at these sizes); the chunks are the gate's parts.
+    for seed in (1, 2):
+        chunks = list(io_cli._state_chunks(m, n, 2 * _chunk_size(m * n) + 3, seed,
+                                           "hilbert-schmidt"))
+        assert [len(c) for c in chunks] == [_chunk_size(m * n)] * 2 + [3]
+        assert all(exactly_hermitian(c) for c in chunks)
+
+
+def test_member_stacks_and_sampled_states_are_exactly_hermitian():
+    params = np.stack([np.linspace(0.0, 6.0, 50), np.ones(50)], axis=1)
+    assert exactly_hermitian(families.member_stack("rho1", params))
+    for ensemble in ("hilbert-schmidt", "pure"):
+        assert all(exactly_hermitian(rho.mat)
+                   for rho in io_cli.sample_states(2, 3, 40, 3, ensemble))
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+def test_density_matrix_stores_the_hermitian_part_of_a_noisy_input(m, n):
+    mat = noisy_state(m, n)
+    assert 0.8 * HERMITIAN_ATOL < hermiticity_defect(mat) < HERMITIAN_ATOL
+    rho = DensityMatrix(m, n, mat)
+    assert np.array_equal(rho.mat, matrixcore.hermitian_part(mat))
+    assert exactly_hermitian(rho.mat) and not rho.mat.flags.writeable
+
+
+# Each path that measures matrices, and what it measures.
+KERNEL_PATHS = {
+    "sample-hs-2x3": lambda: run_sample(2, 3, 500, 1, "hilbert-schmidt"),
+    "sample-hs-3x3": lambda: run_sample(3, 3, 150, 1, "hilbert-schmidt"),
+    "sample-pure-3x3": lambda: run_sample(3, 3, 150, 1, "pure"),
+    "verify-2x3": lambda: run_verify(2, 3, 30, 1, oracle_subsample=2),
+    "sweep-rho2": lambda: list(io_cli.sweep_rows("rho2", 0.01, 1.0, 300)),
+    "analyze-noisy": lambda: io_cli.main(["analyze", "noisy.json"]),
+}
+
+
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+def test_every_path_hands_the_kernel_an_exactly_hermitian_stack(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    entries = [[float(z.real), float(z.imag)] for z in noisy_state(2, 3).ravel()]
+    (tmp_path / "noisy.json").write_text(json.dumps(
+        {"format": "gdneg-state/1", "m": 2, "n": 3, "entries": entries}))
+    real, stacks = measures._measure_stack, []
+
+    def recording(h, m, n):
+        stacks.append(h)
+        return real(h, m, n)
+
+    monkeypatch.setattr(measures, "_measure_stack", recording)
+    KERNEL_PATHS[path]()
+    assert stacks and all(exactly_hermitian(h) for h in stacks)
+
+
+# ---------------------------------------------------------------------------
+# Dimensions: checked before any numpy work, as read_state checks them.
+
+BAD_DIMENSIONS = [(2.0, 2.0), (True, 2), (2, True), (0, 3), (-1, -2), ("2", 2), (None, 2)]
+
+
+@pytest.mark.parametrize("m,n", BAD_DIMENSIONS)
+@pytest.mark.parametrize("record,data", [(DensityMatrix, np.eye(4) / 4), (PureState, [1.0, 0.0])],
+                         ids=["DensityMatrix", "PureState"])
+def test_records_reject_dimensions_no_state_can_have(record, data, m, n, monkeypatch):
+    monkeypatch.setattr(states, "np", None)  # any numpy call would raise AttributeError
+    with pytest.raises(InvalidState) as raised:
+        record(m, n, data)
+    assert str(raised.value) == f"dimensions must be positive integers, got {m!r}x{n!r}"
+
+
+def test_records_take_integer_dimensions_of_any_integer_type():
+    assert DensityMatrix(np.int64(2), 2, np.eye(4) / 4).mat.shape == (4, 4)
+    assert PureState(1, np.int32(2), [1.0, 0.0]).amplitudes.shape == (2,)
