@@ -86,6 +86,7 @@ from .tolerances import (
     PURE_ROUTE_ATOL,
     RANK_ONE_DEFECT_ATOL,
     SCHMIDT_CUTOFF,
+    TWO_PARTY_ATOL,
 )
 
 class MeasureReport(Record):
@@ -155,30 +156,21 @@ def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
     )
 
 
-def _two_party_checks(neg, disc, gap, m: int, n: int) -> tuple:
-    """At m = 2, where D is exact: N^2 - D <= 0 at 2x2 (Girolami & Adesso's
-    theorem), then D >= N^2/n at every 2 (x) n, each with BOUND_ATOL slack.
-    None at m >= 3, where D is a lower bound.
-
-    Both hold because sigma^Gamma >= 0 for a classical-quantum sigma; the
-    proofs are written out in `tests/test_checks.py`.
+def _two_party_checks(neg, disc, m: int, n: int) -> tuple:
+    """At m = 2, where D is exact: D >= N^2/(n-1), which at 2x2 is Girolami &
+    Adesso's D >= N^2, with TWO_PARTY_ATOL slack for the negative eigenvalues
+    the gate admits. None at m >= 3, where D is a lower bound. The proof is
+    written out in `tests/test_checks.py`.
     """
     if m != 2:
         return ()
-    floor = neg * neg / n
-    theorem = (
+    floor = neg * neg / (n - 1)
+    return (
         Check(
-            ~(gap <= BOUND_ATOL),
+            ~(disc >= floor - TWO_PARTY_ATOL),
             lambda i: BoundViolation(
-                f"D >= N^2 failed for a 2x2 state: N^2 - D = {float(gap[i])!r}"
-            ),
-        ),
-    ) if n == 2 else ()
-    return theorem + (
-        Check(
-            ~(disc >= floor - BOUND_ATOL),
-            lambda i: BoundViolation(
-                f"D >= N^2/n failed: D = {float(disc[i])!r} is below N^2/{n} = {float(floor[i])!r}"
+                f"D >= N^2/(n-1) failed for a 2x{n} state: D = {float(disc[i])!r} "
+                f"is below N^2/{n - 1} = {float(floor[i])!r}"
             ),
         ),
     )
@@ -192,7 +184,7 @@ def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
     is not negative beyond solver noise, the PT negative count is at most
     (m-1)(n-1), N, D and N^2 - D lie in their proven intervals, D is at
     most m/(m-1) (Tr rho^2 - Tr rho_B^2/m), the normalized squared distance to
-    the classical-quantum state I/m (x) rho_B, and at m = 2 the lower bounds
+    the classical-quantum state I/m (x) rho_B, and at m = 2 the lower bound
     of `_two_party_checks`. A failing state raises nothing;
     `errors.first_fault(checks)` gives its error. No hermiticity check is
     made again. m < 2 or n < 2 raises InvalidDimension.
@@ -241,7 +233,7 @@ def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
                 f"m/(m-1) (Tr rho^2 - Tr rho_B^2/m) = {float(distance[i])!r}"
             ),
         ),
-    ) + _two_party_checks(neg, disc, gap, m, n)
+    ) + _two_party_checks(neg, disc, m, n)
     return _StackMeasures(neg, disc, gap, count, checks)
 
 
@@ -346,7 +338,7 @@ def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
             f"D {float(disc[0])!r} vs {float(kernel.discord[0])!r}"
         ),
     )
-    two_party = _two_party_checks(neg, disc, gap, m, n)
+    two_party = _two_party_checks(neg, disc, m, n)
     cut = len(kernel.checks) - len(two_party)  # the kernel's two-party checks come last
     at_first = np.arange(k) == 0
     first = lambda checks: tuple(Check(at_first & check.failed[0], check.fault) for check in checks)

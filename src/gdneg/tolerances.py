@@ -15,6 +15,9 @@ NEGATIVE_EIGENVALUE_CUTOFF = -1e-10  # PT eigenvalues above this are solver nois
 DUAL_NEGATIVITY_ATOL = 1e-9  # the two negativity expressions differ only by rounding
 BOUND_ATOL = 1e-9  # slack on the proven intervals of N, D and N^2 - D
 DISCORD_CLAMP_FLOOR = -1e-12  # discord down to this is solver noise, clamped to 0; below, a fault
+# D >= N^2/(n-1) at m = 2: a state with eigenvalues down to -eps has N^2/(n-1) - D
+# at most 16 eps N (the proof in tests/test_checks.py), plus rounding.
+TWO_PARTY_ATOL = BOUND_ATOL - 16 * PSD_MIN_EIGENVALUE
 IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only by rounding
 # N and D of a pure draw from Schmidt data against the kernel on its projector:
 # rounding only (at most 1.5e-15 on 20,900 random pure states at 2x2 to 4x4).

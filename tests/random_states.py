@@ -3,13 +3,14 @@
 Each draw of `random_density_matrix` and `random_pure_state` takes from `rng`
 what one state of a `sample` or `verify` chunk takes, so a loop of these gives
 the states of `io_cli`'s chunked stream. `low_rank_states` draws a stack of
-states of a chosen rank.
+states of a chosen rank, and `gated` gives the validated stack the kernel
+takes.
 """
 
 import numpy as np
 
 from gdneg.io_cli import _hs_stack, _unit_vectors
-from gdneg.states import DensityMatrix, PureState
+from gdneg.states import DensityMatrix, PureState, _gate
 
 
 def random_density_matrix(m: int, n: int, rng: np.random.Generator) -> DensityMatrix:
@@ -27,3 +28,10 @@ def low_rank_states(d: int, rank: int, k: int, rng: np.random.Generator) -> np.n
     g = rng.standard_normal((k, d, rank)) + 1j * rng.standard_normal((k, d, rank))
     mats = g @ g.conj().transpose(0, 2, 1)
     return mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+
+
+def gated(mats: np.ndarray) -> np.ndarray:
+    """The validated stack of `mats`: its gate's Hermitian parts, which the kernel takes."""
+    invalid, h = _gate(mats)
+    assert invalid is None
+    return h

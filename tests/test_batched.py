@@ -27,7 +27,7 @@ from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
 from gdneg.states import first_invalid_state
 
-from random_states import random_pure_state
+from random_states import gated, random_pure_state
 
 DIMS = [(2, 2), (2, 3), (3, 3), (4, 4)]
 
@@ -44,13 +44,6 @@ def pure_stack(m, n, k, rng):
     v = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v[:, :, None] * v.conj()[:, None, :]
-
-
-def gated(mats):
-    """The validated stack of `mats`: its gate's Hermitian parts, which the kernel takes."""
-    invalid, h = states._gate(mats)
-    assert invalid is None
-    return h
 
 
 def realignment_discord(rho, m, n):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdneg import families, measures, states
+from gdneg import families, measures
 from gdneg.errors import BoundViolation, InvalidRange, NotAState, UnknownFamily
 from gdneg.families import (
     FamilySpec,
@@ -17,6 +17,8 @@ from gdneg.families import (
 )
 from gdneg.matrixcore import hermitian_eigenvalues
 from gdneg.measures import bounds_check
+
+from random_states import gated
 
 # The squared-negativity/discord gap of rho1(c, 1) vanishes exactly at
 # c^2 = 5 - sqrt(17) and at c^2 = 2, and is positive between and beyond:
@@ -195,9 +197,7 @@ def test_template_closed_forms_match_the_kernel(entries):
     for (i, j), v in {(0, 0): p, (5, 5): p, (1, 1): q, (4, 4): q,
                       (0, 4): r, (4, 0): r, (1, 5): r, (5, 1): r}.items():
         mats[:, i, j] = v / (2.0 * (p + q))
-    invalid, h = states._gate(mats)
-    assert invalid is None
-    measured = measures._measure_stack(h, 2, 3)
+    measured = measures._measure_stack(gated(mats), 2, 3)
     neg_sq, disc = template_closed_forms(p, q, r)
     assert np.max(np.abs(measured.negativity**2 - neg_sq)) <= 1e-12
     assert np.max(np.abs(measured.discord - disc)) <= 1e-12

@@ -36,7 +36,8 @@ import numpy as np
 import pytest
 
 from gdneg import measures
-from gdneg.states import _gate
+
+from random_states import gated
 
 POINTS = np.linspace(0.0, 1.0, 41)
 
@@ -84,9 +85,7 @@ FAMILIES = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_kernel_matches_the_exact_family_values(family, d):
     states, closed_forms = FAMILIES[family]
-    invalid, h = _gate(states(d, POINTS).astype(complex))
-    assert invalid is None
-    measured = measures._measure_stack(h, d, d)
+    measured = measures._measure_stack(gated(states(d, POINTS).astype(complex)), d, d)
     assert measured.ok.all()
     neg, disc = closed_forms(d, POINTS)
     assert np.max(np.abs(measured.negativity - neg)) <= 1e-12

@@ -29,7 +29,7 @@ from gdneg.measures import (
     schmidt,
 )
 
-from random_states import low_rank_states, random_density_matrix, random_pure_state
+from random_states import gated, low_rank_states, random_density_matrix, random_pure_state
 
 
 def rho1(a, b):
@@ -482,9 +482,7 @@ def haar_unitary(d, rng):
 
 
 def measured(mats, m, n):
-    invalid, h = states._gate(mats)
-    assert invalid is None
-    result = measures._measure_stack(h, m, n)
+    result = measures._measure_stack(gated(mats), m, n)
     assert result.ok.all()
     return result
 

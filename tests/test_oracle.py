@@ -36,7 +36,6 @@ from gdneg import bloch, measures
 from gdneg.errors import DimensionMismatch, InvalidDimension
 from gdneg.io_cli import _state_chunks
 from gdneg.matrixcore import hs_norm_sq
-from gdneg.states import _gate
 from gdneg.measures import (
     DensityMatrix,
     _measure_stack,
@@ -48,6 +47,8 @@ from gdneg.measures import (
     project_a,
 )
 
+from random_states import gated
+
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]]),
@@ -58,7 +59,7 @@ PAULI = (
 def states(n, count, seed, ensemble="hilbert-schmidt"):
     # Validated stacks, as the kernel takes them: a pure draw's projectors gated.
     stack = np.concatenate(list(_state_chunks(2, n, count, seed, ensemble)))
-    return _gate(_projectors(stack))[1] if ensemble == "pure" else stack
+    return gated(_projectors(stack)) if ensemble == "pure" else stack
 
 
 def oracle_in_chunks(mats, n, size=8):

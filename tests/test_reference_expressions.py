@@ -29,6 +29,8 @@ from gdneg.matrixcore import _spectrum, hermitian_part, hs_norm_sq, partial_tran
 from gdneg.su_generators import basis_stack
 from gdneg.tolerances import NORM_ATOL, PSD_MIN_EIGENVALUE
 
+from random_states import gated
+
 
 def bits(a):
     return np.ascontiguousarray(a).tobytes()
@@ -145,13 +147,6 @@ def unscaled_units(us):
     norms = np.sqrt((us * us).sum(axis=-1))
     usable = (0.0 < norms) & (norms < np.inf)
     return np.divide(us, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
-
-
-def gated(mats):
-    """The validated stack of `mats`: its gate's Hermitian parts, which the kernel takes."""
-    invalid, h = states._gate(mats)
-    assert invalid is None
-    return h
 
 
 def ppt_states(m, n):

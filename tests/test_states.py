@@ -30,6 +30,8 @@ from gdneg.states import DensityMatrix, PureState, first_invalid_state
 from gdneg.su_generators import basis_stack
 from gdneg.tolerances import HERMITIAN_ATOL, NEGATIVE_EIGENVALUE_CUTOFF, PSD_MIN_EIGENVALUE
 
+from random_states import gated
+
 NOT_POSITIVE = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
 NOT_POSITIVE_MESSAGE = "positivity invariant violated: min eigenvalue -0.2"
 
@@ -363,8 +365,7 @@ def test_measures_near_the_boundary_are_invariant_under_local_unitaries(dims, se
     rotated = local @ mats @ local.conj().T
     results = []
     for stack in (mats, rotated):
-        invalid, h = states._gate(stack)
-        assert invalid is None
+        h = gated(stack)
         assert np.all(np.abs(np.linalg.eigvalsh(h)[:, 0] + 5e-10) <= 2e-11)
         results.append(measures._measure_stack(h, m, n))
     before, after = results
