@@ -46,7 +46,6 @@ _EXPORTS = {
         "gd_bruteforce_2xn",
         "gd_bruteforce_stack",
         "maximal_state",
-        "measurement_identity_check",
         "project_a",
         "pure_gd",
         "pure_negativity",

@@ -69,7 +69,8 @@ def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
     """Transpose on the m-dimensional subsystem only.
 
     Maps block (i, j) of the m x m block structure to block (j, i); a pure
-    entry permutation, so applying it twice returns the input exactly.
+    entry permutation, so applying it twice returns the input exactly. The
+    result is a new array, made by one copy of the swapped view.
     """
     a = np.asarray(a)
     lead = a.shape[:-2]
@@ -77,8 +78,8 @@ def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
         raise DimensionMismatch(
             f"expected shape ({m * n}, {m * n}) for dimensions {m}x{n}, got {a.shape}"
         )
-    r = a.reshape(*lead, m, n, m, n).swapaxes(-4, -2)
-    return r.reshape(*lead, m * n, m * n).copy()
+    r = a.reshape(*lead, m, n, m, n).swapaxes(-4, -2).copy()
+    return r.reshape(*lead, m * n, m * n)
 
 
 def hs_norm_sq(a: np.ndarray):

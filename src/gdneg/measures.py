@@ -39,20 +39,10 @@ and returns what the kernel would return for their projectors; the kernel
 runs on the projector of its first state as a cross-check.
 
 At the chunk sizes the CLI runs, much of a chunk's time is fixed cost per
-numpy call, so the chunk path, from the draw through the gate, the kernel,
-the identities and the oracle to the walk of the checks, calls numpy's C
-entry points: ufuncs, ndarray methods (`sum`, `max`, `trace`, `argmax`),
-matmul and `np.dot`, `default_rng`, and of `np.linalg` only the gate's
-`cholesky` and the kernel's two `eigvalsh`. The Python helpers that wrap
-them (`np.sum`, `np.max`, `np.trace`, `np.where`, `np.tensordot`,
-`np.linalg.norm`) are written as the calls they make, with the same bytes.
-Beside those: `np.asarray` where a public function takes its input,
-`np.empty` and `np.zeros` to allocate, the gate's `np.errstate`, and `einsum`
-only where outputs pin its order of summation, in the oracle's form and
-objective and in the identities, and in `hs_norm_sq`, which the oracle and
-the kernel's distance bound share. The pure route adds its SVD at m >= 3 and
-the lower bound's `eigvalsh`. Each set of checks is built once and walked
-once: `errors.first_fault` joins the failure masks with one `|` per check.
+numpy call, so the chunk path calls numpy's C entry points in place of the
+Python helpers that wrap them, with the same bytes; README lists them. Each
+set of checks is built once and walked once: `errors.first_fault` joins the
+failure masks with one `|` per check.
 """
 
 import math
@@ -68,7 +58,6 @@ from .errors import (
     Check,
     DimensionMismatch,
     InvalidDimension,
-    InvalidRange,
     Record,
     WrongDimension,
     failed_states,
@@ -83,10 +72,12 @@ from .tolerances import (
     DUAL_NEGATIVITY_ATOL,
     IDENTITY_ATOL,
     NEGATIVE_EIGENVALUE_CUTOFF,
+    PSD_MIN_EIGENVALUE,
     PURE_ROUTE_ATOL,
     RANK_ONE_DEFECT_ATOL,
     SCHMIDT_CUTOFF,
     TWO_PARTY_ATOL,
+    negativity_ceiling,
 )
 
 class MeasureReport(Record):
@@ -99,7 +90,9 @@ class MeasureReport(Record):
     -1e-12 of solver noise: the geometric discord of every 2 (x) n state and,
     with no closed formula for m >= 3, a lower bound there (`discord_exact`).
     `pt_negative_count` counts PT eigenvalues below the noise cutoff, provably
-    at most `pt_negative_cap` = (m-1)(n-1).
+    at most `pt_negative_cap` = (m-1)(n-1) for a positive semidefinite state.
+    The cap is checked on the count below PSD_MIN_EIGENVALUE plus that cutoff,
+    which holds for every state the gate admits.
     """
 
     negativity: float
@@ -136,11 +129,13 @@ class _StackMeasures(NamedTuple):
 
 
 def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
-    """N in [0, 1], D in [0, m/(m-1)] and N^2 - D in [-m/(m-1), 1], each with BOUND_ATOL slack."""
+    """N in [0, 1], D in [0, m/(m-1)] and N^2 - D in [-m/(m-1), 1], each with BOUND_ATOL
+    slack, and with 1 raised to `negativity_ceiling` (squared for N^2 - D)."""
     d_max = m / (m - 1)
+    n_max = negativity_ceiling(m, n)
     return (
         Check(
-            _outside(neg, 0.0, 1.0),
+            _outside(neg, 0.0, n_max),
             lambda i: BoundViolation(f"negativity {float(neg[i])!r} outside [0, 1]"),
         ),
         Check(
@@ -148,7 +143,7 @@ def _interval_checks(neg, disc, gap, m: int, n: int) -> tuple:
             lambda i: BoundViolation(f"discord {float(disc[i])!r} outside [0, {d_max}]"),
         ),
         Check(
-            _outside(gap, -d_max, 1.0),
+            _outside(gap, -d_max, n_max * n_max),
             lambda i: BoundViolation(
                 f"N^2 - D = {float(gap[i])!r} outside [{-d_max}, 1] for a {m}x{n} state"
             ),
@@ -181,10 +176,11 @@ def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
     exactly Hermitian (k, mn, mn) stack `h`.
 
     The checks, in order: the two negativity expressions agree, the discord
-    is not negative beyond solver noise, the PT negative count is at most
-    (m-1)(n-1), N, D and N^2 - D lie in their proven intervals, D is at
-    most m/(m-1) (Tr rho^2 - Tr rho_B^2/m), the normalized squared distance to
-    the classical-quantum state I/m (x) rho_B, and at m = 2 the lower bound
+    is not negative beyond solver noise, at most (m-1)(n-1) PT eigenvalues
+    lie below PSD_MIN_EIGENVALUE and the noise cutoff, N, D and N^2 - D lie in
+    their proven intervals, D is at most m/(m-1) (Tr rho^2 - Tr rho_B^2/m),
+    the normalized squared distance to the classical-quantum state
+    I/m (x) rho_B, and at m = 2 the lower bound
     of `_two_party_checks`. A failing state raises nothing;
     `errors.first_fault(checks)` gives its error. No hermiticity check is
     made again. m < 2 or n < 2 raises InvalidDimension.
@@ -197,6 +193,8 @@ def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
     # drops NaN, and 0.0 - s keeps N = +0.0 where -s would give -0.0.
     neg = 2.0 * (0.0 - np.fmin(w, 0.0).sum(axis=1)) / (m - 1)
     count = (w < NEGATIVE_EIGENVALUE_CUTOFF).sum(axis=1)
+    # rho + eps I >= 0 for eps = -PSD_MIN_EIGENVALUE, so the cap holds below -eps.
+    capped = (w < NEGATIVE_EIGENVALUE_CUTOFF + PSD_MIN_EIGENVALUE).sum(axis=1)
     cap = (m - 1) * (n - 1)
     lam = np.linalg.eigvalsh(bloch.g_stack(h, m, n))
     raw = (2.0 / (m * (m - 1) * n)) * lam[:, : m * m - m].sum(axis=1)
@@ -219,9 +217,9 @@ def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
             lambda i: BoundViolation(f"discord lower bound came out negative: {float(raw[i])!r}"),
         ),
         Check(
-            count > cap,
+            capped > cap,
             lambda i: CapViolation(
-                f"{count[i]} negative partial-transpose eigenvalues exceed the cap {cap} "
+                f"{capped[i]} negative partial-transpose eigenvalues exceed the cap {cap} "
                 f"for a {m}x{n} state"
             ),
         ),
@@ -544,28 +542,17 @@ def maximal_state(m: int, n: int) -> DensityMatrix:
 def _identity_checks(mats: np.ndarray, n: int, us) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The measurement identities of a (k, 2n, 2n) stack, state i measured along us[i].
 
-    Returns the checks, in the order `measurement_identity_check` applies
-    them, and Tr((Pi(rho))^2) and Tr(rho Pi(rho)) per state.
+    Returns the checks of Tr((Pi(rho))^2) = Tr(rho Pi(rho)) and ||rho - Pi(rho)||^2 =
+    Tr(rho^2) - Tr((Pi(rho))^2), and the two traces per state. A zero direction,
+    drawn with probability near 0, gives NaN residuals, which fail the first check.
     """
-    us = np.asarray(us, dtype=float)
-    # Each direction scaled by a power of two so its largest entry is in [1/2, 1):
-    # exact, and its squared norm can no longer overflow or underflow.
-    scaled = np.ldexp(us, -np.frexp(np.abs(us).max(axis=-1))[1][:, None])
-    norms = np.sqrt((scaled * scaled).sum(axis=-1))
-    usable = (0.0 < norms) & (norms < math.inf)
-    units = np.divide(scaled, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
+    units = us / np.sqrt((us * us).sum(axis=-1))[:, None]
     projected = project_a(mats, n, units)
     pi_sq = np.einsum("kij,kji->k", projected, projected).real
     rho_pi = np.einsum("kij,kji->k", mats, projected).real
     distance_sq = hs_norm_sq(mats - projected)
     purity_gap = np.einsum("kij,kji->k", mats, mats).real - pi_sq
     checks = (
-        Check(
-            ~usable,
-            lambda i: InvalidRange(
-                f"measurement direction must be finite and non-zero, got {us[i]}"
-            ),
-        ),
         Check(
             ~(np.abs(pi_sq - rho_pi) <= IDENTITY_ATOL),
             lambda i: BoundViolation(
@@ -584,35 +571,15 @@ def _identity_checks(mats: np.ndarray, n: int, us) -> tuple[tuple, np.ndarray, n
     return checks, pi_sq, rho_pi
 
 
-def measurement_identity_check(rho: DensityMatrix, u) -> tuple[float, float]:
-    """Evaluate Tr((Pi(rho))^2) and Tr(rho Pi(rho)) for the measurement along u.
-
-    The two traces coincide for every von Neumann measurement, and
-    ||rho - Pi(rho)||^2 = Tr(rho^2) - Tr((Pi(rho))^2); both identities are
-    verified within 1e-10 and a failure raises, since it can only mean a
-    numerical fault. A u that is not three real numbers, or is zero or
-    non-finite, raises InvalidRange.
-    """
-    if rho.m != 2:
-        raise WrongDimension(f"measurement identity requires m = 2, got m={rho.m}")
-    u = np.asarray(u)
-    if u.shape != (3,) or u.dtype.kind not in "iuf":
-        raise InvalidRange(f"measurement direction must be three real numbers, got {u}")
-    checks, pi_sq, rho_pi = _identity_checks(rho.mat[None], rho.n, u[None])
-    fault = first_fault(checks)
-    if fault is not None:
-        raise fault[1]
-    return float(pi_sq[0]), float(rho_pi[0])
-
-
 def bounds_check(rho: DensityMatrix) -> MeasureReport:
     """Compute all measures of one state, as `MeasureReport` defines them, and
     verify the proven bounds: the kernel on a stack of one.
 
     0 <= N <= 1, 0 <= D <= m/(m-1) and -m/(m-1) <= N^2 - D <= 1, each with
-    1e-9 slack. The state's first fault among all the checks is raised, a
-    BoundViolation or a CapViolation: these are theorems, so a failure signals
-    a numerical fault.
+    1e-9 slack and with 1 raised to `negativity_ceiling` for the negative
+    eigenvalues the gate admits. The state's first fault among all the checks
+    is raised, a BoundViolation or a CapViolation: these are theorems, so a
+    failure signals a numerical fault.
     """
     measured = _measure_stack(rho.mat[None], rho.m, rho.n)
     fault = first_fault(measured.checks)

@@ -31,7 +31,7 @@ warning.
 
 Each set of checks is built once and walked once: the gate walks the cheap
 checks once per chunk, and builds and walks the positivity check only when
-the screen fails. Like the rest of the chunk path (see `measures`), the gate
+the screen fails. Like the rest of the chunk path (see README), the gate
 calls ufuncs, ndarray methods and `np.linalg.cholesky`, and takes a spectrum
 with `eigvalsh` only behind a failed screen.
 """

@@ -18,6 +18,18 @@ DISCORD_CLAMP_FLOOR = -1e-12  # discord down to this is solver noise, clamped to
 # D >= N^2/(n-1) at m = 2: a state with eigenvalues down to -eps has N^2/(n-1) - D
 # at most 16 eps N (the proof in tests/test_checks.py), plus rounding.
 TWO_PARTY_ATOL = BOUND_ATOL - 16 * PSD_MIN_EIGENVALUE
+
+
+def negativity_ceiling(m: int, n: int) -> float:
+    """The largest N of an m (x) n state the gate admits: 1 + TRACE_ATOL + mn(m+1) eps/(m-1).
+
+    With eps = -PSD_MIN_EIGENVALUE, rho + eps I is Tr(rho + eps I) times a
+    state (the proof in tests/test_checks.py). N^2 - D is at most this
+    ceiling squared; D's interval needs no slack. The checks add BOUND_ATOL.
+    """
+    return 1.0 + TRACE_ATOL - m * n * (m + 1) * PSD_MIN_EIGENVALUE / (m - 1)
+
+
 IDENTITY_ATOL = 1e-10  # the two sides of each measurement identity differ only by rounding
 # N and D of a pure draw from Schmidt data against the kernel on its projector:
 # rounding only (at most 1.5e-15 on 20,900 random pure states at 2x2 to 4x4).

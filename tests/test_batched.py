@@ -26,6 +26,7 @@ from gdneg.io_cli import main, run_sample, run_verify, sample_states, sweep_rows
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
 from gdneg.states import first_invalid_state
+from gdneg.tolerances import negativity_ceiling
 
 from random_states import gated, random_pure_state
 
@@ -279,17 +280,20 @@ def test_verify_identity_failure_mid_chunk_matches_per_state_order(tmp_path, mon
     rhos = list(sample_states(2, 3, 2 * size, 11, "hilbert-schmidt"))
     rho = rhos[index]
     break_projection_of(monkeypatch, rho.mat)
-    # The per-state order: one direction drawn for each state before it and for it.
+    # The per-state order: one direction drawn for each state before it and for it,
+    # each state checked on a stack of one.
     rng = np.random.default_rng(11)
-    for before in rhos[:index]:
-        measures.measurement_identity_check(before, rng.standard_normal(3))
-    with pytest.raises(measures.BoundViolation, match="measurement identity failed") as exc:
-        measures.measurement_identity_check(rho, rng.standard_normal(3))
+    faults = [errors.first_fault(measures._identity_checks(state.mat[None], 3,
+                                                           rng.standard_normal((1, 3)))[0])
+              for state in rhos[:index + 1]]
+    assert faults[:index] == [None] * index
+    error = faults[index][1]
+    assert str(error).startswith("measurement identity failed")
 
     report = run_verify(2, 3, 2 * size, 11)
     assert report["passed"] is False
     assert report["checked"] == index
-    assert report["failure"] == str(exc.value)
+    assert report["failure"] == str(error)
     written = io_cli.read_state(report["failure_state_file"])
     assert np.array_equal(written.mat, rho.mat)
 
@@ -316,6 +320,8 @@ def narrowed(interval, window):
 
 # One entry per kernel check, in the kernel's order: the name patched in
 # gdneg.measures, its value, and the error each failing state must raise.
+# N's interval, and N^2 - D's above, end at the 2x3 ceiling the gate admits.
+CEILING = negativity_ceiling(2, 3)
 FORCED_CHECKS = {
     "dual-negativity": ("DUAL_NEGATIVITY_ATOL", -1.0, BoundViolation,
                         r"the two negativity expressions disagree: \S+ vs \S+"),
@@ -323,11 +329,11 @@ FORCED_CHECKS = {
                       r"discord lower bound came out negative: \S+"),
     "pt-cap": ("NEGATIVE_EIGENVALUE_CUTOFF", 0.08, CapViolation,
                r"\d+ negative partial-transpose eigenvalues exceed the cap 2 for a 2x3 state"),
-    "n-interval": ("_outside", narrowed((0.0, 1.0), (0.0, 0.3)), BoundViolation,
+    "n-interval": ("_outside", narrowed((0.0, CEILING), (0.0, 0.3)), BoundViolation,
                    r"negativity \S+ outside \[0, 1\]"),
     "d-interval": ("_outside", narrowed((0.0, 2.0), (0.0, 0.18)), BoundViolation,
                    r"discord \S+ outside \[0, 2\.0\]"),
-    "gap-interval": ("_outside", narrowed((-2.0, 1.0), (-0.12, 1.0)), BoundViolation,
+    "gap-interval": ("_outside", narrowed((-2.0, CEILING**2), (-0.12, 1.0)), BoundViolation,
                      r"N\^2 - D = \S+ outside \[-2\.0, 1\] for a 2x3 state"),
 }
 

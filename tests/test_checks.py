@@ -44,18 +44,61 @@ The check runs last in the kernel and in the pure route, so every earlier
 first fault is kept; a property below finds no state of any rank that
 fails it, and a regression test passes a gate-admitted state that fails it
 with BOUND_ATOL slack alone.
+
+Every other check holds on every matrix the gate admits too: Hermitian rho
+with |Tr rho - 1| <= tau = TRACE_ATOL and eigenvalues at least -eps. Then
+P = rho + eps I is positive semidefinite, and P^G = rho^G + eps I, since the
+partial transpose is linear and fixes I. Write d = mn and t = Tr rho.
+
+- The PT cap. A positive semidefinite P^G has at most (m - 1)(n - 1)
+  negative eigenvalues (Rana, PRA 87, 2013), so rho^G has at most that many
+  below -eps. The kernel checks the cap on the count below
+  PSD_MIN_EIGENVALUE + NEGATIVE_EIGENVALUE_CUTOFF = -eps - 1e-10; the 1e-10
+  covers the rounding of eigvalsh and of the gate's Cholesky screen, of
+  order d u for matrices of norm about 1. The reported `pt_negative_count`
+  keeps its cutoff, -1e-10, so it can exceed the cap:
+  (1 + e)|00><00| - e|Psi-><Psi-| has two PT eigenvalues of -e/2.
+- The N interval. sigma = P / c with c = t + d eps is a state, so
+  rho^G = c sigma^G - eps I. The negative eigenvalues of sigma^G sum to at
+  least -(m - 1)/2, since N(sigma) <= 1. For each eigenvalue mu of sigma^G,
+  min(c mu - eps, 0) >= c min(mu, 0) - eps, so the negative eigenvalues of
+  rho^G sum to at least -c (m - 1)/2 - d eps, and N <= c + 2 d eps/(m - 1)
+  <= 1 + tau + d (m + 1) eps/(m - 1), `negativity_ceiling`. N >= 0 holds
+  by construction. (1 + e)|Phi+><Phi+| - e|01><01| has N = 1 + 2e.
+- The D interval needs no slack. D >= 0 by the clamp. D is at most the
+  distance bound m/(m - 1) (Tr rho^2 - Tr rho_B^2/m), which holds for every
+  Hermitian rho and is checked on its own. Tr rho_B^2 >= t^2/n, and
+  Tr rho^2, a convex function of eigenvalues at least -eps that sum to t,
+  is at most (t + (d - 1) eps)^2 + (d - 1) eps^2. So m/(m - 1) - D is at
+  least m/(m - 1) (1/d - 3 tau - 2.1 d eps - d^2 eps^2), which is positive
+  for d below 20,000.
+- The gap interval: N^2 - D <= N^2 <= `negativity_ceiling`^2, and
+  N^2 - D >= -D >= -m/(m - 1).
+- The two-party check above used N <= 1. With N up to the ceiling, 16 eps N
+  grows by 16 eps (N - 1) < 1e-16 n at m = 2, inside BOUND_ATOL.
+- The rest need no positivity. The two negativity expressions differ by
+  (t - 1)/(m - 1). G is a Gram matrix for every Hermitian rho. The distance
+  bound and the measurement identities are algebra on Hermitian matrices.
+
+A derandomized property below subtracts e |v><v|, e up to eps, from states
+on the boundary (pure, rank 2, products and maximally entangled ones) and
+finds no admitted state that `bounds_check` rejects; the two states above
+are its examples and regression rows.
 """
+
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gdneg import bloch, io_cli, measures, states
 from gdneg.families import FamilySpec, build
 from gdneg.io_cli import run_verify
 
-from gdneg.tolerances import BOUND_ATOL, TWO_PARTY_ATOL
+from gdneg.errors import InvalidState, first_fault
+from gdneg.tolerances import BOUND_ATOL, PSD_MIN_EIGENVALUE, TWO_PARTY_ATOL
 
 from random_states import gated, low_rank_states, random_density_matrix
 
@@ -71,11 +114,9 @@ def verify_fault():
 
 def identity_fault():
     rho = random_density_matrix(2, 3, np.random.default_rng(8))
-    try:
-        measures.measurement_identity_check(rho, [0.3, -0.5, 0.8])
-    except measures.BoundViolation as exc:
-        return str(exc)
-    return None
+    checks = measures._identity_checks(rho.mat[None], 3, np.array([[0.3, -0.5, 0.8]]))[0]
+    fault = first_fault(checks)
+    return None if fault is None else str(fault[1])
 
 
 def analyze_fault(rho):
@@ -192,3 +233,71 @@ def test_two_party_check_admits_what_the_gate_admits():
     report = measures.bounds_check(states.DensityMatrix(2, 2, rho))
     assert report.bounds_ok
     assert BOUND_ATOL < report.gap < TWO_PARTY_ATOL
+
+
+KET_00 = np.array([1.0, 0.0, 0.0, 0.0])
+KET_01 = np.array([0.0, 1.0, 0.0, 0.0])
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+
+# (m, n, sigma, v, e) for (1 + e) sigma - e |v><v|: 2x2 states the gate admits
+# that the PT cap and the N interval once rejected.
+PT_CAP_CASES = [(2, 2, np.outer(KET_00, KET_00), PSI_MINUS, e) for e in (3e-10, 5e-10, 9e-10)]
+N_CASE = (2, 2, np.outer(PHI_PLUS, PHI_PLUS), KET_01, 0.9e-9)
+
+
+def subtracted(sigma, v, e):
+    return (1 + e) * sigma - e * np.outer(v, v.conj())
+
+
+def boundary_state(kind, m, n, rng):
+    """A boundary state: pure, of rank 2, a product of pure factors or maximally entangled."""
+    if kind == "maximal":
+        return measures.maximal_state(m, n).mat
+    if kind == "product":
+        return np.kron(low_rank_states(m, 1, 1, rng)[0], low_rank_states(n, 1, 1, rng)[0])
+    return low_rank_states(m * n, 1 if kind == "pure" else 2, 1, rng)[0]
+
+
+@st.composite
+def boundary_cases(draw):
+    m, n = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 3)]))
+    sigma = boundary_state(draw(st.sampled_from(["pure", "rank 2", "product", "maximal"])), m, n,
+                           np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    v = io_cli._unit_vectors(m * n, 1, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))[0]
+    if draw(st.booleans()):  # v in sigma's kernel: the smallest eigenvalue is then -e
+        w, u = np.linalg.eigh(sigma)
+        kernel = u[:, w < 1e-12]
+        v = kernel @ (kernel.conj().T @ v)
+        v /= np.linalg.norm(v)
+    return m, n, sigma, v, draw(st.floats(0.0, -PSD_MIN_EIGENVALUE))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=boundary_cases())
+@example(case=PT_CAP_CASES[0])
+@example(case=PT_CAP_CASES[1])
+@example(case=PT_CAP_CASES[2])
+@example(case=N_CASE)
+def test_bounds_check_passes_every_state_the_gate_admits(case):
+    m, n, sigma, v, e = case
+    try:
+        rho = states.DensityMatrix(m, n, subtracted(sigma, v, e))
+    except InvalidState:
+        assume(False)
+    measures.bounds_check(rho)
+
+
+@pytest.mark.parametrize("case", PT_CAP_CASES + [N_CASE], ids=["cap-3e-10", "cap-5e-10",
+                                                                 "cap-9e-10", "N-0.9e-9"])
+def test_analyze_passes_what_the_gate_admits(case, tmp_path, capsys):
+    m, n, sigma, v, e = case
+    path = str(tmp_path / "state.json")
+    io_cli.write_state(path, states.DensityMatrix(m, n, subtracted(sigma, v, e)))
+    assert io_cli.main(["analyze", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bounds_ok"]
+    if case is N_CASE:
+        assert report["negativity"] == pytest.approx(1 + 2 * e, abs=1e-15)
+    else:  # reported at the noise cutoff: both PT eigenvalues of -e/2
+        assert (report["pt_negative_count"], report["pt_negative_cap"]) == (2, 1)

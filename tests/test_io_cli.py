@@ -1113,12 +1113,13 @@ class TestColdImport:
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
         same, exported, listed, unknown = json.loads(out.stdout)
-        assert len(exported) == 38 and same == exported
+        assert len(exported) == 37 and same == exported
         assert set(exported) <= set(listed) and "__version__" in listed
         assert unknown == "module 'gdneg' has no attribute 'not_a_name'"
         # The names the package exported when it imported every layer eagerly, less
         # the one-field measure wrappers and `kron`, which `bounds_check` and `np.kron` replace,
-        # and `trace_norm`, `partial_trace_b` and `in_range`, which nothing called.
+        # `trace_norm`, `partial_trace_b` and `in_range`, which nothing called, and
+        # `measurement_identity_check`, which only tests called.
         assert set(exported) == {
             "BlochForm", "decompose", "g_matrix", "reconstruct", "BoundViolation", "CapViolation",
             "DimensionMismatch", "InvalidDimension", "InvalidRange", "InvalidState", "NotAState",
@@ -1127,13 +1128,13 @@ class TestColdImport:
             "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "partial_transpose",
             "DensityMatrix", "MeasureReport", "PureState",
             "bounds_check", "gd_bruteforce_2xn", "gd_bruteforce_stack", "maximal_state",
-            "measurement_identity_check", "project_a", "pure_gd", "pure_negativity", "schmidt",
+            "project_a", "pure_gd", "pure_negativity", "schmidt",
             "basis_for",
         }
 
     def test_removed_names_are_gone(self):
         removed = ("negativity", "pt_negative_count", "gd_lower_bound", "geometric_discord", "kron",
-                   "trace_norm", "partial_trace_b", "in_range")
+                   "trace_norm", "partial_trace_b", "in_range", "measurement_identity_check")
         for module in (gdneg, measures, matrixcore, families):
             assert [name for name in removed if hasattr(module, name)] == [], module
         assert not hasattr(measures, "__all__")

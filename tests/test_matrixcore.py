@@ -126,6 +126,14 @@ class TestPartialTranspose:
         with pytest.raises(DimensionMismatch):
             partial_transpose(np.eye(6), 2, 2)
 
+    @pytest.mark.parametrize("m,n", [(1, 4), (4, 1)])
+    def test_returns_a_new_array_where_the_swap_is_a_view(self, m, n):
+        # With m or n = 1 the swapped view reshapes without a copy.
+        a = np.arange(32.0).reshape(2, 4, 4)
+        out = partial_transpose(a, m, n)
+        assert not np.shares_memory(out, a)
+        assert np.array_equal(out, a if m == 1 else a.swapaxes(-1, -2))
+
 
 class TestNorms:
     def test_trace_norm_rho1_pt(self):

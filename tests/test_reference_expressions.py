@@ -139,11 +139,11 @@ def old_identity_traces(mats, n, us):
     projected = measures.project_a(mats, n, units)
     pi_sq = np.einsum("kij,kji->k", projected, projected).real
     rho_pi = np.einsum("kij,kji->k", mats, projected).real
-    return usable, pi_sq, rho_pi
+    return pi_sq, rho_pi
 
 
 def unscaled_units(us):
-    """The identities' unit directions before each was scaled by a power of two."""
+    """Each direction over its norm, or zero where that norm is zero or not finite."""
     norms = np.sqrt((us * us).sum(axis=-1))
     usable = (0.0 < norms) & (norms < np.inf)
     return np.divide(us, norms[:, None], out=np.zeros(us.shape), where=usable[:, None])
@@ -275,17 +275,15 @@ def test_oracle_and_identity_traces_are_the_old_expressions_bit_for_bit(n):
     for mats in stacks(2, n):
         assert bits(measures.gd_bruteforce_stack(mats, n)) == bits(old_bruteforce(mats, n))
         us = np.random.default_rng(n).standard_normal((len(mats), 3))
-        us[3] = 0.0  # not usable: the check names it, and its traces are of direction 0
-        checks, pi_sq, rho_pi = measures._identity_checks(mats, n, us)
-        usable, old_pi_sq, old_rho_pi = old_identity_traces(mats, n, us)
+        _, pi_sq, rho_pi = measures._identity_checks(mats, n, us)
+        old_pi_sq, old_rho_pi = old_identity_traces(mats, n, us)
         assert bits(pi_sq) == bits(old_pi_sq) and bits(rho_pi) == bits(old_rho_pi)
-        assert np.array_equal(checks[0].failed, ~usable)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_identity_units_are_the_unscaled_ones_on_verify_draws(n, monkeypatch):
-    # The power-of-two scaling is exact: directions drawn as `run_verify` draws
-    # them keep their unit vectors, and so their traces, byte for byte.
+    # Directions drawn as `run_verify` draws them are divided by their norm,
+    # unscaled, so their unit vectors and traces keep their bytes.
     units = []
     project_a = measures.project_a
     monkeypatch.setattr(measures, "project_a",
