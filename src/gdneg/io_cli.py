@@ -17,17 +17,19 @@ report record, with sorted keys.
 `sample`, `verify` and `sweep` draw or build, validate and measure states in
 chunks of at most CHUNK_ENTRIES matrix entries, each validated by one gate
 and measured by one kernel call. Pure draws stay unit vectors: a pure chunk
-is measured from its Schmidt coefficients, with the kernel run on the
-projector of its first state as a cross-check. Random states are drawn in the
-order of one at a time, so a seed's state stream, counts and verdicts are as
-with per-state drawing. A sweep chunk's members are built from the index of
-its first row and gated by one `families` call, and its CSV lines are written
-once it is measured, so a sweep's memory does not grow with `--steps` (see
-`_write_whole`). Negative counts and seeds, and sweep ranges with a
-non-finite bound or width or whose steps overflow, a `--steps` beyond float
-range included, are rejected as InvalidRange. A state with m * n >
-MAX_STATE_DIM (90), which does not fit in one chunk, is rejected as
-InvalidDimension by `sample`, `verify` and `read_state` before numpy loads.
+holds up to CHUNK_ENTRIES vector entries, c min(d, c) vectors with c =
+`_chunk_size(d)`, and is measured from their Schmidt coefficients, with one
+kernel call on the projectors of every c-th state as a cross-check. Random
+states are drawn in the order of one at a time, so a seed's state stream,
+counts and verdicts are as with per-state drawing. A sweep chunk's members
+are built from the index of its first row and gated by one `families` call,
+and its CSV lines are written once it is measured, so a sweep's memory does
+not grow with `--steps` (see `_write_whole`). Negative counts and seeds, and
+sweep ranges with a non-finite bound or width or whose steps overflow, a
+`--steps` beyond float range included, are rejected as InvalidRange. A state
+with m * n > MAX_STATE_DIM (90), which does not fit in one chunk, is
+rejected as InvalidDimension by `sample`, `verify` and `read_state` before
+numpy loads.
 
 Nothing numeric loads at import: this module and the package `__init__`
 import no numpy and no layer, and its records are `errors.Record`s, which
@@ -116,19 +118,22 @@ def _fmt(x: float) -> str:
 
 def _measured(chunks, m: int, n: int):
     """For each validated stack: the index of its first state, the stack, and its
-    measures, by `_measure_pure_stack` for a (k, mn) stack of unit vectors and by
-    `_measure_stack` for a (k, mn, mn) stack of states. Each caller walks the
-    checks with its own fault policy.
+    measures, by `_measure_pure_stack` for a (k, mn) stack of unit vectors, which
+    cross-checks every `_chunk_size(mn)`-th state, and by `_measure_stack` for a
+    (k, mn, mn) stack of states. Each caller walks the checks with its own fault
+    policy.
 
     The measures layer is imported before the first chunk is drawn or built, so
     a cold `sample` or `verify` loads it before `numpy.random` (see `_draw_stacks`).
     """
     from .measures import _measure_pure_stack, _measure_stack
 
+    every = _chunk_size(m * n)
     start = 0
     for stack in chunks:
-        measure = _measure_pure_stack if stack.ndim == 2 else _measure_stack
-        yield start, stack, measure(stack, m, n)
+        measured = (_measure_pure_stack(stack, m, n, every) if stack.ndim == 2
+                    else _measure_stack(stack, m, n))
+        yield start, stack, measured
         start += len(stack)
 
 
@@ -326,7 +331,11 @@ def _draw_stacks(d: int, count: int, seed, ensemble: str):
 
     Pure draws stay vectors, checked as such: a finite unit vector's projector is
     Hermitian to entry rounding, has trace ||v||^2 within TRACE_ATOL of 1 and
-    has rank 1.
+    has rank 1. A pure chunk holds c min(d, c) vectors, c = `_chunk_size(d)`, so
+    at most CHUNK_ENTRIES vector entries, and the projectors of its every c-th
+    state, which `_measured` cross-checks, at most CHUNK_ENTRIES matrix entries.
+    Each full pure chunk is a multiple of c states, so a chunk's c-th states are
+    the stream's.
 
     The random generator is made, so `numpy.random` loaded, when the stream
     starts, after the caller has imported the layers it measures with: compiling
@@ -339,6 +348,8 @@ def _draw_stacks(d: int, count: int, seed, ensemble: str):
 
     rng = np.random.default_rng(seed)
     size = _chunk_size(d)
+    if ensemble == "pure":
+        size *= min(d, size)
     for start in range(0, count, size):
         k = min(size, count - start)
         if ensemble == "pure":
@@ -356,14 +367,15 @@ def _draw_stacks(d: int, count: int, seed, ensemble: str):
 def sample_states(m: int, n: int, count: int, seed: int, ensemble: str):
     """Deterministic stream of `count` random states for the given seed.
 
-    Each state is a DensityMatrix; a pure draw is its projector.
+    Each state is a DensityMatrix; a pure draw is its projector, formed as it is
+    yielded.
     """
     from .measures import _projectors
     from .states import DensityMatrix
 
     for stack in _state_chunks(m, n, count, seed, ensemble):
-        for mat in _projectors(stack) if ensemble == "pure" else stack:
-            yield DensityMatrix(m, n, mat)
+        for row in stack:
+            yield DensityMatrix(m, n, _projectors(row) if ensemble == "pure" else row)
 
 
 class SampleSummary(Record):

@@ -35,8 +35,9 @@ Hermitian (see `states`), and reads every measure from them as they are.
 Pure states need only their Schmidt coefficients. `_measure_pure_stack`
 measures a stack of unit vectors from them, with `pure_negativity`, `pure_gd`
 at m = 2 and the lower bound's spectrum written in Schmidt weights at m >= 3,
-and returns what the kernel would return for their projectors; the kernel
-runs on the projector of its first state as a cross-check.
+and returns what the kernel would return for their projectors; one kernel
+call on the projectors of every c-th state, c given by the caller, is the
+cross-check.
 
 At the chunk sizes the CLI runs, much of a chunk's time is fixed cost per
 numpy call, so the chunk path calls numpy's C entry points in place of the
@@ -240,8 +241,8 @@ def _measure_stack(h: np.ndarray, m: int, n: int) -> _StackMeasures:
 
 
 def _projectors(vs: np.ndarray) -> np.ndarray:
-    """|v><v| of each vector of a (k, d) stack: shape (k, d, d)."""
-    return vs[:, :, None] * vs.conj()[:, None, :]
+    """|v><v| of each vector of a (..., d) stack: shape (..., d, d)."""
+    return vs[..., :, None] * vs.conj()[..., None, :]
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +306,7 @@ def _pure_lower_bound(p: np.ndarray) -> np.ndarray:
     return (m / (m - 1)) * values[:, : m * m - m + 1].sum(axis=1)
 
 
-def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
+def _measure_pure_stack(vs: np.ndarray, m: int, n: int, every: int = 1) -> _StackMeasures:
     """`_measure_stack` of the projectors of a validated (k, mn) stack of unit vectors, m <= n.
 
     Measured from the Schmidt coefficients c of each (m, n) amplitude matrix:
@@ -313,35 +314,42 @@ def _measure_pure_stack(vs: np.ndarray, m: int, n: int) -> _StackMeasures:
     bound is exact, and `_pure_lower_bound` at m >= 3, and the PT negative
     count is the number of pairs i < j with -c_i c_j below the noise cutoff
     (a pure state's PT spectrum is the p_i, the +-c_i c_j and zeros, so the
-    count is at most m(m-1)/2 <= (m-1)(n-1)). As a cross-check, `_measure_stack`
-    runs on the Hermitian part of the projector of the first state: that state
-    gets the kernel's checks, the cap check among them, then the check that
-    the two routes agree on N and D within PURE_ROUTE_ATOL. The interval
-    checks then apply to every state, then the kernel's two-party checks to
-    the first state and the route's own to every state.
+    count is at most m(m-1)/2 <= (m-1)(n-1)). As a cross-check, one
+    `_measure_stack` call runs on the Hermitian parts of the projectors of
+    states 0, `every`, 2 `every`, ...: each of those states gets the kernel's
+    checks, the cap check among them, then the check that the two routes agree
+    on N and D within PURE_ROUTE_ATOL. The interval checks then apply to every
+    state, then the kernel's two-party checks to the cross-checked states and
+    the route's own to every state.
     """
     k = len(vs)
-    kernel = _measure_stack(hermitian_part(_projectors(vs[:1])), m, n)
+    kernel = _measure_stack(hermitian_part(_projectors(vs[::every])), m, n)
     c = _schmidt_stack(vs.reshape(k, m, n))
     neg = pure_negativity(c, m)
     disc = pure_gd(c, m) if m == 2 else _pure_lower_bound(c * c)
     gap = neg * neg - disc
     count = (-_pair_products(c) < NEGATIVE_EIGENVALUE_CUTOFF).sum(axis=1)
-    dev = np.maximum(np.abs(neg[:1] - kernel.negativity), np.abs(disc[:1] - kernel.discord))
+    dev = np.maximum(np.abs(neg[::every] - kernel.negativity),
+                     np.abs(disc[::every] - kernel.discord))
     cross = Check(
         ~(dev <= PURE_ROUTE_ATOL),
-        lambda i: BoundViolation(
+        lambda j: BoundViolation(
             "the Schmidt and projector routes disagree: "
-            f"N {float(neg[0])!r} vs {float(kernel.negativity[0])!r}, "
-            f"D {float(disc[0])!r} vs {float(kernel.discord[0])!r}"
+            f"N {float(neg[j * every])!r} vs {float(kernel.negativity[j])!r}, "
+            f"D {float(disc[j * every])!r} vs {float(kernel.discord[j])!r}"
         ),
     )
     two_party = _two_party_checks(neg, disc, m, n)
     cut = len(kernel.checks) - len(two_party)  # the kernel's two-party checks come last
-    at_first = np.arange(k) == 0
-    first = lambda checks: tuple(Check(at_first & check.failed[0], check.fault) for check in checks)
-    checks = (first(kernel.checks[:cut] + (cross,)) + _interval_checks(neg, disc, gap, m, n)
-              + first(kernel.checks[cut:]) + two_party)
+
+    def spread(check):  # the kernel's state j is state j * every of the stack
+        failed = np.zeros(k, dtype=bool)
+        failed[::every] = check.failed
+        return Check(failed, lambda i: check.fault(i // every))
+
+    checks = (tuple(map(spread, kernel.checks[:cut] + (cross,)))
+              + _interval_checks(neg, disc, gap, m, n)
+              + tuple(map(spread, kernel.checks[cut:])) + two_party)
     return _StackMeasures(neg, disc, gap, count, checks)
 
 

@@ -147,18 +147,64 @@ def test_pure_cross_check_fires_on_every_chunk(monkeypatch, capsys):
         "numerical fault: state 0: the Schmidt and projector routes disagree: N ")
 
 
-def test_pure_chunk_builds_one_projector(monkeypatch):
-    sizes = []
+def pure_stream(m, n, count, seed):
+    """The unit vectors of a seed's pure stream, each drawn alone."""
+    rng = np.random.default_rng(seed)
+    return np.array([random_pure_state(m, n, rng).amplitudes for _ in range(count)])
+
+
+# (m, n): at 5x6, c = 9 < d = 30, so a chunk holds c * c vectors, not c * d.
+@pytest.mark.parametrize("m,n", DIMS + [(5, 6)])
+def test_pure_chunk_cross_checks_every_c_th_state_in_one_call(m, n, monkeypatch):
+    stacks = []
     real = measures._measure_stack
 
-    def counting(mats, m, n):
-        sizes.append(len(mats))
+    def recording(mats, m, n):
+        stacks.append(mats)
         return real(mats, m, n)
 
-    monkeypatch.setattr(measures, "_measure_stack", counting)
-    size = io_cli._chunk_size(9)
-    run_sample(3, 3, 2 * size + 5, 4, "pure")
-    assert sizes == [1, 1, 1]
+    monkeypatch.setattr(measures, "_measure_stack", recording)
+    d = m * n
+    c = io_cli._chunk_size(d)
+    chunk = c * min(d, c)
+    assert chunk * d <= io_cli.CHUNK_ENTRIES
+    count = 2 * chunk + 5
+    run_sample(m, n, count, 4, "pure")
+    vs = pure_stream(m, n, count, 4)
+
+    def checked(vs):  # the Hermitian parts of their projectors, as the gate would form
+        return matrixcore.hermitian_part(measures._projectors(vs))
+
+    assert len(stacks) == 3  # two vector chunks and a remainder, one kernel call each
+    for i, stack in enumerate(stacks):
+        assert np.array_equal(stack, checked(vs[i * chunk:(i + 1) * chunk:c]))
+        assert stack.size <= io_cli.CHUNK_ENTRIES
+    assert np.array_equal(np.concatenate(stacks), checked(vs[::c]))
+
+
+def test_kernel_fault_on_the_second_cross_checked_state_is_reported_there(monkeypatch, capsys):
+    # The kernel's D scaled by 100 on the second projector it is given in a pure
+    # run, state c of the stream: `sample` names state c and the kernel's message.
+    c = io_cli._chunk_size(6)
+    real = bloch.g_stack
+    projector = matrixcore.hermitian_part(measures._projectors(pure_stream(2, 3, c + 1, 3)[c:]))
+    monkeypatch.setattr(bloch, "g_stack", lambda h, m, n: 100 * real(h, m, n))
+    expected = errors.first_fault(_measure_stack(projector, 2, 3).checks)[1]
+    assert re.fullmatch(r"discord \S+ outside \[0, 2\.0\]", str(expected))
+    seen = 0
+
+    def second_scaled(h, m, n):
+        nonlocal seen
+        g = real(h, m, n)
+        if seen <= 1 < seen + len(g):
+            g[1 - seen] *= 100
+        seen += len(g)
+        return g
+
+    monkeypatch.setattr(bloch, "g_stack", second_scaled)
+    assert main(["sample", "--dims", "2x3", "--ensemble", "pure", "--count", "500",
+                 "--seed", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"numerical fault: state {c}: {expected}"]
 
 
 def test_matrixcore_stacks_act_per_matrix():
@@ -509,13 +555,13 @@ def test_gate_walks_its_checks_once_per_chunk(monkeypatch):
 
 # Each path and the number of states of each Hermitian part it forms: one per
 # chunk of states, the gate's, and one per pure chunk, the cross-check's
-# projector; `analyze` forms one, in its DensityMatrix.
+# projectors of every c-th state; `analyze` forms one, in its DensityMatrix.
 HERMITIAN_PART_PATHS = {
     "sweep-rho1": (lambda: list(sweep_rows("rho1", 0, 6, 500)), [227, 227, 46]),
     "analyze": (lambda: main(["analyze", "rho1.json", "--json"]), [1]),
     "sample-hs-2x3": (lambda: run_sample(2, 3, 300, 1, "hilbert-schmidt"), [227, 73]),
     "verify-2x3": (lambda: run_verify(2, 3, 30, 1, oracle_subsample=2), [30]),
-    "sample-pure-2x3": (lambda: run_sample(2, 3, 300, 1, "pure"), [1, 1]),
+    "sample-pure-2x3": (lambda: run_sample(2, 3, 300, 1, "pure"), [2]),  # states 0 and 227
 }
 
 
@@ -604,8 +650,11 @@ def test_pure_nan_ends_stream_at_its_index_with_the_norm_message(monkeypatch):
 @pytest.mark.parametrize("m,n", DIMS)
 def test_generated_pure_stacks_are_density_matrices(m, n):
     # Pure draws are validated as vectors alone; their projectors must pass
-    # the full density-matrix check all the same.
-    size = io_cli._chunk_size(m * n)
+    # the full density-matrix check all the same. A pure chunk holds c min(d, c)
+    # vectors: 2048 at 2x2, 1362 at 2x3, 909 at 3x3 and 512 at 4x4.
+    c = io_cli._chunk_size(m * n)
+    size = c * min(m * n, c)
+    assert size == {4: 2048, 6: 1362, 9: 909, 16: 512}[m * n]
     for seed in (0, 1, 2):
         stacks = list(io_cli._state_chunks(m, n, 3 * size, seed, "pure"))
         assert [len(vs) for vs in stacks] == [size] * 3

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gdneg
-from gdneg import errors, families, io_cli, matrixcore, measures
+from gdneg import errors, families, io_cli, matrixcore, measures, states
 from gdneg.errors import InvalidRange, ParseError, UnknownFamily
 from gdneg.families import FamilySpec, build, rho1_closed_forms
 from gdneg.io_cli import (
@@ -510,6 +510,43 @@ class TestSample:
     def test_pure_ensemble(self):
         summary = run_sample(2, 3, 50, 7, "pure")
         assert summary.bound_failures == 0
+
+    # A pure chunk holds at most CHUNK_ENTRIES vector entries; its draw and
+    # validation hold a few complex arrays of that many entries, at most 8 (1.05
+    # MB), and a whole chunk's projectors (0.78 MB at 2x3, 2.1 MB at 4x4) are
+    # never held at once. At m = 2 the route adds the Schmidt minors, k n^2
+    # entries, at most 40,000 (at 2x10), as two products and their difference
+    # (1.92 MB).
+    PURE_DRAW_BYTES = 8 * io_cli.CHUNK_ENTRIES * 16
+    PURE_MINORS_BYTES = 3 * 40_000 * 16
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 4)])
+    def test_pure_peak_memory_does_not_grow_with_count(self, m, n, monkeypatch):
+        d = m * n
+        c = io_cli._chunk_size(d)
+        chunk = c * min(d, c)
+        # A DensityMatrix validates its state again, about 150 us each; stubbed, the
+        # drain holds what `sample_states` draws and the projectors it forms.
+        monkeypatch.setattr(states, "DensityMatrix", lambda m, n, mat: mat)
+        runs = {
+            "run_sample": (lambda k: run_sample(m, n, k, 9, "pure"),
+                           self.PURE_DRAW_BYTES + self.PURE_MINORS_BYTES),
+            "sample_states": (lambda k: sum(1 for _ in sample_states(m, n, k, 9, "pure")),
+                              self.PURE_DRAW_BYTES),
+        }
+        for name, (run, bound) in runs.items():
+            run(5)  # imports and first-call caches
+            peaks = {}
+            for chunks in (4, 16):
+                tracemalloc.start()
+                try:
+                    run(chunks * chunk)
+                    peaks[chunks] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            # Growth below half a chunk's vectors (131 KB) is allocator noise.
+            assert peaks[16] <= peaks[4] + 65_536, (name, peaks)
+            assert max(peaks.values()) < bound, (name, peaks)
 
     def test_empty_run(self, capsys):
         assert main(["sample", "--dims", "2x3", "--count", "0", "--seed", "1", "--json"]) == 0
