@@ -26,16 +26,13 @@ _EXPORTS = {
         "InvalidRange",
         "InvalidState",
         "NotAState",
-        "NotHermitian",
         "NotSquare",
         "ParseError",
         "UnknownFamily",
-        "WrongDimension",
         "FAMILY_NAMES",
     ),
     "families": ("FamilySpec", "build", "rho1_closed_forms", "violates"),
     "matrixcore": (
-        "hermitian_eigenvalues",
         "hermiticity_defect",
         "hs_norm_sq",
         "partial_transpose",
@@ -43,7 +40,6 @@ _EXPORTS = {
     "measures": (
         "MeasureReport",
         "bounds_check",
-        "gd_bruteforce_2xn",
         "gd_bruteforce_stack",
         "maximal_state",
         "project_a",

@@ -26,10 +26,6 @@ class NotSquare(ValueError):
     """Matrix operation received a non-square matrix."""
 
 
-class NotHermitian(ValueError):
-    """Hermiticity defect exceeds the accepted tolerance."""
-
-
 class DimensionMismatch(ValueError):
     """Matrix shape is inconsistent with the declared subsystem dimensions."""
 
@@ -44,10 +40,6 @@ class InvalidState(ValueError):
 
 class NotAState(InvalidState):
     """Family parameters give non-finite entries, a trace other than 1 or a negative eigenvalue."""
-
-
-class WrongDimension(ValueError):
-    """Operation defined only for qubit-side (m = 2) states."""
 
 
 class UnknownFamily(ValueError):

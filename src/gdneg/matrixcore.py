@@ -1,32 +1,26 @@
 """Dense complex matrix arithmetic for small bipartite operators.
 
 All functions are pure and operate on plain ``numpy`` arrays (complex128,
-row-major). Spectra are returned as real vectors sorted nonincreasing.
-`hermiticity_defect`, `hermitian_part`, `hermitian_eigenvalues`,
-`partial_transpose` and `hs_norm_sq` also take a stack of matrices, shape
-(..., d, d), and act on each matrix of it.
+row-major) of shape (..., d, d), one matrix or a stack of them, and act on
+each matrix: `hermiticity_defect` and `hs_norm_sq` give one value per
+matrix, a `numpy.float64` for a single matrix.
 
 `hermitian_part` is the one copy of (A + A^dag)/2, which state validation
-forms (see `states`). `hermitian_eigenvalues` checks its input against
-HERMITIAN_ATOL; `_spectrum`, for validated stacks, checks nothing.
+forms (see `states`). `_spectrum`, the one spectrum of validated stacks,
+sorted nonincreasing, checks and symmetrizes nothing.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotSquare
-from .tolerances import HERMITIAN_ATOL
+from .errors import DimensionMismatch, NotSquare
 
 
 def hermiticity_defect(a: np.ndarray):
-    """Max absolute deviation of a square matrix from its conjugate transpose.
-
-    A float for one matrix; an array of one defect per matrix for a stack.
-    """
+    """Max absolute deviation of each square matrix from its conjugate transpose."""
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    return float(defect) if a.ndim == 2 else defect
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -50,21 +44,6 @@ def _spectrum(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)[..., ::-1]
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted nonincreasing.
-
-    The input is checked against HERMITIAN_ATOL and symmetrized to (A + A^dag)/2
-    before diagonalization, which stabilizes the iteration for inputs that
-    carry float noise.
-    """
-    defect = np.max(hermiticity_defect(a), initial=0.0)
-    if not defect <= HERMITIAN_ATOL:
-        raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {HERMITIAN_ATOL:.1e}"
-        )
-    return _spectrum(hermitian_part(a)).copy()
-
-
 def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
     """Transpose on the m-dimensional subsystem only.
 
@@ -83,11 +62,6 @@ def partial_transpose(a: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def hs_norm_sq(a: np.ndarray):
-    """Squared Hilbert-Schmidt norm: sum of squared entry magnitudes.
-
-    A float for one matrix; an array of one norm per matrix for a stack.
-    """
+    """Squared Hilbert-Schmidt norm of each matrix: sum of squared entry magnitudes."""
     a = np.asarray(a)
-    if a.ndim <= 2:
-        return float(np.vdot(a, a).real)
     return np.einsum("...ij,...ij->...", a.conj(), a).real

@@ -17,7 +17,6 @@ at once, up to 2^60 steps taken as 10 blocks of 6 squarings of M with one
 trace normalisation per block, stops at a block start once a rank-one
 certificate proves every state of the stack within 9e-20 of its maximum
 (most seeded chunks after 12 squarings), and keeps the best direction.
-`gd_bruteforce_2xn` runs it on a stack of one.
 
 Every measure is computed by one kernel on a stack of states, shape
 (k, mn, mn): one partial-transpose spectrum per state feeds both negativity
@@ -60,7 +59,6 @@ from .errors import (
     DimensionMismatch,
     InvalidDimension,
     Record,
-    WrongDimension,
     failed_states,
     first_fault,
 )
@@ -264,16 +262,18 @@ def _schmidt_stack(a: np.ndarray) -> np.ndarray:
     """Schmidt coefficients of each unit (m, n) amplitude matrix of a (k, m, n) stack: (k, m).
 
     At m >= 3, one batched SVD. At m = 2, no LAPACK call: c1 c2 =
-    sqrt(det(a a^dag)) is the root of the sum of the squared 2 x 2 minors
-    (Cauchy-Binet), a sum of non-negative terms that keeps its digits near
-    product states. Then c1 = sqrt((1 + sqrt(1 - 4 c1^2 c2^2))/2) >= 1/sqrt(2)
-    and c2 = c1 c2 / c1, so the product, which is all the measures read at
-    m = 2, is kept to rounding.
+    sqrt(det(a a^dag)) is the root of the sum of the squared 2 x 2 minors on
+    the column pairs i < j (Cauchy-Binet), a sum of non-negative terms that
+    keeps its digits near product states. Then
+    c1 = sqrt((1 + sqrt(1 - 4 c1^2 c2^2))/2) >= 1/sqrt(2) and c2 = c1 c2 / c1,
+    so the product, which is all the measures read at m = 2, is kept to
+    rounding.
     """
     if a.shape[1] > 2:
         return np.linalg.svd(a, compute_uv=False)
-    minors = a[:, 0, :, None] * a[:, 1, None, :] - a[:, 0, None, :] * a[:, 1, :, None]
-    product = np.sqrt(0.5 * (np.abs(minors) ** 2).sum(axis=(1, 2)))  # each pair counted twice
+    i, j = _pairs(a.shape[2])
+    minors = a[:, 0, i] * a[:, 1, j] - a[:, 0, j] * a[:, 1, i]
+    product = np.sqrt((np.abs(minors) ** 2).sum(axis=1))
     c = np.empty((len(a), 2))
     c[:, 0] = np.sqrt((1.0 + np.sqrt(np.maximum(1.0 - 4.0 * product**2, 0.0))) / 2)
     c[:, 1] = product / c[:, 0]
@@ -483,18 +483,6 @@ def gd_bruteforce_stack(mats: np.ndarray, n: int) -> np.ndarray:
     u = u / np.maximum(np.abs(u).max(axis=2, keepdims=True), _TINY)
     u = u / np.maximum(np.sqrt((u * u).sum(axis=2, keepdims=True)), 1.0)
     return hs_norm_sq(mats) - _form_values(form, u).max(axis=1)
-
-
-def gd_bruteforce_2xn(rho: DensityMatrix) -> float:
-    """Geometric discord of a 2 (x) n state by direct minimization.
-
-    `gd_bruteforce_stack` on a stack of one: the climb u <- M u / ||M u|| on
-    the sphere from the three axes. Serves as the independent oracle for
-    `bounds_check`'s discord.
-    """
-    if rho.m != 2:
-        raise WrongDimension(f"brute-force discord requires m = 2, got m={rho.m}")
-    return float(gd_bruteforce_stack(rho.mat[None], rho.n)[0])
 
 
 def schmidt(phi: PureState) -> np.ndarray:

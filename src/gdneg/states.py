@@ -5,7 +5,7 @@
 matrix or copy of the amplitudes.
 
 The density-matrix and unit-norm invariants are written once, for stacks of
-states (`first_invalid_state`, `first_invalid_vector`), as checks walked by
+states (`_gate`, `first_invalid_vector`), as checks walked by
 `errors.first_fault`; the containers run them on a stack of one. Every
 residual is tested as `not (residual <= tol)`, so a NaN residual fails.
 
@@ -79,15 +79,20 @@ def _all_positive(h: np.ndarray) -> bool:
 
 
 def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray]:
-    """`first_invalid_state` of a (k, d, d) stack, and the Hermitian parts it formed.
+    """The first matrix of a (k, d, d) stack that is not a density matrix, or
+    None, and the Hermitian parts the gate formed.
 
-    Those are the parts of the states before the first cheap failure, a prefix
-    at least as long as the valid one, computed once: the positivity screen
-    reads a shifted copy of them, and the valid ones are the validated stack.
-    The cheap checks are walked once; positivity is checked only when the screen
-    fails, and only on that prefix, so a positivity failure comes first. There a
-    state whose Hermitian part overflowed fails positivity by name, without its
-    spectrum.
+    The first is an index and an InvalidState naming the broken invariant and
+    its residual, checked in the order finiteness, hermiticity, trace,
+    positivity. The Hermitian parts are those of the states before the first
+    cheap failure, a prefix at least as long as the valid one, computed once:
+    the positivity screen reads a shifted copy of them, and the valid ones are
+    the validated stack. The cheap checks are walked once. Positivity is
+    screened by one Cholesky factorisation of that prefix; only when the
+    screen fails is its spectrum taken, and the smallest eigenvalue then
+    decides and is reported, so a positivity failure comes first. A state
+    whose Hermitian part overflows float range (finite entries near the float
+    limit) fails positivity as "Hermitian part overflows", without its spectrum.
     """
     # inf - inf in a non-finite state; overflow, and the NaN it leaves in a
     # Hermitian part and its factor, in finite entries near the float limit.
@@ -117,20 +122,6 @@ def _gate(mats: np.ndarray) -> tuple[tuple[int, InvalidState] | None, np.ndarray
             )
             invalid = first_fault((positivity,)) or invalid
     return invalid, h
-
-
-def first_invalid_state(mats: np.ndarray) -> tuple[int, InvalidState] | None:
-    """The first matrix of a (k, d, d) stack that is not a density matrix, or None.
-
-    Returns its index and an InvalidState naming the broken invariant and its
-    residual, checked in the order finiteness, hermiticity, trace, positivity.
-    Positivity is screened by one Cholesky factorisation of the states before
-    the first cheap failure; only when the screen fails is their spectrum taken,
-    and the smallest eigenvalue then decides and is reported. A state whose
-    Hermitian part overflows float range (finite entries near the float limit)
-    fails positivity as "Hermitian part overflows".
-    """
-    return _gate(mats)[0]
 
 
 def first_invalid_vector(vs: np.ndarray) -> tuple[int, InvalidState] | None:

@@ -4,7 +4,7 @@ The other modules import these names. A residual that may be NaN is tested
 as `not (residual <= tol)`, so a NaN residual fails its check.
 """
 
-# Validation of states (states, matrixcore).
+# Validation of states (states).
 HERMITIAN_ATOL = 1e-10  # max |A - A^dag| entry: float noise of a Hermitian product
 TRACE_ATOL = 1e-10  # |Tr rho - 1|: rounding of a normalised trace
 PSD_MIN_EIGENVALUE = -1e-9  # admits states produced by noisy numeric pipelines

@@ -12,10 +12,10 @@ import numpy as np
 from gdneg.bloch import decompose, g_matrix, reconstruct
 from gdneg.families import FamilySpec, build, rho1_closed_forms, template_closed_forms, violates
 from gdneg.io_cli import main, sample_states, write_state
-from gdneg.matrixcore import hermitian_eigenvalues, partial_transpose
+from gdneg.matrixcore import partial_transpose
 from gdneg.measures import (
     bounds_check,
-    gd_bruteforce_2xn,
+    gd_bruteforce_stack,
     maximal_state,
     pure_gd,
     pure_negativity,
@@ -92,15 +92,15 @@ def test_criterion_2_rho1_spectra():
     worst_pt = 0.0
     for a, b in _grid_100():
         rho = _rho1(a, b)
-        w = hermitian_eigenvalues(rho.mat)
-        worst_state = max(worst_state, float(np.max(np.abs(w - np.array([0.5, 0.5, 0, 0, 0, 0])))))
+        w = np.linalg.eigvalsh(rho.mat)
+        worst_state = max(worst_state, float(np.max(np.abs(w - np.array([0, 0, 0, 0, 0.5, 0.5])))))
 
         s = a * a + b * b
         pm = b * np.sqrt(b * b + 4 * a * a)
         expected = np.sort(
             [a * a / (2 * s)] * 2 + [(b * b + pm) / (4 * s)] * 2 + [(b * b - pm) / (4 * s)] * 2
-        )[::-1]
-        w_pt = hermitian_eigenvalues(partial_transpose(rho.mat, 2, 3))
+        )
+        w_pt = np.linalg.eigvalsh(partial_transpose(rho.mat, 2, 3))
         worst_pt = max(worst_pt, float(np.max(np.abs(w_pt - expected))))
     ok = worst_state <= 1e-10 and worst_pt <= 1e-10
     _report(2, "rho1 spectra and PT spectra over 100-point grid", ok,
@@ -196,7 +196,7 @@ def test_criterion_5_oracle_equivalence():
     for m, n, count, seed in [(2, 3, 200, 505), (2, 4, 100, 506)]:
         for rho in sample_states(m, n, count, seed, "hilbert-schmidt"):
             disc = bounds_check(rho).discord
-            brute = gd_bruteforce_2xn(rho)
+            brute = gd_bruteforce_stack(rho.mat[None], n)[0]
             worst = max(worst, abs(brute - disc))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 60.0

@@ -25,7 +25,6 @@ from gdneg.families import FamilySpec, build
 from gdneg.io_cli import main, run_sample, run_verify, sample_states, sweep_rows, write_state
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.measures import DensityMatrix, _measure_stack, bounds_check
-from gdneg.states import first_invalid_state
 from gdneg.tolerances import negativity_ceiling
 
 from random_states import gated, random_pure_state
@@ -91,7 +90,7 @@ def test_kernel_matches_single_state_functions(m, n):
         assert report.pt_negative_count == measured.pt_negative_count[k]
 
 
-PURE_DIMS = [(2, 2), (2, 3), (2, 5), (3, 3), (3, 4), (4, 4)]
+PURE_DIMS = [(2, 2), (2, 3), (2, 5), (2, 10), (3, 3), (3, 4), (4, 4)]
 
 
 def schmidt_amplitudes(m, n, kind, k, rng):
@@ -448,7 +447,7 @@ def mixed_stack():
 
 
 def test_first_invalid_state_is_the_earliest_state_not_the_cheapest_check():
-    index, error = first_invalid_state(mixed_stack())
+    index, error = states._gate(mixed_stack())[0]
     assert index == 2
     assert type(error) is InvalidState
     assert str(error) == "positivity invariant violated: min eigenvalue -0.2"
@@ -457,7 +456,7 @@ def test_first_invalid_state_is_the_earliest_state_not_the_cheapest_check():
 def test_hermiticity_is_reported_before_trace():
     mat = np.eye(4, dtype=complex) / 2  # trace 2
     mat[0, 1] = 0.125  # not mirrored below the diagonal
-    index, error = first_invalid_state(np.array([np.eye(4) / 4, mat]))
+    index, error = states._gate(np.array([np.eye(4) / 4, mat]))[0]
     assert index == 1
     assert str(error) == "hermiticity invariant violated: residual 0.125"
     with pytest.raises(InvalidState, match="^hermiticity invariant violated"):
@@ -546,7 +545,7 @@ def test_gate_walks_its_checks_once_per_chunk(monkeypatch):
     assert [len(checks) for checks in walks] == [3] * 5  # chunks of 227, 227, 227, 227, 92
     walks.clear()
     mats = mixed_stack()
-    index, error = first_invalid_state(mats)
+    index, error = states._gate(mats)[0]
     assert (index, str(error)) == (2, "positivity invariant violated: min eigenvalue -0.2")
     assert [len(checks) for checks in walks] == [3, 1]
     walked = [check for checks in walks for check in checks]
@@ -659,7 +658,7 @@ def test_generated_pure_stacks_are_density_matrices(m, n):
         stacks = list(io_cli._state_chunks(m, n, 3 * size, seed, "pure"))
         assert [len(vs) for vs in stacks] == [size] * 3
         for vs in stacks:
-            assert first_invalid_state(measures._projectors(vs)) is None
+            assert states._gate(measures._projectors(vs))[0] is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

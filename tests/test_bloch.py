@@ -8,7 +8,7 @@ from gdneg.bloch import BlochForm, decompose, g_matrix, reconstruct
 from gdneg.errors import DimensionMismatch
 from gdneg.families import FamilySpec, build
 from gdneg.io_cli import _chunk_size, _hs_stack
-from gdneg.matrixcore import hermitian_eigenvalues, hs_norm_sq
+from gdneg.matrixcore import hs_norm_sq
 from gdneg.states import DensityMatrix
 from gdneg.su_generators import basis_for, basis_stack
 
@@ -82,7 +82,7 @@ def test_reconstruct_z_polarized_qubit_pair():
     # x = (0,0,1), y = 0, T = 0 at 2x2: (1/4)(I + sigma_3 (x) I)
     bf = BlochForm(m=2, n=2, x=np.array([0.0, 0.0, 1.0]), y=np.zeros(3), T=np.zeros((3, 3)))
     mat = reconstruct(bf)
-    assert np.allclose(hermitian_eigenvalues(mat), [0.5, 0.5, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(np.linalg.eigvalsh(mat), [0.0, 0.0, 0.5, 0.5], atol=1e-14)
 
 
 def test_reconstruct_printed_rho1_bloch_data():

@@ -1150,29 +1150,33 @@ class TestColdImport:
         out = run_python(["-c", code], tmp_path)
         assert out.returncode == 0, out.stderr
         same, exported, listed, unknown = json.loads(out.stdout)
-        assert len(exported) == 37 and same == exported
+        assert len(exported) == 33 and same == exported
         assert set(exported) <= set(listed) and "__version__" in listed
         assert unknown == "module 'gdneg' has no attribute 'not_a_name'"
         # The names the package exported when it imported every layer eagerly, less
         # the one-field measure wrappers and `kron`, which `bounds_check` and `np.kron` replace,
-        # `trace_norm`, `partial_trace_b` and `in_range`, which nothing called, and
-        # `measurement_identity_check`, which only tests called.
+        # `trace_norm`, `partial_trace_b` and `in_range`, which nothing called,
+        # `measurement_identity_check`, which only tests called, and the single-state
+        # forks `gd_bruteforce_2xn` and `hermitian_eigenvalues` with the errors only
+        # they raised, `WrongDimension` and `NotHermitian`.
         assert set(exported) == {
             "BlochForm", "decompose", "g_matrix", "reconstruct", "BoundViolation", "CapViolation",
             "DimensionMismatch", "InvalidDimension", "InvalidRange", "InvalidState", "NotAState",
-            "NotHermitian", "NotSquare", "ParseError", "UnknownFamily", "WrongDimension",
+            "NotSquare", "ParseError", "UnknownFamily",
             "FAMILY_NAMES", "FamilySpec", "build", "rho1_closed_forms", "violates",
-            "hermitian_eigenvalues", "hermiticity_defect", "hs_norm_sq", "partial_transpose",
+            "hermiticity_defect", "hs_norm_sq", "partial_transpose",
             "DensityMatrix", "MeasureReport", "PureState",
-            "bounds_check", "gd_bruteforce_2xn", "gd_bruteforce_stack", "maximal_state",
+            "bounds_check", "gd_bruteforce_stack", "maximal_state",
             "project_a", "pure_gd", "pure_negativity", "schmidt",
             "basis_for",
         }
 
     def test_removed_names_are_gone(self):
         removed = ("negativity", "pt_negative_count", "gd_lower_bound", "geometric_discord", "kron",
-                   "trace_norm", "partial_trace_b", "in_range", "measurement_identity_check")
-        for module in (gdneg, measures, matrixcore, families):
+                   "trace_norm", "partial_trace_b", "in_range", "measurement_identity_check",
+                   "gd_bruteforce_2xn", "hermitian_eigenvalues", "first_invalid_state",
+                   "NotHermitian", "WrongDimension")
+        for module in (gdneg, measures, matrixcore, families, states, errors):
             assert [name for name in removed if hasattr(module, name)] == [], module
         assert not hasattr(measures, "__all__")
 

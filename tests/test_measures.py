@@ -11,7 +11,6 @@ from gdneg.errors import (
     BoundViolation,
     InvalidDimension,
     InvalidState,
-    WrongDimension,
     first_fault,
 )
 from gdneg.families import FamilySpec, build, rho1_closed_forms
@@ -20,7 +19,7 @@ from gdneg.measures import (
     DensityMatrix,
     PureState,
     bounds_check,
-    gd_bruteforce_2xn,
+    gd_bruteforce_stack,
     maximal_state,
     project_a,
     pure_gd,
@@ -171,10 +170,10 @@ def test_readme_library_block_prints_the_rho1_gap(capsys):
 
 class TestBruteForceOracle:
     def test_rho1_52_matches_closed_form(self):
-        assert abs(gd_bruteforce_2xn(rho1(5, 2)) - 200 / 841) <= 1e-6
+        assert abs(gd_bruteforce_stack(rho1(5, 2).mat[None], 3)[0] - 200 / 841) <= 1e-6
 
     def test_maximally_mixed(self):
-        assert gd_bruteforce_2xn(DensityMatrix(2, 3, np.eye(6) / 6)) <= 1e-9
+        assert gd_bruteforce_stack(DensityMatrix(2, 3, np.eye(6) / 6).mat[None], 3)[0] <= 1e-9
 
     def test_matches_formula_on_random_states(self):
         rng = np.random.default_rng(36)
@@ -182,12 +181,7 @@ class TestBruteForceOracle:
             for _ in range(15):
                 rho = random_density_matrix(2, n, rng)
                 value = bounds_check(rho).discord
-                assert abs(gd_bruteforce_2xn(rho) - value) <= 1e-6
-
-    def test_rejects_qutrit_side(self):
-        rng = np.random.default_rng(37)
-        with pytest.raises(WrongDimension):
-            gd_bruteforce_2xn(random_density_matrix(3, 3, rng))
+                assert abs(gd_bruteforce_stack(rho.mat[None], n)[0] - value) <= 1e-6
 
 
 class TestSchmidt:

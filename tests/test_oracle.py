@@ -11,7 +11,7 @@ it above 3^-64 and no entry overflows. The climb stops at a block start once
 every state's unit-trace form P' is rank one to 1 - ||P'||_F^2 <= 1e-10. The
 formula reaches the same optimum through the Bloch vector, the correlation
 tensor and an eigenvalue, so the two share no code. These tests pin the oracle to a copy of the climb that normalises
-after every squaring, to the single-state oracle, to the
+after every squaring, to itself on a stack of one, to the
 correlation-tensor formula on random and pure states, to the top eigenvalue
 of M (so a search error shows apart from a formula error), to itself under
 local unitaries, and to the right value where the objective is flat, where
@@ -41,7 +41,6 @@ from gdneg.measures import (
     _measure_stack,
     _projectors,
     bounds_check,
-    gd_bruteforce_2xn,
     gd_bruteforce_stack,
     maximal_state,
     project_a,
@@ -73,7 +72,7 @@ def test_stack_oracle_equals_single_state_oracle(n):
     mats = states(n, 24, 60 + n)
     stacked = gd_bruteforce_stack(mats, n)
     for k, mat in enumerate(mats):
-        assert abs(stacked[k] - gd_bruteforce_2xn(DensityMatrix(2, n, mat))) <= 1e-15
+        assert abs(stacked[k] - gd_bruteforce_stack(mat[None], n)[0]) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -90,7 +89,8 @@ def test_stack_oracle_matches_formula(n, count, ensemble):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_flat_objective_of_the_maximally_mixed_state(n):
     # Pi_u(I/2n) = I/2n for every u: the climb sees a flat zero.
-    assert gd_bruteforce_2xn(DensityMatrix(2, n, np.eye(2 * n) / (2 * n))) <= 1e-15
+    mixed = DensityMatrix(2, n, np.eye(2 * n) / (2 * n))
+    assert gd_bruteforce_stack(mixed.mat[None], n)[0] <= 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -115,7 +115,7 @@ def test_minimiser_at_the_pole(c):
     rho = DensityMatrix(2, 2, mat)
     value = bounds_check(rho).discord
     assert abs(value - (c[0] ** 2 + c[1] ** 2) / 2) <= 1e-12
-    assert abs(gd_bruteforce_2xn(rho) - value) <= 1e-12
+    assert abs(gd_bruteforce_stack(rho.mat[None], 2)[0] - value) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -124,7 +124,7 @@ def test_form_of_a_maximally_entangled_state_is_zero(n):
     # D = Tr rho^2 = 1, and the climb must not divide 0 by 0.
     rho = maximal_state(2, n)
     assert not measures._form(rho.mat[None], n).any()
-    assert abs(gd_bruteforce_2xn(rho) - 1.0) <= 1e-12
+    assert abs(gd_bruteforce_stack(rho.mat[None], n)[0] - 1.0) <= 1e-12
 
 
 def test_oracle_does_not_touch_the_formula(monkeypatch):
@@ -140,7 +140,7 @@ def test_oracle_does_not_touch_the_formula(monkeypatch):
         monkeypatch.setattr(measures, name, forbidden)
     brute = gd_bruteforce_stack(mats, 3)
     assert np.max(np.abs(brute - formula)) <= 1e-12
-    assert abs(gd_bruteforce_2xn(DensityMatrix(2, 3, mats[0])) - formula[0]) <= 1e-12
+    assert abs(gd_bruteforce_stack(mats[:1], 3)[0] - formula[0]) <= 1e-12
 
 
 def test_empty_stack_and_bad_arguments():
@@ -177,7 +177,6 @@ def test_oracle_solves_no_eigenproblem(monkeypatch):
     # at once: the oracle would then be the formula in disguise.
     mats = states(3, 16, 93)
     formula = _measure_stack(mats, 2, 3).discord
-    rho = DensityMatrix(2, 3, mats[0])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle solved an eigenproblem")
@@ -186,7 +185,7 @@ def test_oracle_solves_no_eigenproblem(monkeypatch):
         monkeypatch.setattr(np.linalg, name, forbidden)
     brute = gd_bruteforce_stack(mats, 3)
     assert np.max(np.abs(brute - formula)) <= 1e-12
-    assert abs(gd_bruteforce_2xn(rho) - formula[0]) <= 1e-12
+    assert abs(gd_bruteforce_stack(mats[:1], 3)[0] - formula[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("ensemble", ["hilbert-schmidt", "pure"])

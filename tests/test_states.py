@@ -1,4 +1,4 @@
-"""The positivity screen of `states.first_invalid_state`.
+"""The positivity screen of the state gate, `states._gate`.
 
 The gate settles positivity with one Cholesky factorisation of the states
 before the first cheap failure and takes their spectrum only when it fails.
@@ -26,7 +26,7 @@ from gdneg import families, io_cli, matrixcore, measures, states
 from gdneg.io_cli import _chunk_size, _hs_stack, run_sample, run_verify
 from gdneg.matrixcore import hermiticity_defect, partial_transpose
 from gdneg.errors import InvalidState
-from gdneg.states import DensityMatrix, PureState, first_invalid_state
+from gdneg.states import DensityMatrix, PureState
 from gdneg.su_generators import basis_stack
 from gdneg.tolerances import HERMITIAN_ATOL, NEGATIVE_EIGENVALUE_CUTOFF, PSD_MIN_EIGENVALUE
 
@@ -66,7 +66,7 @@ def forbidden(a):
 
 
 def verdict(mats):
-    invalid = first_invalid_state(mats)
+    invalid = states._gate(mats)[0]
     return None if invalid is None else (invalid[0], str(invalid[1]))
 
 
